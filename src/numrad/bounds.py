@@ -11,26 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, WeightOutOfRange
+from .errors import NonFinite, NumradError, WeightOutOfRange
 from .matrix import as_matrix
 from .optimize import golden_min
 from .polar import SIGMA_CUT_REL, T_MIN
-from .radius import DEFAULT_GRID, DEFAULT_THETA_TOL, RadiusEstimate, radius_sweep
+from .radius import (DEFAULT_GRID, DEFAULT_THETA_TOL, RadiusEstimate,
+                     coarse_step, radius_sweep, sweep_subgrid)
 
 TOL_SLACK = 1e-7
-
-CATALOG_IDS = (
-    "classic", "kitt-sum", "kitt-square", "kitt-mixed", "integral",
-    "integral-refined", "yamazaki", "aluthge-t", "aluthge-half",
-    "weighted-power", "weighted-r", "product", "fourth-power",
-    "schwarz-radius",
-)
-T_DEPENDENT_IDS = frozenset(
-    {"aluthge-t", "weighted-power", "weighted-r", "product",
-     "fourth-power", "schwarz-radius"})
+# Widening of a batched bracket, relative to |value| + ||A||, that covers
+# the rounding differences between the batched and the scalar evaluators.
+BRACKET_REL = 1e-9
+# Bytes of (t, theta) operand stack built at once by a bracket.
+BRACKET_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class BoundContext:
         self.sigma = s
         self._left = u
         self._right = vh.conj().T
-        self.norm_a = float(s[0]) if s.size else 0.0
+        self.norm_a = float(s[0])
         cut = SIGMA_CUT_REL * self.norm_a
         keep = s > cut
         self.isometry = u[:, keep] @ self._right[:, keep].conj().T
@@ -96,6 +93,20 @@ class BoundContext:
             m = (v * d) @ v.conj().T
             return (m + m.conj().T) / 2
 
+    def xpows(self, rs) -> np.ndarray:
+        """Stack of |A|^r over a vector of exponents, shape (len(rs), n, n)."""
+        return self._powers(self._right, rs)
+
+    def ypows(self, rs) -> np.ndarray:
+        """Stack of |A*|^r over a vector of exponents."""
+        return self._powers(self._left, rs)
+
+    def _powers(self, v: np.ndarray, rs) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = self.sigma ** np.asarray(rs, dtype=float)[:, None]
+            m = (v * d[:, None, :]) @ v.conj().T
+            return (m + _adj(m)) / 2
+
     def aluthge_t(self, t: float) -> np.ndarray:
         m = self._alu.get(t)
         if m is None:
@@ -103,11 +114,20 @@ class BoundContext:
             self._alu[t] = m
         return m
 
+    def aluthge_ts(self, ts) -> np.ndarray:
+        """Stack of weighted Aluthge transforms over a vector of t."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.xpows(1 - ts) @ self.isometry @ self.xpows(ts)
+
     def sweep(self, key, m) -> float:
+        """omega(m) by the context's sweep; inf for an overflowed operand."""
         v = self._omega.get(key)
         if v is None:
-            v = radius_sweep(m, self.theta_grid, self.theta_tol,
-                             self.theta_refine).value
+            if np.all(np.isfinite(m)):
+                v = radius_sweep(m, self.theta_grid, self.theta_tol,
+                                 self.theta_refine).value
+            else:
+                v = math.inf
             self._omega[key] = v
         return v
 
@@ -132,6 +152,42 @@ class BoundContext:
         if not np.all(np.isfinite(m)):
             return math.inf
         return float(np.linalg.svd(m, compute_uv=False)[0])
+
+    @staticmethod
+    def hnorms(ms: np.ndarray) -> np.ndarray:
+        """hnorm over a stack of operands."""
+        out = np.full(ms.shape[0], math.inf)
+        ok = np.isfinite(ms).all(axis=(-2, -1))
+        if ok.any():
+            w = np.linalg.eigvalsh((ms[ok] + _adj(ms[ok])) / 2)
+            out[ok] = np.maximum(abs(w[:, 0]), abs(w[:, -1]))
+        return out
+
+    @staticmethod
+    def gnorms(ms: np.ndarray) -> np.ndarray:
+        """gnorm over a stack of operands."""
+        out = np.full(ms.shape[0], math.inf)
+        ok = np.isfinite(ms).all(axis=(-2, -1))
+        if ok.any():
+            out[ok] = np.linalg.svd(ms[ok], compute_uv=False)[:, 0]
+        return out
+
+
+def _adj(ms: np.ndarray) -> np.ndarray:
+    return ms.conj().swapaxes(-1, -2)
+
+
+def _square(x: float) -> float:
+    """x**2, overflowing to inf like the numpy parts of a bound."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt_or_inf(inner: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(inner), np.sqrt(inner), math.inf)
 
 
 def _classic(ctx: BoundContext, t=None) -> BoundValue:
@@ -184,7 +240,7 @@ def _aluthge_half(ctx: BoundContext, t=None) -> BoundValue:
     wa = ctx.sweep(("alu", 0.5), alu)
     wa2 = ctx.sweep(("alu2", 0.5), alu @ alu)
     mod = alu.conj().T @ alu + alu @ alu.conj().T
-    inner = (ctx.norm_a**2 + 0.25 * ctx.hnorm(mod) + 0.5 * wa2
+    inner = (_square(ctx.norm_a) + 0.25 * ctx.hnorm(mod) + 0.5 * wa2
              + 2 * ctx.norm_a * wa)
     return BoundValue("aluthge-half", None, 0.5 * math.sqrt(inner),
                       {"inner": inner, "omega_aluthge": wa,
@@ -196,7 +252,7 @@ def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
     term_pow4 = 0.25 * ctx.hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
-    term_norm = 0.5 * ctx.norm_a**2
+    term_norm = 0.5 * _square(ctx.norm_a)
     term_mod = 0.25 * ctx.hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
     term_sq = 0.5 * wa2
     term_cross = ctx.hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t))) * wa
@@ -208,12 +264,42 @@ def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
     return BoundValue("aluthge-t", t, value, detail)
 
 
+def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
+    # Each sweep's value lies in [g, g / cos(pi * step / theta_grid)], g
+    # being its grid maximum over every step-th angle (Johnson's
+    # support-line bound).  inner is non-decreasing in both omega terms,
+    # so their brackets carry over to it.
+    step = coarse_step(ctx.theta_grid)
+    if step == 1:
+        nan = np.full(ts.shape, math.nan)
+        return nan, nan
+    alu = ctx.aluthge_ts(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wa = sweep_subgrid(alu, ctx.theta_grid, step)
+        wa2 = sweep_subgrid(alu @ alu, ctx.theta_grid, step)
+        fixed = (0.25 * ctx.hnorms(ctx.xpows(4 * ts) + ctx.xpows(4 * (1 - ts)))
+                 + 0.5 * _square(ctx.norm_a)
+                 + 0.25 * ctx.hnorms(_adj(alu) @ alu + alu @ _adj(alu)))
+        cross = ctx.hnorms(ctx.xpows(2 * ts) + ctx.xpows(2 * (1 - ts)))
+        omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
+        widen = 1 / math.cos(math.pi * step / ctx.theta_grid)
+        return (0.5 * _sqrt_or_inf(fixed + omega_terms),
+                0.5 * _sqrt_or_inf(fixed + widen * omega_terms))
+
+
 def _weighted_power(ctx: BoundContext, t: float) -> BoundValue:
     with np.errstate(invalid="ignore", over="ignore"):
         m = (1 - t) * ctx.xpow(1 / (1 - t)) + t * ctx.ypow(1 / t)
     inner = ctx.hnorm(m)
     value = math.sqrt(inner) if math.isfinite(inner) else math.inf
     return BoundValue("weighted-power", t, value, {"inner": inner})
+
+
+def _weighted_power_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    c = ts[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = (1 - c) * ctx.xpows(1 / (1 - ts)) + c * ctx.ypows(1 / ts)
+    return _sqrt_or_inf(ctx.hnorms(m))
 
 
 def _weighted_r(ctx: BoundContext, t: float) -> BoundValue:
@@ -224,12 +310,27 @@ def _weighted_r(ctx: BoundContext, t: float) -> BoundValue:
     return BoundValue("weighted-r", t, math.sqrt(inner), {"inner": inner})
 
 
+def _weighted_r_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    c = (ts * (1 - ts) / np.maximum(ts, 1 - ts))[:, None, None]
+    d = ctx.xpow(1.0) - ctx.ypow(1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = ctx.xpow(2.0) + ctx.ypow(2.0) - c * (d @ d)
+        return _sqrt_or_inf(0.5 * ctx.hnorms(m))
+
+
 def _product(ctx: BoundContext, t: float) -> BoundValue:
     n1 = ctx.gnorm(ctx.xpow(t) @ ctx.ypow(t))
     n2 = ctx.gnorm(ctx.xpow(1 - t) @ ctx.ypow(1 - t))
     value = 0.5 * (ctx.norm_a + math.sqrt(n1 * n2))
     return BoundValue("product", t, value,
                       {"norm_t": n1, "norm_one_minus_t": n2})
+
+
+def _product_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", over="ignore"):
+        n1 = ctx.gnorms(ctx.xpows(ts) @ ctx.ypows(ts))
+        n2 = ctx.gnorms(ctx.xpows(1 - ts) @ ctx.ypows(1 - ts))
+        return 0.5 * (ctx.norm_a + np.sqrt(n1 * n2))
 
 
 def _fourth_power(ctx: BoundContext, t: float) -> BoundValue:
@@ -239,6 +340,14 @@ def _fourth_power(ctx: BoundContext, t: float) -> BoundValue:
     inner = ctx.hnorm(m)
     value = math.sqrt(inner) if math.isfinite(inner) else math.inf
     return BoundValue("fourth-power", t, value, {"inner": inner})
+
+
+def _fourth_power_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    c = ts[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = ((ctx.xpows(4 * (1 - ts)) + ctx.ypows(4 * ts)) / 4
+             + ((1 - c) * ctx.xpow(2.0) + c * ctx.ypow(2.0)) / 2)
+    return _sqrt_or_inf(ctx.hnorms(m))
 
 
 def _schwarz_radius(ctx: BoundContext, t: float) -> BoundValue:
@@ -253,22 +362,54 @@ def _schwarz_radius(ctx: BoundContext, t: float) -> BoundValue:
                       {"inner": inner, "omega_a_squared": wa2})
 
 
-_EVALUATORS = {
-    "classic": _classic,
-    "kitt-sum": _kitt_sum,
-    "kitt-square": _kitt_square,
-    "kitt-mixed": _kitt_mixed,
-    "integral": _integral,
-    "integral-refined": _integral_refined,
-    "yamazaki": _yamazaki,
-    "aluthge-t": _aluthge_weighted,
-    "aluthge-half": _aluthge_half,
-    "weighted-power": _weighted_power,
-    "weighted-r": _weighted_r,
-    "product": _product,
-    "fourth-power": _fourth_power,
-    "schwarz-radius": _schwarz_radius,
+def _schwarz_radius_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    c = ts[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = c * ctx.xpows(2 / ts) + (1 - c) * ctx.ypows(2 / (1 - ts))
+    norm_m = ctx.hnorms(m)
+    if not np.isfinite(norm_m).any():
+        return norm_m
+    wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
+    return _sqrt_or_inf(0.5 * (np.sqrt(norm_m) + wa2))
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A catalog bound: its scalar evaluator ``(ctx, t) -> BoundValue`` and,
+    for t-dependent bounds, a bracket ``(ctx, ts) -> (lower, upper)`` that
+    holds the evaluator's value at every t of the vector ts."""
+
+    evaluate: Callable
+    bracket: Callable | None = None
+
+
+def _exact(batch: Callable) -> Callable:
+    """A bracket whose ends are both the batched value."""
+    def bracket(ctx: BoundContext, ts: np.ndarray):
+        v = batch(ctx, ts)
+        return v, v
+    return bracket
+
+
+_BOUNDS = {
+    "classic": _Entry(_classic),
+    "kitt-sum": _Entry(_kitt_sum),
+    "kitt-square": _Entry(_kitt_square),
+    "kitt-mixed": _Entry(_kitt_mixed),
+    "integral": _Entry(_integral),
+    "integral-refined": _Entry(_integral_refined),
+    "yamazaki": _Entry(_yamazaki),
+    "aluthge-t": _Entry(_aluthge_weighted, _aluthge_weighted_bracket),
+    "aluthge-half": _Entry(_aluthge_half),
+    "weighted-power": _Entry(_weighted_power, _exact(_weighted_power_batch)),
+    "weighted-r": _Entry(_weighted_r, _exact(_weighted_r_batch)),
+    "product": _Entry(_product, _exact(_product_batch)),
+    "fourth-power": _Entry(_fourth_power, _exact(_fourth_power_batch)),
+    "schwarz-radius": _Entry(_schwarz_radius, _exact(_schwarz_radius_batch)),
 }
+CATALOG_IDS = tuple(_BOUNDS)
+T_DEPENDENT_IDS = frozenset(
+    bid for bid, entry in _BOUNDS.items() if entry.bracket is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +486,49 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     (the objective genuinely diverges when sigma_1 > 1 and the exponent
     blows up) are recorded as +inf and skipped.
 
+    The scan is pruned with certified brackets.  The bound's batched
+    bracket [lower, upper] over the whole grid holds the scalar value at
+    every grid point.  The scalar evaluator then visits the grid points in
+    order of their lower ends and stops at the first whose lower end
+    exceeds a cap on the grid minimum (the smallest upper end, or the
+    smallest value evaluated so far); grid points whose bracket is not
+    finite are always evaluated.  No skipped point can hold or tie the
+    minimum, so the first-index minimum over the grid, and hence the
+    result, is that of the full scan.
+
     Returns (t_star, value) with value comparable to omega(A).
     """
     if bound_id not in T_DEPENDENT_IDS:
         raise ValueError(f"bound {bound_id!r} is not t-dependent")
     if ctx is None:
         ctx = BoundContext(a)
-    f = _EVALUATORS[bound_id]
+    entry = _BOUNDS[bound_id]
+    f = entry.evaluate
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    vals = np.array([f(ctx, float(t)).value for t in ts])
+    lower, upper = _brackets(entry, ctx, ts)
+    vals = np.full(grid_points, math.inf)
+    done = np.zeros(grid_points, dtype=bool)
+
+    def scan(indices):
+        for i in indices:
+            vals[i] = f(ctx, float(ts[i])).value
+            done[i] = True
+
+    certain = np.isfinite(lower) & np.isfinite(upper)
+    scan(np.flatnonzero(~certain))
+    order = np.flatnonzero(certain)
+    order = order[np.argsort(lower[order], kind="stable")]
+    cap = upper[certain].min(initial=math.inf)
+    for i in order:
+        if lower[i] > cap:
+            break
+        scan((i,))
+        cap = min(cap, vals[i])
     best = int(np.argmin(vals))
+    if not math.isfinite(vals[best]) and not done.all():
+        # no finite value among the visited points: finish the scan
+        scan(np.flatnonzero(~done))
+        best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
@@ -369,32 +543,52 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     return t_star, value
 
 
+def _brackets(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
+    """The bound's bracket at every t of ts, widened to cover rounding.
+
+    The stacks are built in chunks of t, so that memory stays bounded.
+    """
+    n = ctx.a.shape[0]
+    per_t = 16 * n * n * (ctx.theta_grid // coarse_step(ctx.theta_grid))
+    chunk = max(1, BRACKET_CHUNK_BYTES // per_t)
+    parts = [entry.bracket(ctx, ts[i:i + chunk])
+             for i in range(0, ts.size, chunk)]
+    lower = np.concatenate([p[0] for p in parts])
+    upper = np.concatenate([p[1] for p in parts])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (lower - BRACKET_REL * (abs(lower) + ctx.norm_a),
+                upper + BRACKET_REL * (abs(upper) + ctx.norm_a))
+
+
 def _minimized_bound(bound_id: str, ctx: BoundContext, grid_points: int,
                      refine_tol: float, refine: bool) -> BoundValue:
     t_star, _ = minimize_over_t(bound_id, None, grid_points, refine_tol,
                                 refine=refine, ctx=ctx)
-    return _EVALUATORS[bound_id](ctx, t_star)
+    return _BOUNDS[bound_id].evaluate(ctx, t_star)
 
 
 def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
-                refine_tol: float = 1e-8, refine: bool = True) -> BoundReport:
-    """Evaluate the full catalog, minimizing t-dependent bounds.
+                refine_tol: float = 1e-8, refine: bool = True,
+                ids=CATALOG_IDS) -> BoundReport:
+    """Evaluate the bounds named by ids, minimizing t-dependent ones.
 
-    Per-bound failures are recorded in the bound's detail; the report is
-    still produced.  Bounds are sorted ascending by value.  refine=False
+    ids defaults to the full catalog.  A bound that fails with a
+    NumradError or a numerical error from numpy is recorded as a NaN
+    row with the message in detail["error"]; the report is still
+    produced.  Bounds are sorted ascending by value.  refine=False
     disables both the golden t-refinement and the theta refinement inside
     sweeps, for bulk campaigns where grid accuracy suffices.
     """
     ctx = BoundContext(a, theta_grid=theta_grid, theta_refine=refine)
     omega = ctx.omega_estimate
     bounds = []
-    for bound_id in CATALOG_IDS:
+    for bound_id in ids:
         try:
             if bound_id in T_DEPENDENT_IDS:
                 bv = _minimized_bound(bound_id, ctx, t_grid, refine_tol, refine)
             else:
-                bv = _EVALUATORS[bound_id](ctx)
-        except Exception as exc:  # aggregated per-bound, report survives
+                bv = _BOUNDS[bound_id].evaluate(ctx)
+        except (NumradError, np.linalg.LinAlgError, FloatingPointError) as exc:
             bv = BoundValue(bound_id, None, math.nan, {"error": str(exc)})
         bounds.append(bv)
     slacks = {bv.id: bv.value - omega.value for bv in bounds

@@ -8,8 +8,7 @@ import sys
 
 import click
 
-from .bounds import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, BoundReport,
-                     BoundValue, _EVALUATORS, _minimized_bound)
+from .bounds import CATALOG_IDS, compare_all
 from .campaign import CampaignConfig, run_campaign
 from .ensembles import ENSEMBLES
 from .errors import NumradError, ParseError
@@ -55,21 +54,8 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     wanted = CATALOG_IDS if bound_id == "all" else (bound_id,)
-    ctx = BoundContext(a, theta_grid=theta_grid)
-    omega = ctx.omega_estimate
-    rows = []
-    for bid in wanted:
-        try:
-            if bid in T_DEPENDENT_IDS:
-                rows.append(_minimized_bound(bid, ctx, t_grid, 1e-8, True))
-            else:
-                rows.append(_EVALUATORS[bid](ctx))
-        except Exception as exc:
-            rows.append(BoundValue(bid, None, math.nan, {"error": str(exc)}))
-    slacks = {bv.id: bv.value - omega.value for bv in rows
-              if math.isfinite(bv.value)}
-    rows.sort(key=lambda bv: (math.isnan(bv.value), bv.value))
-    report = BoundReport(omega=omega, bounds=rows, slacks=slacks)
+    report = compare_all(a, t_grid=t_grid, theta_grid=theta_grid, ids=wanted)
+    rows = report.bounds
     computed = [bv for bv in rows if math.isfinite(bv.value)]
     if fmt == "json":
         doc = {

@@ -21,10 +21,12 @@ M_SQUARINGS = 40
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and coerce input to a square complex matrix."""
+    """Validate and coerce input to a nonempty square complex matrix."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise DomainError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -80,8 +82,6 @@ def svd(a) -> SingularDecomposition:
 def spectral_norm(a) -> float:
     """Operator norm: largest singular value."""
     a = as_matrix(a)
-    if not a.size:
-        return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
@@ -89,10 +89,15 @@ def spectral_radius(a) -> float:
     """Largest eigenvalue modulus via Gelfand's formula.
 
     Uses repeated squaring with Frobenius renormalization at each of
-    M_SQUARINGS steps; accurate to about TOL_RAD relative.
+    M_SQUARINGS steps, on A pre-scaled by its largest entry so that no
+    norm under- or overflows; accurate to about TOL_RAD relative at any
+    scale.
     """
     a = as_matrix(a)
-    b = a.copy()
+    amax = float(np.max(np.abs(a)))
+    if amax == 0.0:
+        return 0.0
+    b = a / amax
     log_scale = 0.0
     est_prev = None
     for k in range(M_SQUARINGS):
@@ -106,8 +111,8 @@ def spectral_radius(a) -> float:
         if nb == 0.0:
             return 0.0
         est = math.exp((math.log(nb) + log_scale) / 2.0 ** (k + 1))
-        if est_prev is not None and abs(est - est_prev) <= TOL_RAD * max(1.0, est):
-            return est
+        if est_prev is not None and abs(est - est_prev) <= TOL_RAD * est:
+            return amax * est
         est_prev = est
     raise NoConvergence("spectral radius estimate did not settle within budget")
 

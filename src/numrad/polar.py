@@ -40,8 +40,7 @@ def polar(a) -> PolarDecomposition:
     """
     a = as_matrix(a)
     dec = svd(a)
-    cut = SIGMA_CUT_REL * (dec.sigma[0] if dec.sigma.size else 0.0)
-    keep = dec.sigma > cut
+    keep = dec.sigma > SIGMA_CUT_REL * dec.sigma[0]
     u = dec.left[:, keep] @ dec.right[:, keep].conj().T
     p = (dec.right * dec.sigma) @ dec.right.conj().T
     return PolarDecomposition(isometry=u, positive=(p + p.conj().T) / 2)
@@ -57,8 +56,7 @@ def aluthge(a, t: float = 0.5) -> WeightedAluthge:
         raise WeightOutOfRange(f"t={t} outside [{T_MIN}, {1 - T_MIN}]")
     a = as_matrix(a)
     dec = svd(a)
-    cut = SIGMA_CUT_REL * (dec.sigma[0] if dec.sigma.size else 0.0)
-    keep = dec.sigma > cut
+    keep = dec.sigma > SIGMA_CUT_REL * dec.sigma[0]
     u = dec.left[:, keep] @ dec.right[:, keep].conj().T
     r = dec.right
     left_pow = (r * dec.sigma ** (1 - t)) @ r.conj().T

@@ -18,6 +18,8 @@ from .optimize import golden_max
 DEFAULT_GRID = 720
 DEFAULT_THETA_TOL = 1e-10
 DEFAULT_ASCENT_STEPS = 50
+# Largest angle step of the subgrid that brackets a sweep's value.
+COARSE_STEP_MAX = 16
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -50,6 +52,14 @@ def _lambda_max_rotated(a, theta: float) -> float:
     return float(np.linalg.eigvalsh(h)[-1])
 
 
+def _rotations(a, phases) -> np.ndarray:
+    """Re(e^{i theta} A) over the phases e^{i theta}, on a new axis before
+    the matrix axes; a may carry leading stack axes."""
+    p = phases[:, None, None]
+    return (p * a[..., None, :, :]
+            + np.conj(p) * a.conj().swapaxes(-1, -2)[..., None, :, :]) / 2
+
+
 def radius_sweep(a, grid_points: int = DEFAULT_GRID,
                  theta_tol: float = DEFAULT_THETA_TOL,
                  refine: bool = True) -> RadiusEstimate:
@@ -64,10 +74,7 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
         raise ValueError("grid_points must be at least 8")
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    phases = np.exp(1j * thetas)
-    batch = (phases[:, None, None] * a
-             + np.conj(phases)[:, None, None] * a.conj().T) / 2
-    grid_vals = np.linalg.eigvalsh(batch)[:, -1]
+    grid_vals = np.linalg.eigvalsh(_rotations(a, np.exp(1j * thetas)))[:, -1]
     best = int(np.argmax(grid_vals))
     half = np.pi / grid_points
     if not refine:
@@ -82,6 +89,32 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
         theta, value = thetas[best], float(grid_vals[best])
     return RadiusEstimate(value=float(value), theta_star=float(theta % (2 * np.pi)),
                           grid_points=grid_points, refine_width=float(width))
+
+
+def coarse_step(grid_points: int) -> int:
+    """Largest divisor of grid_points that is at most COARSE_STEP_MAX and
+    leaves at least 3 angles in the subgrid; 1 if there is none."""
+    return max((d for d in range(1, COARSE_STEP_MAX + 1)
+                if grid_points % d == 0 and grid_points // d >= 3),
+               default=1)
+
+
+def sweep_subgrid(ms, grid_points: int, step: int) -> np.ndarray:
+    """Grid maximum of a sweep over every step-th angle, for each matrix
+    of the stack ms (shape (T, n, n)); inf for a non-finite matrix.
+
+    The subgrid's angles are exact members of the sweep's grid, so the
+    result is at most the sweep's value.  With m = grid_points / step >= 3
+    equally spaced angles, omega is at most the result / cos(pi / m)
+    (Johnson's support-line bound).
+    """
+    thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
+    out = np.full(ms.shape[0], np.inf)
+    ok = np.isfinite(ms).all(axis=(-2, -1))
+    if ok.any():
+        rot = _rotations(ms[ok], np.exp(1j * thetas))
+        out[ok] = np.linalg.eigvalsh(rot)[..., -1].max(axis=-1)
+    return out
 
 
 def radius_oracle(a, trials: int, seed: int,

@@ -14,7 +14,7 @@ import pytest
 from numrad import (aluthge, aluthge_half, integral_bound, kittaneh_mixed,
                     kittaneh_square, kittaneh_sum, minimize_over_t,
                     radius_oracle, radius_sweep, spectral_norm, yamazaki)
-from numrad.bounds import BoundContext, _EVALUATORS
+from numrad.bounds import _BOUNDS, BoundContext
 from numrad.campaign import CampaignConfig, run_campaign
 from numrad.ensembles import ENSEMBLES
 from numrad import pointwise
@@ -96,8 +96,8 @@ def test_specialization_identities():
         n = int(rng.integers(2, 9))
         ctx = BoundContext(ginibre(rng, n))
         for general, special in pairs:
-            lhs = _EVALUATORS[general](ctx, 0.5).value
-            rhs = _EVALUATORS[special](ctx).value
+            lhs = _BOUNDS[general].evaluate(ctx, 0.5).value
+            rhs = _BOUNDS[special].evaluate(ctx).value
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     ok = worst <= 1e-10
     _report(f"specialization identities (worst {worst:.2e})", ok)
@@ -112,17 +112,17 @@ def test_ordering_chains():
         ctx = BoundContext(a)
         alu_norm = spectral_norm(aluthge(a, 0.5).transform)
         mid = 0.5 * (ctx.norm_a + alu_norm)
-        km = _EVALUATORS["kitt-mixed"](ctx).value
-        ok &= _EVALUATORS["aluthge-half"](ctx).value <= mid + 1e-9
+        km = _BOUNDS["kitt-mixed"].evaluate(ctx).value
+        ok &= _BOUNDS["aluthge-half"].evaluate(ctx).value <= mid + 1e-9
         ok &= mid <= km + 1e-9
         _, product_min = minimize_over_t("product", None, grid_points=101,
                                          ctx=ctx)
         ok &= product_min <= km + 1e-9
-        integ = _EVALUATORS["integral"](ctx).value
-        ok &= _EVALUATORS["integral-refined"](ctx).value <= integ + 1e-9
-        ks = _EVALUATORS["kitt-square"](ctx).value
+        integ = _BOUNDS["integral"].evaluate(ctx).value
+        ok &= _BOUNDS["integral-refined"].evaluate(ctx).value <= integ + 1e-9
+        ks = _BOUNDS["kitt-square"].evaluate(ctx).value
         ok &= integ <= ks + 1e-9
-        ok &= _EVALUATORS["kitt-sum"](ctx).value <= ks + 1e-9
+        ok &= _BOUNDS["kitt-sum"].evaluate(ctx).value <= ks + 1e-9
         if not ok:
             break
     _report("ordering chains", ok)

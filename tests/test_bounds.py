@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, WeightOutOfRange,
-                    aluthge_half, aluthge_weighted, classic_envelope,
-                    compare_all, fourth_power, integral_bound,
-                    integral_refined, kittaneh_mixed, kittaneh_square,
-                    kittaneh_sum, minimize_over_t, product_bound,
-                    radius_sweep, schwarz_radius, weight_params,
-                    weighted_R, weighted_power, yamazaki)
-from numrad.ensembles import sample
+from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
+                    NonFinite, WeightOutOfRange, aluthge_half,
+                    aluthge_weighted, classic_envelope, compare_all,
+                    fourth_power, integral_bound, integral_refined,
+                    kittaneh_mixed, kittaneh_square, kittaneh_sum,
+                    minimize_over_t, product_bound, radius_sweep,
+                    schwarz_radius, weight_params, weighted_R,
+                    weighted_power, yamazaki)
+from numrad import bounds
+from numrad.ensembles import ENSEMBLES, sample
+from numrad.optimize import golden_min
+from numrad.polar import T_MIN
+from numrad.radius import coarse_step, sweep_subgrid
+from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre
 
@@ -212,3 +218,204 @@ def test_t_used_recorded(rng):
             assert bv.t_used is not None and 0 < bv.t_used < 1
         else:
             assert bv.t_used is None
+
+
+def test_compare_all_ids_subset(rng):
+    a = ginibre(rng, 3)
+    ids = ("product", "kitt-sum")
+    report = compare_all(a, t_grid=21, theta_grid=240, ids=ids)
+    assert sorted(bv.id for bv in report.bounds) == sorted(ids)
+    full = {bv.id: bv for bv in compare_all(a, t_grid=21,
+                                            theta_grid=240).bounds}
+    for bv in report.bounds:
+        assert bv == full[bv.id]
+
+
+def test_compare_all_propagates_programming_errors(monkeypatch):
+    def broken(ctx, t=None):
+        raise TypeError("bug in an evaluator")
+
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", bounds._Entry(broken))
+    with pytest.raises(TypeError):
+        compare_all(EXAMPLE1, t_grid=21, theta_grid=240)
+
+
+def test_compare_all_records_numrad_errors_as_nan_rows(monkeypatch):
+    def overflowing(ctx, t=None):
+        raise NonFinite("kitt-sum overflowed")
+
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum",
+                        bounds._Entry(overflowing))
+    report = compare_all(EXAMPLE1, t_grid=21, theta_grid=240)
+    row = next(bv for bv in report.bounds if bv.id == "kitt-sum")
+    assert math.isnan(row.value)
+    assert row.detail["error"] == "kitt-sum overflowed"
+    assert "kitt-sum" not in report.slacks
+    assert report.bounds[-1] is row
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e150, 1e155, 1e200])
+def test_compare_all_at_extreme_scales_raises_nothing(scale):
+    # Overflowing operands give inf or a NaN row that says why; no other
+    # exception escapes the narrowed handler.  (Whether the values are
+    # sound at these scales is not checked here.)
+    rng = np.random.default_rng(4)
+    for a in (ginibre(rng, 4), JORDAN2):
+        report = compare_all(scale * a, t_grid=21, theta_grid=240)
+        assert math.isfinite(report.omega.value)
+        assert sorted(bv.id for bv in report.bounds) == sorted(CATALOG_IDS)
+        for bv in report.bounds:
+            assert not math.isnan(bv.value) or bv.detail["error"]
+
+
+def test_compare_all_rejects_empty_matrix():
+    with pytest.raises(DomainError):
+        compare_all(np.zeros((0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the pruned t-scan against the full scan it replaces
+
+def _full_scan(bound_id, ctx, grid_points, refine_tol, refine):
+    """The unpruned scan: every grid point, first-index argmin, golden
+    refinement around it."""
+    f = bounds._BOUNDS[bound_id].evaluate
+    ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
+    vals = np.array([f(ctx, float(t)).value for t in ts])
+    best = int(np.argmin(vals))
+    if not math.isfinite(vals[best]):
+        raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
+                        f"(e.g. t={ts[best]})")
+    t_star, value = float(ts[best]), float(vals[best])
+    if refine and grid_points > 1:
+        lo = float(ts[max(best - 1, 0)])
+        hi = float(ts[min(best + 1, grid_points - 1)])
+        t_ref, v_ref, _ = golden_min(
+            lambda t: f(ctx, float(t)).value, lo, hi, refine_tol)
+        if v_ref < value:
+            t_star, value = float(t_ref), float(v_ref)
+    return t_star, value
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonFinite as exc:
+        return ("NonFinite", str(exc))
+
+
+def _assert_scans_agree(a, grid_points, theta_grid, refine,
+                        refine_tol=1e-8):
+    for bound_id in sorted(T_DEPENDENT_IDS):
+        # separate contexts, so that no cached value passes between them
+        want = _outcome(lambda: _full_scan(
+            bound_id, BoundContext(a, theta_grid=theta_grid,
+                                   theta_refine=refine),
+            grid_points, refine_tol, refine))
+        got = _outcome(lambda: minimize_over_t(
+            bound_id, None, grid_points, refine_tol, refine=refine,
+            ctx=BoundContext(a, theta_grid=theta_grid, theta_refine=refine)))
+        assert got == want, (bound_id, theta_grid, refine)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_pruned_scan_equals_full_scan_over_ensembles(ensemble):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 610)
+    for n in (2, 3, 5, 8):
+        a = sample(ensemble, n, rng)
+        for theta_grid in (240, 360, 720):
+            for refine in (True, False):
+                _assert_scans_agree(a, 15, theta_grid, refine,
+                                    refine_tol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["SHIFT_234", "SHIFT_342"])
+def test_pruned_scan_equals_full_scan_on_examples(name):
+    # product is flat on these, so every grid point ties for the minimum
+    a = {"SHIFT_234": SHIFT_234, "SHIFT_342": SHIFT_342}[name]
+    for refine in (True, False):
+        _assert_scans_agree(a, 101, 720, refine)
+
+
+def test_pruned_scan_equals_full_scan_on_edge_inputs():
+    rng = np.random.default_rng(611)
+    g = ginibre(rng, 5)
+    rank_two = g[:, :2] @ g[:2, :]
+    for a in (rank_two, JORDAN2, 1e150 * g, 1e150 * rank_two):
+        for theta_grid in (240, 720):
+            _assert_scans_agree(a, 31, theta_grid, True)
+
+
+def test_pruned_scan_overflow_matches_full_scan():
+    # at this scale the grid overflows: some bounds are finite only on
+    # part of the grid, and others nowhere
+    a = 1e150 * ginibre(np.random.default_rng(612), 4)
+    outcomes = {}
+    for bound_id in sorted(T_DEPENDENT_IDS):
+        outcomes[bound_id] = _outcome(lambda: minimize_over_t(
+            bound_id, a, 31))
+    assert outcomes["schwarz-radius"][0] == "NonFinite"
+    assert any(isinstance(v[1], float) for v in outcomes.values())
+    _assert_scans_agree(a, 31, 720, True)
+
+
+def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
+    calls = []
+    entry = bounds._BOUNDS["aluthge-t"]
+
+    def counted(ctx, t):
+        calls.append(t)
+        return entry.evaluate(ctx, t)
+
+    monkeypatch.setitem(bounds._BOUNDS, "aluthge-t",
+                        bounds._Entry(counted, entry.bracket))
+    minimize_over_t("aluthge-t", SHIFT_234, 201, refine=False)
+    assert 1 <= len(calls) <= 20
+
+
+def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
+    # a grid point whose bracket is NaN or inf certifies nothing, so the
+    # scalar evaluator must run there
+    entry = bounds._BOUNDS["fourth-power"]
+
+    def holed(ctx, ts):
+        lower, upper = entry.bracket(ctx, ts)
+        lower, upper = lower.copy(), upper.copy()
+        lower[1:-1:2] = math.nan
+        upper[2:-1:2] = math.inf
+        return lower, upper
+
+    monkeypatch.setitem(bounds._BOUNDS, "fourth-power",
+                        bounds._Entry(entry.evaluate, holed))
+    for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
+        _assert_scans_agree(a, 41, 240, True)
+
+
+@pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
+@pytest.mark.parametrize("refine", [True, False])
+def test_subgrid_brackets_the_sweep(theta_grid, refine):
+    rng = np.random.default_rng(613)
+    step = coarse_step(theta_grid)
+    assert theta_grid % step == 0 and theta_grid // step >= 3
+    widen = 1 / math.cos(math.pi * step / theta_grid)
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 6)]
+    mats += [JORDAN2, np.diag([1.0, -2.0, 1.5j]), np.zeros((3, 3))]
+    lower = sweep_subgrid(np.stack([np.pad(m, (0, 6 - m.shape[0]))
+                                    for m in mats]), theta_grid, step)
+    for m, g_c in zip(mats, lower):
+        w = radius_sweep(m, theta_grid, refine=refine).value
+        tol = 1e-12 * (1 + abs(w))
+        assert g_c - tol <= w <= g_c * widen + tol
+
+
+def test_coarse_step():
+    assert coarse_step(720) == 16
+    assert coarse_step(240) == 16
+    assert coarse_step(360) == 15
+    assert coarse_step(16) == 4
+    assert coarse_step(11) == 1
+
+
+def test_subgrid_of_non_finite_matrix_is_inf():
+    ms = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
+    assert sweep_subgrid(ms, 720, 16).tolist() == [1.0, math.inf]

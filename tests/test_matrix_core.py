@@ -129,6 +129,29 @@ def test_spectral_radius_matches_norm_on_psd(rng):
         assert spectral_radius(p) == pytest.approx(spectral_norm(p), rel=1e-8)
 
 
+def test_spectral_radius_relative_at_every_scale():
+    g = ginibre(np.random.default_rng(20261018), 5)
+    want = np.max(np.abs(np.linalg.eigvals(g)))
+    for exponent in range(-200, 151, 10):
+        scale = 10.0**exponent
+        got = spectral_radius(scale * g)
+        assert abs(got - scale * want) <= 1e-6 * scale * want, exponent
+
+
+def test_spectral_radius_tiny_unitary():
+    a = 1e-170 * np.array([[0, 1], [1j, 0]])
+    assert spectral_radius(a) == pytest.approx(1e-170, rel=1e-6)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(DomainError):
+        spectral_norm(np.zeros((0, 0)))
+    with pytest.raises(DomainError):
+        spectral_radius(np.zeros((0, 0)))
+    with pytest.raises(DomainError):
+        svd(np.zeros((0, 0)))
+
+
 def test_frac_power_squares():
     out = frac_power(np.diag([4.0, 2.0, 3.0]), 2)
     assert np.allclose(out, np.diag([16, 4, 9]), atol=1e-12)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from numrad import (power_check, radius_oracle, radius_sweep, spectral_norm,
-                    splitmix64)
+from numrad import (DomainError, power_check, radius_oracle, radius_sweep,
+                    spectral_norm, splitmix64)
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_unitary
 
@@ -98,3 +98,10 @@ def test_splitmix64_stream():
     assert all(0 <= v < 2**64 for v in vals)
     assert vals == [splitmix64(42, i) for i in range(100)]
     assert splitmix64(43, 0) != splitmix64(42, 0)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(DomainError):
+        radius_sweep(np.zeros((0, 0)))
+    with pytest.raises(DomainError):
+        radius_oracle(np.zeros((0, 0)), 10, 0)
