@@ -5,26 +5,30 @@ because they share the singular value decomposition of A, which is
 computed once per context.  All bound evaluators return a BoundValue
 whose value is directly comparable to omega(A); bounds stated in the
 squared form record the pre-square-root quantity under detail["inner"].
+
+Each t-dependent bound but aluthge-t is one function of (ctx, t) giving
+(value, detail), for a float t or a vector of t; the t-scan's evaluator
+and bracket are that function at a float and at the grid's vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, NumradError, WeightOutOfRange
-from .matrix import as_matrix
+from .errors import NonFinite, NumradError
 from .optimize import golden_min
-from .polar import SIGMA_CUT_REL, T_MIN
+from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (DEFAULT_GRID, DEFAULT_THETA_TOL, RadiusEstimate,
                      coarse_step, radius_sweep, sweep_subgrid)
 
 TOL_SLACK = 1e-7
-# Widening of a batched bracket, relative to |value| + ||A||, that covers
-# the rounding differences between the batched and the scalar evaluators.
+# Widening of a bracket, relative to |value| + ||A||, that covers the
+# rounding differences between stacked and single-matrix arithmetic.
 BRACKET_REL = 1e-9
 # Bytes of (t, theta) operand stack built at once by a bracket.
 BRACKET_CHUNK_BYTES = 1 << 24
@@ -37,8 +41,7 @@ class WeightParams:
 
 
 def weight_params(t: float) -> WeightParams:
-    if not T_MIN <= t <= 1 - T_MIN:
-        raise WeightOutOfRange(f"t={t} outside [{T_MIN}, {1 - T_MIN}]")
+    _check_weight(t)
     return WeightParams(t=float(t), r_cap=max(t, 1 - t))
 
 
@@ -57,67 +60,27 @@ class BoundReport:
     slacks: dict
 
 
-class BoundContext:
-    """Shared spectral data for evaluating many bounds on one matrix."""
+class BoundContext(_Spectral):
+    """The spectral core of one matrix, with the sweep settings and the
+    caches shared by the bounds evaluated on it."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  theta_tol: float = DEFAULT_THETA_TOL,
                  theta_refine: bool = True):
-        self.a = as_matrix(a)
+        super().__init__(a)
         self.theta_grid = theta_grid
         self.theta_tol = theta_tol
         self.theta_refine = theta_refine
-        u, s, vh = np.linalg.svd(self.a)
-        self.sigma = s
-        self._left = u
-        self._right = vh.conj().T
-        self.norm_a = float(s[0])
-        cut = SIGMA_CUT_REL * self.norm_a
-        keep = s > cut
-        self.isometry = u[:, keep] @ self._right[:, keep].conj().T
         self._alu: dict[float, np.ndarray] = {}
         self._omega: dict = {}
-        self._omega_a: RadiusEstimate | None = None
 
-    def xpow(self, r: float) -> np.ndarray:
-        """|A|^r (r > 0).  Overflowing powers propagate as non-finite."""
-        return self._power(self._right, r)
-
-    def ypow(self, r: float) -> np.ndarray:
-        """|A*|^r (r > 0)."""
-        return self._power(self._left, r)
-
-    def _power(self, v: np.ndarray, r: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = self.sigma**r
-            m = (v * d) @ v.conj().T
-            return (m + m.conj().T) / 2
-
-    def xpows(self, rs) -> np.ndarray:
-        """Stack of |A|^r over a vector of exponents, shape (len(rs), n, n)."""
-        return self._powers(self._right, rs)
-
-    def ypows(self, rs) -> np.ndarray:
-        """Stack of |A*|^r over a vector of exponents."""
-        return self._powers(self._left, rs)
-
-    def _powers(self, v: np.ndarray, rs) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = self.sigma ** np.asarray(rs, dtype=float)[:, None]
-            m = (v * d[:, None, :]) @ v.conj().T
-            return (m + _adj(m)) / 2
-
-    def aluthge_t(self, t: float) -> np.ndarray:
-        m = self._alu.get(t)
-        if m is None:
-            m = self.xpow(1 - t) @ self.isometry @ self.xpow(t)
-            self._alu[t] = m
-        return m
-
-    def aluthge_ts(self, ts) -> np.ndarray:
-        """Stack of weighted Aluthge transforms over a vector of t."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.xpows(1 - ts) @ self.isometry @ self.xpows(ts)
+    def aluthge(self, t):
+        """A_t, cached for a float t."""
+        if isinstance(t, np.ndarray):
+            return super().aluthge(t)
+        if t not in self._alu:
+            self._alu[t] = super().aluthge(t)
+        return self._alu[t]
 
     def sweep(self, key, m) -> float:
         """omega(m) by the context's sweep; inf for an overflowed operand."""
@@ -131,50 +94,41 @@ class BoundContext:
             self._omega[key] = v
         return v
 
-    @property
+    @cached_property
     def omega_estimate(self) -> RadiusEstimate:
-        if self._omega_a is None:
-            self._omega_a = radius_sweep(self.a, self.theta_grid,
-                                         self.theta_tol, self.theta_refine)
-        return self._omega_a
-
-    @staticmethod
-    def hnorm(m) -> float:
-        """Spectral norm of a Hermitian operand via extreme eigenvalues."""
-        if not np.all(np.isfinite(m)):
-            return math.inf
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        return float(max(abs(w[0]), abs(w[-1])))
-
-    @staticmethod
-    def gnorm(m) -> float:
-        """Spectral norm of a general operand."""
-        if not np.all(np.isfinite(m)):
-            return math.inf
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-
-    @staticmethod
-    def hnorms(ms: np.ndarray) -> np.ndarray:
-        """hnorm over a stack of operands."""
-        out = np.full(ms.shape[0], math.inf)
-        ok = np.isfinite(ms).all(axis=(-2, -1))
-        if ok.any():
-            w = np.linalg.eigvalsh((ms[ok] + _adj(ms[ok])) / 2)
-            out[ok] = np.maximum(abs(w[:, 0]), abs(w[:, -1]))
-        return out
-
-    @staticmethod
-    def gnorms(ms: np.ndarray) -> np.ndarray:
-        """gnorm over a stack of operands."""
-        out = np.full(ms.shape[0], math.inf)
-        ok = np.isfinite(ms).all(axis=(-2, -1))
-        if ok.any():
-            out[ok] = np.linalg.svd(ms[ok], compute_uv=False)[:, 0]
-        return out
+        return radius_sweep(self.a, self.theta_grid, self.theta_tol,
+                            self.theta_refine)
 
 
-def _adj(ms: np.ndarray) -> np.ndarray:
-    return ms.conj().swapaxes(-1, -2)
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _finite_norm(norm: Callable, m: np.ndarray):
+    """norm(m) for a matrix, or over each matrix of a stack, where m is
+    finite; inf where it is not.  A matrix gives a float."""
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    if m.ndim == 2:
+        return float(norm(m)) if ok else math.inf
+    out = np.full(m.shape[0], math.inf)
+    if ok.any():
+        out[ok] = norm(m[ok])
+    return out
+
+
+def hnorm(m: np.ndarray):
+    """Spectral norm of a Hermitian operand, or of each of a stack."""
+    def norm(h):
+        w = np.linalg.eigvalsh((h + _adj(h)) / 2)
+        return np.maximum(abs(w[..., 0]), abs(w[..., -1]))
+    return _finite_norm(norm, m)
+
+
+def gnorm(m: np.ndarray):
+    """Spectral norm of a general operand, or of each of a stack."""
+    return _finite_norm(
+        lambda g: np.linalg.svd(g, compute_uv=False)[..., 0], m)
 
 
 def _square(x: float) -> float:
@@ -185,9 +139,16 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _sqrt_or_inf(inner: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(inner), np.sqrt(inner), math.inf)
+def _sqrt_or_inf(inner):
+    """sqrt(inner) where inner is finite, inf where it is not."""
+    if isinstance(inner, np.ndarray):
+        return np.sqrt(np.where(np.isfinite(inner), inner, math.inf))
+    return math.sqrt(inner) if math.isfinite(inner) else math.inf
+
+
+def _coef(t):
+    """t as the coefficient of an operand: itself, or (T, 1, 1) if a vector."""
+    return t[:, None, None] if isinstance(t, np.ndarray) else t
 
 
 def _classic(ctx: BoundContext, t=None) -> BoundValue:
@@ -196,17 +157,17 @@ def _classic(ctx: BoundContext, t=None) -> BoundValue:
 
 
 def _kitt_sum(ctx: BoundContext, t=None) -> BoundValue:
-    v = 0.5 * ctx.hnorm(ctx.xpow(1.0) + ctx.ypow(1.0))
+    v = 0.5 * hnorm(ctx.xpow(1.0) + ctx.ypow(1.0))
     return BoundValue("kitt-sum", None, v)
 
 
 def _kitt_square(ctx: BoundContext, t=None) -> BoundValue:
-    inner = 0.5 * ctx.hnorm(ctx.xpow(2.0) + ctx.ypow(2.0))
+    inner = 0.5 * hnorm(ctx.xpow(2.0) + ctx.ypow(2.0))
     return BoundValue("kitt-square", None, math.sqrt(inner), {"inner": inner})
 
 
 def _kitt_mixed(ctx: BoundContext, t=None) -> BoundValue:
-    norm_sq = ctx.gnorm(ctx.a @ ctx.a)
+    norm_sq = gnorm(ctx.a @ ctx.a)
     v = 0.5 * (ctx.norm_a + math.sqrt(norm_sq))
     return BoundValue("kitt-mixed", None, v, {"norm_a_squared": norm_sq})
 
@@ -218,50 +179,57 @@ def _integral_operand(ctx: BoundContext) -> np.ndarray:
 
 
 def _integral(ctx: BoundContext, t=None) -> BoundValue:
-    inner = ctx.hnorm(_integral_operand(ctx))
+    inner = hnorm(_integral_operand(ctx))
     return BoundValue("integral", None, math.sqrt(inner), {"inner": inner})
 
 
 def _integral_refined(ctx: BoundContext, t=None) -> BoundValue:
     d = ctx.xpow(1.0) - ctx.ypow(1.0)
-    inner = ctx.hnorm(_integral_operand(ctx) - d @ d / 48)
+    inner = hnorm(_integral_operand(ctx) - d @ d / 48)
     return BoundValue("integral-refined", None, math.sqrt(inner),
                       {"inner": inner})
 
 
 def _yamazaki(ctx: BoundContext, t=None) -> BoundValue:
-    wa = ctx.sweep(("alu", 0.5), ctx.aluthge_t(0.5))
+    wa = ctx.sweep(("alu", 0.5), ctx.aluthge(0.5))
     return BoundValue("yamazaki", None, 0.5 * (ctx.norm_a + wa),
                       {"omega_aluthge": wa})
 
 
 def _aluthge_half(ctx: BoundContext, t=None) -> BoundValue:
-    alu = ctx.aluthge_t(0.5)
+    alu = ctx.aluthge(0.5)
     wa = ctx.sweep(("alu", 0.5), alu)
     wa2 = ctx.sweep(("alu2", 0.5), alu @ alu)
     mod = alu.conj().T @ alu + alu @ alu.conj().T
-    inner = (_square(ctx.norm_a) + 0.25 * ctx.hnorm(mod) + 0.5 * wa2
+    inner = (_square(ctx.norm_a) + 0.25 * hnorm(mod) + 0.5 * wa2
              + 2 * ctx.norm_a * wa)
     return BoundValue("aluthge-half", None, 0.5 * math.sqrt(inner),
                       {"inner": inner, "omega_aluthge": wa,
                        "omega_aluthge_sq": wa2})
 
 
+def _aluthge_terms(ctx: BoundContext, t, alu: np.ndarray):
+    """The aluthge-t terms that need no sweep, at a float or a vector t:
+    pow4, norm, mod, and the factor of omega(A_t) in the cross term."""
+    pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
+    norm = 0.5 * _square(ctx.norm_a)
+    mod = 0.25 * hnorm(_adj(alu) @ alu + alu @ _adj(alu))
+    cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
+    return pow4, norm, mod, cross
+
+
 def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
-    alu = ctx.aluthge_t(t)
+    alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
-    term_pow4 = 0.25 * ctx.hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
-    term_norm = 0.5 * _square(ctx.norm_a)
-    term_mod = 0.25 * ctx.hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
+    term_pow4, term_norm, term_mod, cross = _aluthge_terms(ctx, t, alu)
     term_sq = 0.5 * wa2
-    term_cross = ctx.hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t))) * wa
+    term_cross = cross * wa
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
     detail = {"inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
               "term_mod": term_mod, "term_sq": term_sq,
               "term_cross": term_cross}
-    value = 0.5 * math.sqrt(inner) if math.isfinite(inner) else math.inf
-    return BoundValue("aluthge-t", t, value, detail)
+    return BoundValue("aluthge-t", t, 0.5 * _sqrt_or_inf(inner), detail)
 
 
 def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
@@ -273,104 +241,59 @@ def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
     if step == 1:
         nan = np.full(ts.shape, math.nan)
         return nan, nan
-    alu = ctx.aluthge_ts(ts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        wa = sweep_subgrid(alu, ctx.theta_grid, step)
-        wa2 = sweep_subgrid(alu @ alu, ctx.theta_grid, step)
-        fixed = (0.25 * ctx.hnorms(ctx.xpows(4 * ts) + ctx.xpows(4 * (1 - ts)))
-                 + 0.5 * _square(ctx.norm_a)
-                 + 0.25 * ctx.hnorms(_adj(alu) @ alu + alu @ _adj(alu)))
-        cross = ctx.hnorms(ctx.xpows(2 * ts) + ctx.xpows(2 * (1 - ts)))
-        omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
-        widen = 1 / math.cos(math.pi * step / ctx.theta_grid)
-        return (0.5 * _sqrt_or_inf(fixed + omega_terms),
-                0.5 * _sqrt_or_inf(fixed + widen * omega_terms))
+    alu = ctx.aluthge(ts)
+    wa = sweep_subgrid(alu, ctx.theta_grid, step)
+    wa2 = sweep_subgrid(alu @ alu, ctx.theta_grid, step)
+    pow4, norm, mod, cross = _aluthge_terms(ctx, ts, alu)
+    fixed = pow4 + norm + mod
+    omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
+    widen = 1 / math.cos(math.pi * step / ctx.theta_grid)
+    return (0.5 * _sqrt_or_inf(fixed + omega_terms),
+            0.5 * _sqrt_or_inf(fixed + widen * omega_terms))
 
 
-def _weighted_power(ctx: BoundContext, t: float) -> BoundValue:
+def _weighted_power(ctx: BoundContext, t):
+    c = _coef(t)
     with np.errstate(invalid="ignore", over="ignore"):
-        m = (1 - t) * ctx.xpow(1 / (1 - t)) + t * ctx.ypow(1 / t)
-    inner = ctx.hnorm(m)
-    value = math.sqrt(inner) if math.isfinite(inner) else math.inf
-    return BoundValue("weighted-power", t, value, {"inner": inner})
+        m = (1 - c) * ctx.xpow(1 / (1 - t)) + c * ctx.ypow(1 / t)
+    inner = hnorm(m)
+    return _sqrt_or_inf(inner), {"inner": inner}
 
 
-def _weighted_power_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    c = ts[:, None, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = (1 - c) * ctx.xpows(1 / (1 - ts)) + c * ctx.ypows(1 / ts)
-    return _sqrt_or_inf(ctx.hnorms(m))
-
-
-def _weighted_r(ctx: BoundContext, t: float) -> BoundValue:
-    r_cap = max(t, 1 - t)
+def _weighted_r(ctx: BoundContext, t):
+    c = _coef(t * (1 - t) / np.maximum(t, 1 - t))
     d = ctx.xpow(1.0) - ctx.ypow(1.0)
-    m = ctx.xpow(2.0) + ctx.ypow(2.0) - (t * (1 - t) / r_cap) * (d @ d)
-    inner = 0.5 * ctx.hnorm(m)
-    return BoundValue("weighted-r", t, math.sqrt(inner), {"inner": inner})
+    m = ctx.xpow(2.0) + ctx.ypow(2.0) - c * (d @ d)
+    inner = 0.5 * hnorm(m)
+    return _sqrt_or_inf(inner), {"inner": inner}
 
 
-def _weighted_r_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    c = (ts * (1 - ts) / np.maximum(ts, 1 - ts))[:, None, None]
-    d = ctx.xpow(1.0) - ctx.ypow(1.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = ctx.xpow(2.0) + ctx.ypow(2.0) - c * (d @ d)
-        return _sqrt_or_inf(0.5 * ctx.hnorms(m))
+def _product(ctx: BoundContext, t):
+    n1 = gnorm(ctx.xpow(t) @ ctx.ypow(t))
+    n2 = gnorm(ctx.xpow(1 - t) @ ctx.ypow(1 - t))
+    value = 0.5 * (ctx.norm_a + np.sqrt(n1 * n2))
+    return value, {"norm_t": n1, "norm_one_minus_t": n2}
 
 
-def _product(ctx: BoundContext, t: float) -> BoundValue:
-    n1 = ctx.gnorm(ctx.xpow(t) @ ctx.ypow(t))
-    n2 = ctx.gnorm(ctx.xpow(1 - t) @ ctx.ypow(1 - t))
-    value = 0.5 * (ctx.norm_a + math.sqrt(n1 * n2))
-    return BoundValue("product", t, value,
-                      {"norm_t": n1, "norm_one_minus_t": n2})
-
-
-def _product_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", over="ignore"):
-        n1 = ctx.gnorms(ctx.xpows(ts) @ ctx.ypows(ts))
-        n2 = ctx.gnorms(ctx.xpows(1 - ts) @ ctx.ypows(1 - ts))
-        return 0.5 * (ctx.norm_a + np.sqrt(n1 * n2))
-
-
-def _fourth_power(ctx: BoundContext, t: float) -> BoundValue:
+def _fourth_power(ctx: BoundContext, t):
+    c = _coef(t)
     with np.errstate(invalid="ignore", over="ignore"):
         m = ((ctx.xpow(4 * (1 - t)) + ctx.ypow(4 * t)) / 4
-             + ((1 - t) * ctx.xpow(2.0) + t * ctx.ypow(2.0)) / 2)
-    inner = ctx.hnorm(m)
-    value = math.sqrt(inner) if math.isfinite(inner) else math.inf
-    return BoundValue("fourth-power", t, value, {"inner": inner})
-
-
-def _fourth_power_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    c = ts[:, None, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = ((ctx.xpows(4 * (1 - ts)) + ctx.ypows(4 * ts)) / 4
              + ((1 - c) * ctx.xpow(2.0) + c * ctx.ypow(2.0)) / 2)
-    return _sqrt_or_inf(ctx.hnorms(m))
+    inner = hnorm(m)
+    return _sqrt_or_inf(inner), {"inner": inner}
 
 
-def _schwarz_radius(ctx: BoundContext, t: float) -> BoundValue:
+def _schwarz_radius(ctx: BoundContext, t):
+    c = _coef(t)
     with np.errstate(invalid="ignore", over="ignore"):
-        m = t * ctx.xpow(2 / t) + (1 - t) * ctx.ypow(2 / (1 - t))
-    norm_m = ctx.hnorm(m)
-    if not math.isfinite(norm_m):
-        return BoundValue("schwarz-radius", t, math.inf, {"inner": math.inf})
-    wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
-    inner = 0.5 * (math.sqrt(norm_m) + wa2)
-    return BoundValue("schwarz-radius", t, math.sqrt(inner),
-                      {"inner": inner, "omega_a_squared": wa2})
-
-
-def _schwarz_radius_batch(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    c = ts[:, None, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = c * ctx.xpows(2 / ts) + (1 - c) * ctx.ypows(2 / (1 - ts))
-    norm_m = ctx.hnorms(m)
+        m = c * ctx.xpow(2 / t) + (1 - c) * ctx.ypow(2 / (1 - t))
+    norm_m = hnorm(m)
     if not np.isfinite(norm_m).any():
-        return norm_m
+        return norm_m, {"inner": norm_m}
     wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
-    return _sqrt_or_inf(0.5 * (np.sqrt(norm_m) + wa2))
+    inner = 0.5 * (_sqrt_or_inf(norm_m) + wa2)
+    return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
 
 
 @dataclass(frozen=True)
@@ -383,12 +306,17 @@ class _Entry:
     bracket: Callable | None = None
 
 
-def _exact(batch: Callable) -> Callable:
-    """A bracket whose ends are both the batched value."""
-    def bracket(ctx: BoundContext, ts: np.ndarray):
-        v = batch(ctx, ts)
+def _t_entry(bound_id: str, bound: Callable) -> _Entry:
+    """The entry of a t-dependent bound written as one function of t."""
+    def evaluate(ctx: BoundContext, t: float) -> BoundValue:
+        value, detail = bound(ctx, t)
+        return BoundValue(bound_id, t, float(value),
+                          {k: float(v) for k, v in detail.items()})
+
+    def exact(ctx: BoundContext, ts: np.ndarray):
+        v, _ = bound(ctx, ts)
         return v, v
-    return bracket
+    return _Entry(evaluate, exact)
 
 
 _BOUNDS = {
@@ -401,11 +329,11 @@ _BOUNDS = {
     "yamazaki": _Entry(_yamazaki),
     "aluthge-t": _Entry(_aluthge_weighted, _aluthge_weighted_bracket),
     "aluthge-half": _Entry(_aluthge_half),
-    "weighted-power": _Entry(_weighted_power, _exact(_weighted_power_batch)),
-    "weighted-r": _Entry(_weighted_r, _exact(_weighted_r_batch)),
-    "product": _Entry(_product, _exact(_product_batch)),
-    "fourth-power": _Entry(_fourth_power, _exact(_fourth_power_batch)),
-    "schwarz-radius": _Entry(_schwarz_radius, _exact(_schwarz_radius_batch)),
+    "weighted-power": _t_entry("weighted-power", _weighted_power),
+    "weighted-r": _t_entry("weighted-r", _weighted_r),
+    "product": _t_entry("product", _product),
+    "fourth-power": _t_entry("fourth-power", _fourth_power),
+    "schwarz-radius": _t_entry("schwarz-radius", _schwarz_radius),
 }
 CATALOG_IDS = tuple(_BOUNDS)
 T_DEPENDENT_IDS = frozenset(
@@ -421,56 +349,32 @@ def classic_envelope(a):
     return ctx.norm_a / 2, ctx.norm_a
 
 
-def kittaneh_sum(a) -> BoundValue:
-    return _kitt_sum(BoundContext(a))
+def _on_matrix(bound_id: str) -> Callable:
+    """The public evaluator of a catalog bound on a fresh context."""
+    evaluate = _BOUNDS[bound_id].evaluate
+    if bound_id in T_DEPENDENT_IDS:
+        def bound(a, w: WeightParams) -> BoundValue:
+            return evaluate(BoundContext(a), w.t)
+    else:
+        def bound(a) -> BoundValue:
+            return evaluate(BoundContext(a))
+    bound.__doc__ = f"The catalog bound {bound_id!r} on the matrix a."
+    return bound
 
 
-def kittaneh_square(a) -> BoundValue:
-    return _kitt_square(BoundContext(a))
-
-
-def kittaneh_mixed(a) -> BoundValue:
-    return _kitt_mixed(BoundContext(a))
-
-
-def integral_bound(a) -> BoundValue:
-    return _integral(BoundContext(a))
-
-
-def integral_refined(a) -> BoundValue:
-    return _integral_refined(BoundContext(a))
-
-
-def yamazaki(a) -> BoundValue:
-    return _yamazaki(BoundContext(a))
-
-
-def aluthge_half(a) -> BoundValue:
-    return _aluthge_half(BoundContext(a))
-
-
-def aluthge_weighted(a, w: WeightParams) -> BoundValue:
-    return _aluthge_weighted(BoundContext(a), w.t)
-
-
-def weighted_power(a, w: WeightParams) -> BoundValue:
-    return _weighted_power(BoundContext(a), w.t)
-
-
-def weighted_R(a, w: WeightParams) -> BoundValue:
-    return _weighted_r(BoundContext(a), w.t)
-
-
-def product_bound(a, w: WeightParams) -> BoundValue:
-    return _product(BoundContext(a), w.t)
-
-
-def fourth_power(a, w: WeightParams) -> BoundValue:
-    return _fourth_power(BoundContext(a), w.t)
-
-
-def schwarz_radius(a, w: WeightParams) -> BoundValue:
-    return _schwarz_radius(BoundContext(a), w.t)
+kittaneh_sum = _on_matrix("kitt-sum")
+kittaneh_square = _on_matrix("kitt-square")
+kittaneh_mixed = _on_matrix("kitt-mixed")
+integral_bound = _on_matrix("integral")
+integral_refined = _on_matrix("integral-refined")
+yamazaki = _on_matrix("yamazaki")
+aluthge_half = _on_matrix("aluthge-half")
+aluthge_weighted = _on_matrix("aluthge-t")
+weighted_power = _on_matrix("weighted-power")
+weighted_R = _on_matrix("weighted-r")
+product_bound = _on_matrix("product")
+fourth_power = _on_matrix("fourth-power")
+schwarz_radius = _on_matrix("schwarz-radius")
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +451,20 @@ def _brackets(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
     """The bound's bracket at every t of ts, widened to cover rounding.
 
     The stacks are built in chunks of t, so that memory stays bounded.
+    Overflow and invalid-value warnings are off: exponents such as 1/t
+    make the powers overflow near the ends of the grid, and the bound is
+    inf there.
     """
     n = ctx.a.shape[0]
     per_t = 16 * n * n * (ctx.theta_grid // coarse_step(ctx.theta_grid))
     chunk = max(1, BRACKET_CHUNK_BYTES // per_t)
-    parts = [entry.bracket(ctx, ts[i:i + chunk])
-             for i in range(0, ts.size, chunk)]
-    lower = np.concatenate([p[0] for p in parts])
-    upper = np.concatenate([p[1] for p in parts])
     with np.errstate(invalid="ignore", over="ignore"):
+        parts = [entry.bracket(ctx, ts[i:i + chunk])
+                 for i in range(0, ts.size, chunk)]
+        lower = np.concatenate([p[0] for p in parts])
+        upper = np.concatenate([p[1] for p in parts])
         return (lower - BRACKET_REL * (abs(lower) + ctx.norm_a),
                 upper + BRACKET_REL * (abs(upper) + ctx.norm_a))
-
-
-def _minimized_bound(bound_id: str, ctx: BoundContext, grid_points: int,
-                     refine_tol: float, refine: bool) -> BoundValue:
-    t_star, _ = minimize_over_t(bound_id, None, grid_points, refine_tol,
-                                refine=refine, ctx=ctx)
-    return _BOUNDS[bound_id].evaluate(ctx, t_star)
 
 
 def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
@@ -585,7 +485,9 @@ def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
     for bound_id in ids:
         try:
             if bound_id in T_DEPENDENT_IDS:
-                bv = _minimized_bound(bound_id, ctx, t_grid, refine_tol, refine)
+                t_star, _ = minimize_over_t(bound_id, None, t_grid, refine_tol,
+                                            refine=refine, ctx=ctx)
+                bv = _BOUNDS[bound_id].evaluate(ctx, t_star)
             else:
                 bv = _BOUNDS[bound_id].evaluate(ctx)
         except (NumradError, np.linalg.LinAlgError, FloatingPointError) as exc:

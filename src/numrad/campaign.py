@@ -16,8 +16,7 @@ import numpy as np
 from . import pointwise
 from .bounds import CATALOG_IDS, compare_all
 from .ensembles import sample, trial_rng
-from .matrix import adjoint
-from .polar import T_MIN, abs_value
+from .polar import T_MIN, _Spectral
 from .radius import splitmix64
 
 DEFAULT_TOLERANCES = {
@@ -51,8 +50,28 @@ class CampaignConfig:
             raise ValueError("dim must be at least 1")
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    """The outcome of one trial: one CSV row before rendering."""
+
+    index: int
+    seed: int
+    omega: float
+    values: tuple  # one per CATALOG_IDS entry
+    min_slack: float
+    violations: tuple  # names of the violated bounds and checks
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _row(record: TrialRecord) -> str:
+    """The CSV row of a trial (no trailing newline)."""
+    cells = [str(record.index), str(record.seed), _fmt(record.omega)]
+    cells += [_fmt(v) for v in record.values]
+    cells += [_fmt(record.min_slack), ";".join(record.violations)]
+    return ",".join(cells)
 
 
 def _pointwise_violations(a, rng, tolerances) -> list[str]:
@@ -64,8 +83,8 @@ def _pointwise_violations(a, rng, tolerances) -> list[str]:
     t = rng.uniform(T_MIN, 1 - T_MIN)
     r = rng.uniform(0.05, 3.0)
     s, u = sorted(rng.uniform(0.05, 1.0, size=2))
-    p = abs_value(a)
-    q = abs_value(adjoint(a))
+    core = _Spectral(a)
+    p, q = core.xpow(1.0), core.ypow(1.0)
     checks = [
         ("kato", pointwise.kato(a, x, y, t), tol),
         ("mccarthy", pointwise.mccarthy(a.conj().T @ a, x, r), tol),
@@ -80,9 +99,8 @@ def _pointwise_violations(a, rng, tolerances) -> list[str]:
     return [name for name, chk, ctol in checks if chk.margin < -ctol]
 
 
-def run_trial(config: CampaignConfig, index: int) -> str:
-    """Compute one CSV row (no trailing newline)."""
-    trial_seed = splitmix64(config.seed, index)
+def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
+    """Run one trial: every bound's soundness, then the pointwise suite."""
     rng = trial_rng(config.seed, index)
     a = sample(config.ensemble, config.dim, rng)
     report = compare_all(a, t_grid=config.t_grid,
@@ -94,11 +112,12 @@ def run_trial(config: CampaignConfig, index: int) -> str:
                   or not np.isfinite(by_id[bid].value)]
     violations += _pointwise_violations(a, rng, config.tolerances)
     finite = [s for s in report.slacks.values() if np.isfinite(s)]
-    min_slack = min(finite) if finite else float("nan")
-    cells = [str(index), str(trial_seed), _fmt(report.omega.value)]
-    cells += [_fmt(by_id[bid].value) for bid in CATALOG_IDS]
-    cells += [_fmt(min_slack), ";".join(violations)]
-    return ",".join(cells)
+    return TrialRecord(
+        index=index, seed=splitmix64(config.seed, index),
+        omega=report.omega.value,
+        values=tuple(by_id[bid].value for bid in CATALOG_IDS),
+        min_slack=min(finite) if finite else float("nan"),
+        violations=tuple(violations))
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1):
@@ -109,9 +128,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
     """
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(partial(run_trial, config),
-                                 range(config.trials), chunksize=4))
+            records = list(pool.map(partial(run_trial, config),
+                                    range(config.trials), chunksize=4))
     else:
-        rows = [run_trial(config, i) for i in range(config.trials)]
-    violation_count = sum(1 for r in rows if r.rsplit(",", 1)[1] != "")
-    return [",".join(CSV_COLUMNS)] + rows, violation_count
+        records = [run_trial(config, i) for i in range(config.trials)]
+    violation_count = sum(1 for r in records if r.violations)
+    return ([",".join(CSV_COLUMNS)] + [_row(r) for r in records],
+            violation_count)

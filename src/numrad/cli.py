@@ -18,13 +18,15 @@ from .reference import run_reference_checks
 
 
 def _load(path: str):
-    with open(path, "rb") as fh:
-        return parse_matrix(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            return parse_matrix(fh.read())
+    except ParseError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
     return format(x, ".10g")
 
 
@@ -48,11 +50,7 @@ def main():
               help="Slack tolerance used to flag violations.")
 def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
     """Evaluate upper bounds on the numerical radius of a matrix."""
-    try:
-        a = _load(matrix_path)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    a = _load(matrix_path)
     wanted = CATALOG_IDS if bound_id == "all" else (bound_id,)
     report = compare_all(a, t_grid=t_grid, theta_grid=theta_grid, ids=wanted)
     rows = report.bounds
@@ -98,11 +96,7 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
 def radius(matrix_path, theta_grid, oracle_trials, seed):
     """Compute the numerical radius by angle sweep."""
-    try:
-        a = _load(matrix_path)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    a = _load(matrix_path)
     est = radius_sweep(a, grid_points=theta_grid)
     click.echo(f"omega = {_fmt(est.value)}")
     click.echo(f"theta_star = {_fmt(est.theta_star)}")

@@ -24,11 +24,11 @@ def as_matrix(a) -> np.ndarray:
     """Validate and coerce input to a nonempty square complex matrix."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise DomainError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+        raise DomainError("matrix contains non-finite entries")
     return m
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, WeightOutOfRange
+from .errors import DomainError
 from .matrix import as_matrix, frac_power, spectral_norm, spectral_radius
-from .polar import T_MIN
+from .polar import _check_weight, _Spectral
 from .radius import radius_sweep
 
 TOL_PT = 1e-9
@@ -54,14 +54,12 @@ def _form(m, x) -> complex:
 
 def kato(a, x, y, t: float) -> InequalityCheck:
     """|<Ax,y>|^2 against <|A|^{2(1-t)}x,x><|A*|^{2t}y,y>."""
-    if not T_MIN <= t <= 1 - T_MIN:
-        raise WeightOutOfRange(f"t={t} outside [{T_MIN}, {1 - T_MIN}]")
-    a = as_matrix(a)
+    _check_weight(t)
+    core = _Spectral(a)
     x, y = _vec(x), _vec(y)
-    lhs = abs(np.vdot(y, a @ x)) ** 2
-    px = frac_power(a.conj().T @ a, 1 - t)
-    py = frac_power(a @ a.conj().T, t)
-    rhs = _form(px, x).real * _form(py, y).real
+    lhs = abs(np.vdot(y, core.a @ x)) ** 2
+    rhs = (_form(core.xpow(2 * (1 - t)), x).real
+           * _form(core.ypow(2 * t), y).real)
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from numrad import (CATALOG_IDS, DimensionMismatch, ParseError, parse_matrix,
-                    serialize_matrix)
+from numrad import (CATALOG_IDS, BoundValue, DimensionMismatch, ParseError,
+                    bounds, parse_matrix, serialize_matrix)
 from numrad.campaign import CSV_COLUMNS, CampaignConfig, run_campaign
 from numrad.cli import main
 
@@ -129,6 +129,18 @@ def test_campaign_all_ensembles_sound():
         config = CampaignConfig(ensemble=ensemble, dim=4, trials=3, seed=17)
         _, violations = run_campaign(config)
         assert violations == 0
+
+
+def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
+    def unsound(ctx, t=None):
+        return BoundValue("kitt-sum", None, 0.5 * ctx.omega_estimate.value)
+
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", bounds._Entry(unsound))
+    config = CampaignConfig(ensemble="ginibre", dim=3, trials=4, seed=5)
+    lines, violations = run_campaign(config, jobs=1)
+    assert violations == config.trials
+    for row in lines[1:]:
+        assert "kitt-sum" in row.rsplit(",", 1)[1].split(";")
 
 
 def test_cli_reproduce_examples(runner):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numrad import (DomainError, NotHermitian, NotPSD, adjoint, frac_power,
-                    hermitian_eigen, real_part, spectral_norm,
-                    spectral_radius, svd)
+from numrad import (DomainError, NotHermitian, NotPSD, NumradError, adjoint,
+                    compare_all, frac_power, hermitian_eigen, radius_sweep,
+                    real_part, spectral_norm, spectral_radius, svd)
+from numrad.matrix import as_matrix
 from numrad.polar import abs_value
 from numrad.pointwise import log_convexity, log_convexity_midpoint
 
@@ -150,6 +151,15 @@ def test_empty_matrix_rejected():
         spectral_radius(np.zeros((0, 0)))
     with pytest.raises(DomainError):
         svd(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.ones((2, 3)),
+                                 np.array([[1.0, np.nan], [0.0, 1.0]])],
+                         ids=["non-square", "non-finite"])
+def test_malformed_matrix_raises_numrad_error(bad):
+    for routine in (as_matrix, radius_sweep, compare_all):
+        with pytest.raises(NumradError):
+            routine(bad)
 
 
 def test_frac_power_squares():

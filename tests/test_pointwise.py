@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numrad import (DomainError, UnitVector, WeightOutOfRange, amer_bound,
-                    cs_refinement, kato, log_convexity, mccarthy,
+                    cs_refinement, frac_power, kato, log_convexity, mccarthy,
                     schwarz_covariance, schwarz_self)
+from numrad.ensembles import ENSEMBLES, sample
 from numrad.pointwise import TOL_PT
+from numrad.polar import T_MIN
 
-from conftest import EXAMPLE1, ginibre, random_psd
+from conftest import EXAMPLE1, JORDAN2, ginibre, random_psd
 
 
 def unit(rng, n):
@@ -52,6 +54,35 @@ def test_mccarthy_orientation(rng):
     assert mccarthy(p, x, 1.0).margin == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(DomainError):
         mccarthy(p, x, 0)
+
+
+def _kato_rhs_reference(a, x, y, t):
+    """<(A*A)^(1-t) x, x> <(AA*)^t y, y> from the Gram matrices' own
+    eigendecompositions."""
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    px = frac_power(a.conj().T @ a, 1 - t)
+    py = frac_power(a @ a.conj().T, t)
+    return np.vdot(x, px @ x).real * np.vdot(y, py @ y).real
+
+
+def test_kato_rhs_matches_gram_matrix_powers():
+    rng = np.random.default_rng(615)
+    g = ginibre(rng, 5)
+    rank_two = g[:, :2] @ g[:2, :]
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5)]
+    for a in mats + [JORDAN2, rank_two]:
+        n = a.shape[0]
+        for t in (T_MIN, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - T_MIN):
+            x, y = ginibre(rng, n)[:, :2].T
+            if a is rank_two:
+                # On the numerical kernel of this float matrix both sides
+                # are rounding noise raised to a power, and of different
+                # sizes: the Gram eigenvalues are resolved to about
+                # eps * ||A||^2, the singular values to eps * ||A||.  So
+                # the two are compared on the ranges of A* and A.
+                x, y = a.conj().T @ x, a @ y
+            assert kato(a, x, y, t).rhs == pytest.approx(
+                _kato_rhs_reference(a, x, y, t), rel=1e-10), (n, t)
 
 
 @settings(deadline=None, max_examples=40)
