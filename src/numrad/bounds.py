@@ -26,7 +26,6 @@ from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (DEFAULT_GRID, DEFAULT_THETA_TOL, RadiusEstimate,
                      coarse_step, radius_sweep, sweep_subgrid)
 
-TOL_SLACK = 1e-7
 # Widening of a bracket, relative to |value| + ||A||, that covers the
 # rounding differences between stacked and single-matrix arithmetic.
 BRACKET_REL = 1e-9

@@ -8,7 +8,7 @@ how trials are scheduled.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,15 +19,11 @@ from .ensembles import sample, trial_rng
 from .polar import T_MIN, _Spectral
 from .radius import splitmix64
 
-DEFAULT_TOLERANCES = {
-    "slack": 1e-7,       # bound soundness vs the sweep omega
-    "pointwise": 1e-9,   # scalar inequality margins
-    "amer": 1e-5,        # spectral radius side is Gelfand-approximate
-}
-
-POINTWISE_NAMES = ("kato", "mccarthy", "schwarz-covariance", "schwarz-self",
-                   "cs-refinement", "amer", "log-convexity",
-                   "log-convexity-midpoint")
+TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
+TOL_POINTWISE = 1e-9   # scalar inequality margins
+# Amer's lhs is an eigenvalue of the non-normal AB + CD, whose rounding
+# grows with the eigenvalue's condition number.
+TOL_AMER = 1e-5
 
 CSV_COLUMNS = ("trial", "seed", "omega") + CATALOG_IDS + ("min_slack",
                                                           "violations")
@@ -41,7 +37,6 @@ class CampaignConfig:
     seed: int
     t_grid: int = 9
     theta_grid: int = 240
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         if self.trials < 1:
@@ -74,9 +69,9 @@ def _row(record: TrialRecord) -> str:
     return ",".join(cells)
 
 
-def _pointwise_violations(a, rng, tolerances) -> list[str]:
+def _pointwise_violations(a, rng) -> list[str]:
     n = a.shape[0]
-    tol = tolerances["pointwise"]
+    tol = TOL_POINTWISE
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b, c, d = (sample("ginibre", n, rng) for _ in range(3))
@@ -91,7 +86,7 @@ def _pointwise_violations(a, rng, tolerances) -> list[str]:
         ("schwarz-covariance", pointwise.schwarz_covariance(a, b, x), tol),
         ("schwarz-self", pointwise.schwarz_self(a, x), tol),
         ("cs-refinement", pointwise.cs_refinement(a, b, x), tol),
-        ("amer", pointwise.amer_bound(a, b, c, d), tolerances["amer"]),
+        ("amer", pointwise.amer_bound(a, b, c, d), TOL_AMER),
         ("log-convexity", pointwise.log_convexity(p, q, t), tol),
         ("log-convexity-midpoint",
          pointwise.log_convexity_midpoint(p, q, s, u), tol),
@@ -105,12 +100,11 @@ def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     a = sample(config.ensemble, config.dim, rng)
     report = compare_all(a, t_grid=config.t_grid,
                          theta_grid=config.theta_grid, refine=False)
-    tol_slack = config.tolerances["slack"]
     by_id = {bv.id: bv for bv in report.bounds}
     violations = [bid for bid in CATALOG_IDS
-                  if report.slacks.get(bid, 0.0) < -tol_slack
+                  if report.slacks.get(bid, 0.0) < -TOL_SLACK
                   or not np.isfinite(by_id[bid].value)]
-    violations += _pointwise_violations(a, rng, config.tolerances)
+    violations += _pointwise_violations(a, rng)
     finite = [s for s in report.slacks.values() if np.isfinite(s)]
     return TrialRecord(
         index=index, seed=splitmix64(config.seed, index),

@@ -9,7 +9,7 @@ import sys
 import click
 
 from .bounds import CATALOG_IDS, compare_all
-from .campaign import CampaignConfig, run_campaign
+from .campaign import TOL_SLACK, CampaignConfig, run_campaign
 from .ensembles import ENSEMBLES
 from .errors import NumradError, ParseError
 from .matrixio import parse_matrix
@@ -46,7 +46,7 @@ def main():
               help="Angle grid size for the radius sweep.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["json", "csv", "table"]))
-@click.option("--tol-slack", default=1e-7, show_default=True,
+@click.option("--tol-slack", default=TOL_SLACK, show_default=True,
               help="Slack tolerance used to flag violations.")
 def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
     """Evaluate upper bounds on the numerical radius of a matrix."""

@@ -39,8 +39,8 @@ def weighted_cyclic_shift(rng: np.random.Generator, n: int) -> np.ndarray:
     """Cyclic shift pattern A[i, (i+1) mod n] = w_i with positive weights."""
     w = np.exp(rng.uniform(np.log(0.5), np.log(5.0), size=n))
     a = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        a[i, (i + 1) % n] = w[i]
+    i = np.arange(n)
+    a[i, (i + 1) % n] = w
     return a
 
 

@@ -121,27 +121,20 @@ def radius_oracle(a, trials: int, seed: int,
                   ascent_steps: int = DEFAULT_ASCENT_STEPS) -> OracleEstimate:
     """Lower estimate of the numerical radius from sampled unit vectors.
 
-    Each trial starts from a complex-Gaussian unit vector drawn from its
-    own splitmix-derived stream and runs a monotone renormalized ascent:
-    align the phase of <Ax,x>, then take a shifted power step for the
-    Hermitian matrix Re(e^{-i phi}A).  The result is the deterministic
-    maximum over all trials, independent of execution order.
+    Each trial starts from a complex-Gaussian unit vector, all drawn as one
+    block from a single splitmix-seeded stream, and runs a monotone
+    renormalized ascent: align the phase of <Ax,x>, then take a shifted
+    power step for the Hermitian matrix Re(e^{-i phi}A).  The result is
+    the deterministic maximum over all trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     a = as_matrix(a)
     n = a.shape[0]
-    starts = np.empty((trials, n), dtype=np.complex128)
-    for i in range(trials):
-        rng = np.random.default_rng(splitmix64(seed, i))
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            z = np.zeros(n, dtype=np.complex128)
-            z[0] = 1.0
-            nz = 1.0
-        starts[i] = z / nz
-    x = starts
+    rng = np.random.default_rng(splitmix64(seed, 0))
+    g = rng.standard_normal((trials, 2, n))
+    z = g[:, 0] + 1j * g[:, 1]
+    x = z / np.linalg.norm(z, axis=1, keepdims=True)
     shift = max(1.0, float(np.linalg.norm(a, 2)))
     best = np.zeros(trials)
     for _ in range(ascent_steps + 1):

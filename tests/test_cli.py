@@ -93,6 +93,10 @@ def test_cli_radius(runner, example1_path):
     assert result.exit_code == 0
     assert "omega = 3.037" in result.output
     assert "seed 11" in result.output
+    result = runner.invoke(main, ["radius", example1_path,
+                                  "--oracle-trials", "10", "--seed", "-1"])
+    assert result.exit_code == 0
+    assert "(10 trials, seed -1)" in result.output
 
 
 def test_cli_fuzz_clean(runner, tmp_path):

@@ -85,6 +85,9 @@ def test_oracle_deterministic():
     first = radius_oracle(a, trials=64, seed=123)
     second = radius_oracle(a, trials=64, seed=123)
     assert first.value == second.value
+    negative = radius_oracle(a, trials=10, seed=-1)
+    assert negative.value == radius_oracle(a, trials=10, seed=-1).value
+    assert 0.0 < negative.value <= radius_sweep(a).value + 1e-6
 
 
 def test_oracle_rejects_zero_trials():
