@@ -23,8 +23,8 @@ import numpy as np
 from .errors import NonFinite, NumradError
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (DEFAULT_GRID, DEFAULT_THETA_TOL, RadiusEstimate,
-                     coarse_step, radius_sweep, sweep_subgrid)
+from .radius import (DEFAULT_GRID, RadiusEstimate, coarse_step, radius_sweep,
+                     sweep_subgrid)
 
 # Widening of a bracket, relative to |value| + ||A||, that covers the
 # rounding differences between stacked and single-matrix arithmetic.
@@ -61,33 +61,22 @@ class BoundReport:
 
 class BoundContext(_Spectral):
     """The spectral core of one matrix, with the sweep settings and the
-    caches shared by the bounds evaluated on it."""
+    cache of sweeps shared by the bounds evaluated on it."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
-                 theta_tol: float = DEFAULT_THETA_TOL,
                  theta_refine: bool = True):
         super().__init__(a)
         self.theta_grid = theta_grid
-        self.theta_tol = theta_tol
         self.theta_refine = theta_refine
-        self._alu: dict[float, np.ndarray] = {}
         self._omega: dict = {}
 
-    def aluthge(self, t):
-        """A_t, cached for a float t."""
-        if isinstance(t, np.ndarray):
-            return super().aluthge(t)
-        if t not in self._alu:
-            self._alu[t] = super().aluthge(t)
-        return self._alu[t]
-
     def sweep(self, key, m) -> float:
-        """omega(m) by the context's sweep; inf for an overflowed operand."""
+        """omega(m) by the context's sweep, cached under key; inf for an
+        overflowed operand."""
         v = self._omega.get(key)
         if v is None:
             if np.all(np.isfinite(m)):
-                v = radius_sweep(m, self.theta_grid, self.theta_tol,
-                                 self.theta_refine).value
+                v = radius_sweep(m, self.theta_grid, self.theta_refine).value
             else:
                 v = math.inf
             self._omega[key] = v
@@ -95,8 +84,7 @@ class BoundContext(_Spectral):
 
     @cached_property
     def omega_estimate(self) -> RadiusEstimate:
-        return radius_sweep(self.a, self.theta_grid, self.theta_tol,
-                            self.theta_refine)
+        return radius_sweep(self.a, self.theta_grid, self.theta_refine)
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
@@ -403,6 +391,8 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     """
     if bound_id not in T_DEPENDENT_IDS:
         raise ValueError(f"bound {bound_id!r} is not t-dependent")
+    if grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
     if ctx is None:
         ctx = BoundContext(a)
     entry = _BOUNDS[bound_id]
@@ -467,8 +457,7 @@ def _brackets(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
 
 
 def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
-                refine_tol: float = 1e-8, refine: bool = True,
-                ids=CATALOG_IDS) -> BoundReport:
+                refine: bool = True, ids=CATALOG_IDS) -> BoundReport:
     """Evaluate the bounds named by ids, minimizing t-dependent ones.
 
     ids defaults to the full catalog.  A bound that fails with a
@@ -484,7 +473,7 @@ def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
     for bound_id in ids:
         try:
             if bound_id in T_DEPENDENT_IDS:
-                t_star, _ = minimize_over_t(bound_id, None, t_grid, refine_tol,
+                t_star, _ = minimize_over_t(bound_id, None, t_grid,
                                             refine=refine, ctx=ctx)
                 bv = _BOUNDS[bound_id].evaluate(ctx, t_star)
             else:

@@ -20,7 +20,6 @@ from .polar import T_MIN, _Spectral
 from .radius import splitmix64
 
 TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
-TOL_POINTWISE = 1e-9   # scalar inequality margins
 # Amer's lhs is an eigenvalue of the non-normal AB + CD, whose rounding
 # grows with the eigenvalue's condition number.
 TOL_AMER = 1e-5
@@ -43,6 +42,10 @@ class CampaignConfig:
             raise ValueError("trials must be at least 1")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+        if self.t_grid < 1:
+            raise ValueError("t_grid must be at least 1")
+        if self.theta_grid < 8:
+            raise ValueError("theta_grid must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def _row(record: TrialRecord) -> str:
 
 def _pointwise_violations(a, rng) -> list[str]:
     n = a.shape[0]
-    tol = TOL_POINTWISE
+    tol = pointwise.TOL_PT
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b, c, d = (sample("ginibre", n, rng) for _ in range(3))

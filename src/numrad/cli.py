@@ -17,6 +17,11 @@ from .radius import DEFAULT_GRID, radius_oracle, radius_sweep
 from .reference import run_reference_checks
 
 
+# The smallest grids that minimize_over_t and radius_sweep accept.
+T_GRID = click.IntRange(min=1)
+THETA_GRID = click.IntRange(min=8)
+
+
 def _load(path: str):
     try:
         with open(path, "rb") as fh:
@@ -40,10 +45,10 @@ def main():
 @click.option("--bound", "bound_id", default="all",
               type=click.Choice(("all",) + CATALOG_IDS),
               help="Single bound to evaluate, or 'all'.")
-@click.option("--t-grid", default=1001, show_default=True,
+@click.option("--t-grid", default=1001, show_default=True, type=T_GRID,
               help="Grid size for t-optimization.")
 @click.option("--theta-grid", default=DEFAULT_GRID, show_default=True,
-              help="Angle grid size for the radius sweep.")
+              type=THETA_GRID, help="Angle grid size for the radius sweep.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["json", "csv", "table"]))
 @click.option("--tol-slack", default=TOL_SLACK, show_default=True,
@@ -90,8 +95,10 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
 
 @main.command()
 @click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--theta-grid", default=DEFAULT_GRID, show_default=True)
+@click.option("--theta-grid", default=DEFAULT_GRID, show_default=True,
+              type=THETA_GRID)
 @click.option("--oracle-trials", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Also run the sampling oracle with this many trials.")
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
 def radius(matrix_path, theta_grid, oracle_trials, seed):
@@ -123,8 +130,8 @@ def reproduce_examples():
 @click.option("--trials", required=True, type=int)
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
 @click.option("--jobs", default=1, show_default=True)
-@click.option("--t-grid", default=9, show_default=True)
-@click.option("--theta-grid", default=240, show_default=True)
+@click.option("--t-grid", default=9, show_default=True, type=T_GRID)
+@click.option("--theta-grid", default=240, show_default=True, type=THETA_GRID)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the CSV report here instead of stdout.")
 def fuzz(ensemble, dim, trials, seed, jobs, t_grid, theta_grid, output):

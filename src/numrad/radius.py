@@ -61,7 +61,6 @@ def _rotations(a, phases) -> np.ndarray:
 
 
 def radius_sweep(a, grid_points: int = DEFAULT_GRID,
-                 theta_tol: float = DEFAULT_THETA_TOL,
                  refine: bool = True) -> RadiusEstimate:
     """Numerical radius via sup over theta of ||Re(e^{i theta} A)||.
 
@@ -84,7 +83,7 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
                               refine_width=float(4 * half))
     theta, value, width = golden_max(
         lambda th: _lambda_max_rotated(a, th),
-        thetas[best] - 2 * half, thetas[best] + 2 * half, theta_tol)
+        thetas[best] - 2 * half, thetas[best] + 2 * half, DEFAULT_THETA_TOL)
     if grid_vals[best] > value:
         theta, value = thetas[best], float(grid_vals[best])
     return RadiusEstimate(value=float(value), theta_star=float(theta % (2 * np.pi)),
@@ -117,8 +116,7 @@ def sweep_subgrid(ms, grid_points: int, step: int) -> np.ndarray:
     return out
 
 
-def radius_oracle(a, trials: int, seed: int,
-                  ascent_steps: int = DEFAULT_ASCENT_STEPS) -> OracleEstimate:
+def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
     """Lower estimate of the numerical radius from sampled unit vectors.
 
     Each trial starts from a complex-Gaussian unit vector, all drawn as one
@@ -137,7 +135,7 @@ def radius_oracle(a, trials: int, seed: int,
     x = z / np.linalg.norm(z, axis=1, keepdims=True)
     shift = max(1.0, float(np.linalg.norm(a, 2)))
     best = np.zeros(trials)
-    for _ in range(ascent_steps + 1):
+    for _ in range(DEFAULT_ASCENT_STEPS + 1):
         ax = x @ a.T
         q = np.einsum("ti,ti->t", x.conj(), ax)
         best = np.maximum(best, np.abs(q))

@@ -116,6 +116,37 @@ def test_cli_fuzz_bad_config(runner):
     result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
                                   "--dim", "0", "--trials", "1"])
     assert result.exit_code == 2
+    for option, value in (("--t-grid", "0"), ("--t-grid", "-3"),
+                          ("--theta-grid", "4")):
+        result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
+                                      "--dim", "3", "--trials", "1",
+                                      option, value])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert option in result.output
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("bounds", "--theta-grid", "4"),
+    ("bounds", "--t-grid", "0"),
+    ("bounds", "--t-grid", "-3"),
+    ("radius", "--theta-grid", "4"),
+    ("radius", "--oracle-trials", "-5"),
+])
+def test_cli_rejects_out_of_range_grids(runner, example1_path, command,
+                                        option, value):
+    result = runner.invoke(main, [command, example1_path, option, value])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert option in result.output
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_grid", 0), ("t_grid", -3), ("theta_grid", 4)])
+def test_campaign_config_rejects_out_of_range_grids(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        CampaignConfig(ensemble="ginibre", dim=3, trials=1, seed=0,
+                       **{field: value})
 
 
 def test_campaign_deterministic_and_parallel_safe():
