@@ -23,14 +23,21 @@ import numpy as np
 from .errors import NonFinite, NumradError
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (DEFAULT_GRID, RadiusEstimate, coarse_step, radius_sweep,
-                     sweep_subgrid)
+from .radius import (DEFAULT_GRID, RadiusEstimate, coarse_step, quotient_lower,
+                     radius_sweep, sweep_subgrid)
 
 # Widening of a bracket, relative to |value| + ||A||, that covers the
 # rounding differences between stacked and single-matrix arithmetic.
 BRACKET_REL = 1e-9
-# Bytes of (t, theta) operand stack built at once by a bracket.
+# Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
+# stacks of complex, and apart from those, the (theta, n, n) rotations of
+# the aluthge-t bracket's probe rows.  A sizing rule, not a cap: numpy's
+# temporaries come on top.
 BRACKET_CHUNK_BYTES = 1 << 24
+# Largest number of probe rows in one call of the aluthge-t bracket: the
+# rows where it sweeps a subgrid, whose top eigenvectors give the lower
+# ends at its other rows.
+BRACKET_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -220,23 +227,61 @@ def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
 
 
 def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
-    # Each sweep's value lies in [g, g / cos(pi * step / theta_grid)], g
-    # being its grid maximum over every step-th angle (Johnson's
-    # support-line bound).  inner is non-decreasing in both omega terms,
-    # so their brackets carry over to it.
     step = coarse_step(ctx.theta_grid)
     if step == 1:
         nan = np.full(ts.shape, math.nan)
         return nan, nan
+    # a probe row holds its (theta, n, n) stack of rotations
+    per_probe = 16 * ctx.a.shape[0] ** 2 * (ctx.theta_grid // step)
+    probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
+    return _chunked(
+        lambda part: _aluthge_chunk(ctx, part, step,
+                                    -(-part.size // probes)),
+        ts, _t_chunk(ctx))
+
+
+def _aluthge_chunk(ctx: BoundContext, ts: np.ndarray, step: int, s: int):
+    # Each sweep's value lies in [g, g / cos(pi * step / theta_grid)], g
+    # being its grid maximum over every step-th angle (Johnson's
+    # support-line bound).  Only the probe rows, every s-th t, pay for g.
+    # At the other t the lower end comes from the probes' top eigenvectors
+    # (quotient_lower), and the upper end is inf.  inner is non-decreasing
+    # in both omega terms, so their brackets carry over to it.
     alu = ctx.aluthge(ts)
-    wa = sweep_subgrid(alu, ctx.theta_grid, step)
-    wa2 = sweep_subgrid(alu @ alu, ctx.theta_grid, step)
+    wa, wa2 = (_omega_lower(m, ctx.theta_grid, step, s)
+               for m in (alu, alu @ alu))
     pow4, norm, mod, cross = _aluthge_terms(ctx, ts, alu)
     fixed = pow4 + norm + mod
     omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
     widen = 1 / math.cos(math.pi * step / ctx.theta_grid)
-    return (0.5 * _sqrt_or_inf(fixed + omega_terms),
-            0.5 * _sqrt_or_inf(fixed + widen * omega_terms))
+    upper = np.full(ts.shape, math.inf)
+    upper[::s] = 0.5 * _sqrt_or_inf(fixed[::s] + widen * omega_terms[::s])
+    return 0.5 * _sqrt_or_inf(fixed + omega_terms), upper
+
+
+def _omega_lower(ms: np.ndarray, grid_points: int, step: int, s: int):
+    """A lower end of the sweep's value for each matrix of the stack ms:
+    the subgrid maximum at every s-th matrix, and the probe vectors'
+    rotated quotients at the others (there are none if s is 1)."""
+    g, angles = sweep_subgrid(ms[::s], grid_points, step)
+    if s == 1:
+        return g
+    lower = quotient_lower(ms, ms[::s], angles, grid_points)
+    lower[::s] = g
+    return lower
+
+
+def _t_chunk(ctx: BoundContext) -> int:
+    """Points of t per chunk of a bracket: 16 (t, n, n) stacks of complex
+    in BRACKET_CHUNK_BYTES."""
+    return max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
+
+
+def _chunked(bracket: Callable, ts: np.ndarray, size: int):
+    """The pair of arrays bracket(ts), computed over chunks of at most size
+    points of ts, so that memory stays bounded."""
+    parts = [bracket(ts[i:i + size]) for i in range(0, ts.size, size)]
+    return tuple(np.concatenate(end) for end in zip(*parts))
 
 
 def _weighted_power(ctx: BoundContext, t):
@@ -301,8 +346,10 @@ def _t_entry(bound_id: str, bound: Callable) -> _Entry:
                           {k: float(v) for k, v in detail.items()})
 
     def exact(ctx: BoundContext, ts: np.ndarray):
-        v, _ = bound(ctx, ts)
-        return v, v
+        def part(chunk):
+            v, _ = bound(ctx, chunk)
+            return v, v
+        return _chunked(part, ts, _t_chunk(ctx))
     return _Entry(evaluate, exact)
 
 
@@ -379,13 +426,25 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
 
     The scan is pruned with certified brackets.  The bound's batched
     bracket [lower, upper] over the whole grid holds the scalar value at
-    every grid point.  The scalar evaluator then visits the grid points in
-    order of their lower ends and stops at the first whose lower end
-    exceeds a cap on the grid minimum (the smallest upper end, or the
-    smallest value evaluated so far); grid points whose bracket is not
-    finite are always evaluated.  No skipped point can hold or tie the
-    minimum, so the first-index minimum over the grid, and hence the
-    result, is that of the full scan.
+    every grid point; an end may be inf.  The scalar evaluator then visits
+    the grid points in order of their lower ends and stops at the first
+    whose lower end exceeds a cap on the grid minimum (the smallest finite
+    upper end, or the smallest value evaluated so far).  A point whose
+    lower end is not finite is always evaluated.  No skipped point can
+    hold or tie the minimum, so the first-index minimum over the grid,
+    and hence the result, is that of the full scan.
+
+    For aluthge-t the bracket is built in chunks of T grid points, and
+    only its probe rows, every s-th point of a chunk with
+    s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
+    would exceed BRACKET_CHUNK_BYTES), have both ends: the sweeps of A_t
+    and A_t^2 over a subgrid of angles, and Johnson's widening of them.
+    Every other point has an upper end of inf and a lower end from the
+    probes' top eigenvectors x (rotated Rayleigh quotients): at each angle
+    theta of the sweep's grid, Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x
+    is at most lambda_max(Re(e^{i theta} M)), and so at most the sweep's
+    value, refined or not.  Both ends are widened by BRACKET_REL to cover
+    rounding.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
@@ -407,11 +466,11 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
             vals[i] = f(ctx, float(ts[i])).value
             done[i] = True
 
-    certain = np.isfinite(lower) & np.isfinite(upper)
+    certain = np.isfinite(lower)
     scan(np.flatnonzero(~certain))
     order = np.flatnonzero(certain)
     order = order[np.argsort(lower[order], kind="stable")]
-    cap = upper[certain].min(initial=math.inf)
+    cap = upper[np.isfinite(upper)].min(initial=math.inf)
     for i in order:
         if lower[i] > cap:
             break
@@ -439,19 +498,12 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
 def _brackets(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
     """The bound's bracket at every t of ts, widened to cover rounding.
 
-    The stacks are built in chunks of t, so that memory stays bounded.
     Overflow and invalid-value warnings are off: exponents such as 1/t
     make the powers overflow near the ends of the grid, and the bound is
     inf there.
     """
-    n = ctx.a.shape[0]
-    per_t = 16 * n * n * (ctx.theta_grid // coarse_step(ctx.theta_grid))
-    chunk = max(1, BRACKET_CHUNK_BYTES // per_t)
     with np.errstate(invalid="ignore", over="ignore"):
-        parts = [entry.bracket(ctx, ts[i:i + chunk])
-                 for i in range(0, ts.size, chunk)]
-        lower = np.concatenate([p[0] for p in parts])
-        upper = np.concatenate([p[1] for p in parts])
+        lower, upper = entry.bracket(ctx, ts)
         return (lower - BRACKET_REL * (abs(lower) + ctx.norm_a),
                 upper + BRACKET_REL * (abs(upper) + ctx.norm_a))
 

@@ -84,7 +84,7 @@ def _pointwise_violations(a, rng) -> list[str]:
     core = _Spectral(a)
     p, q = core.xpow(1.0), core.ypow(1.0)
     checks = [
-        ("kato", pointwise.kato(a, x, y, t), tol),
+        ("kato", pointwise.kato(core, x, y, t), tol),
         ("mccarthy", pointwise.mccarthy(a.conj().T @ a, x, r), tol),
         ("schwarz-covariance", pointwise.schwarz_covariance(a, b, x), tol),
         ("schwarz-self", pointwise.schwarz_self(a, x), tol),

@@ -129,10 +129,11 @@ def reproduce_examples():
 @click.option("--dim", required=True, type=int)
 @click.option("--trials", required=True, type=int)
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--t-grid", default=9, show_default=True, type=T_GRID)
 @click.option("--theta-grid", default=240, show_default=True, type=THETA_GRID)
-@click.option("--output", type=click.Path(dir_okay=False), default=None,
+@click.option("--output", type=click.File("w", lazy=False), default=None,
               help="Write the CSV report here instead of stdout.")
 def fuzz(ensemble, dim, trials, seed, jobs, t_grid, theta_grid, output):
     """Run a seeded soundness campaign; exit 1 if any violation row exists."""
@@ -145,11 +146,7 @@ def fuzz(ensemble, dim, trials, seed, jobs, t_grid, theta_grid, output):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    click.echo(text, file=output, nl=False)
     if violations:
         click.echo(f"{violations} violation row(s)", err=True)
         sys.exit(1)

@@ -53,9 +53,12 @@ def _form(m, x) -> complex:
 
 
 def kato(a, x, y, t: float) -> InequalityCheck:
-    """|<Ax,y>|^2 against <|A|^{2(1-t)}x,x><|A*|^{2t}y,y>."""
+    """|<Ax,y>|^2 against <|A|^{2(1-t)}x,x><|A*|^{2t}y,y>.
+
+    a is the matrix A, or a spectral core of it built by the caller.
+    """
     _check_weight(t)
-    core = _Spectral(a)
+    core = a if isinstance(a, _Spectral) else _Spectral(a)
     x, y = _vec(x), _vec(y)
     lhs = abs(np.vdot(y, core.a @ x)) ** 2
     rhs = (_form(core.xpow(2 * (1 - t)), x).real

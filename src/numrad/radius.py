@@ -98,21 +98,51 @@ def coarse_step(grid_points: int) -> int:
                default=1)
 
 
-def sweep_subgrid(ms, grid_points: int, step: int) -> np.ndarray:
+def sweep_subgrid(ms, grid_points: int, step: int):
     """Grid maximum of a sweep over every step-th angle, for each matrix
-    of the stack ms (shape (T, n, n)); inf for a non-finite matrix.
+    of the stack ms (shape (T, n, n)), and the angle where it lies.
 
-    The subgrid's angles are exact members of the sweep's grid, so the
-    result is at most the sweep's value.  With m = grid_points / step >= 3
-    equally spaced angles, omega is at most the result / cos(pi / m)
-    (Johnson's support-line bound).
+    The result is the pair (maxima, angles); a non-finite matrix gets a
+    maximum of inf.  The subgrid's angles are exact members of the sweep's
+    grid, so a maximum is at most the sweep's value.  With
+    m = grid_points / step >= 3 equally spaced angles, omega is at most
+    the maximum / cos(pi / m) (Johnson's support-line bound).
     """
     thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
     out = np.full(ms.shape[0], np.inf)
+    angles = np.zeros(ms.shape[0])
     ok = np.isfinite(ms).all(axis=(-2, -1))
     if ok.any():
-        rot = _rotations(ms[ok], np.exp(1j * thetas))
-        out[ok] = np.linalg.eigvalsh(rot)[..., -1].max(axis=-1)
+        w = np.linalg.eigvalsh(_rotations(ms[ok], np.exp(1j * thetas)))
+        out[ok] = w[..., -1].max(axis=-1)
+        angles[ok] = thetas[w[..., -1].argmax(axis=-1)]
+    return out, angles
+
+
+def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
+    """A lower end of the sweep's value for each matrix of the stack ms,
+    from the top eigenvectors x of Re(e^{i angle} P) over the probe
+    matrices P and their angles; inf for a non-finite matrix.
+
+    At an angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
+    x*Re(e^{i theta} M)x <= lambda_max(Re(e^{i theta} M)), which the
+    sweep's value is not below, refined or not (Johnson's support-line
+    identity).  This holds for any unit x; the probes' vectors are chosen
+    because M is near a probe.  The result is the largest such quotient
+    over the vectors, each at the grid angle nearest to -arg(x*Mx).
+    Probes that are not finite are left out; with none left the result
+    is -inf.
+    """
+    ok = np.isfinite(probes).all(axis=(-2, -1))
+    # one phase per probe: the broadcast pairs probe k with angle k
+    rot = _rotations(probes[ok], np.exp(1j * angles[ok])[:, None])[:, 0]
+    x = np.linalg.eigh(rot)[1][..., -1]
+    q = np.einsum("pi,tip->tp", x.conj(), ms @ x.T)
+    with np.errstate(invalid="ignore"):
+        j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
+        out = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(
+            axis=-1, initial=-np.inf)
+    out[~np.isfinite(ms).all(axis=(-2, -1))] = np.inf
     return out
 
 

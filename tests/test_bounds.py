@@ -380,11 +380,17 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
                         bounds._Entry(counted, entry.bracket))
     minimize_over_t("aluthge-t", SHIFT_234, 201, refine=False)
     assert 1 <= len(calls) <= 20
+    calls.clear()
+    minimize_over_t("aluthge-t", ginibre(np.random.default_rng(617), 8),
+                    1001, refine=False)
+    assert 1 <= len(calls) <= 30
 
 
 def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
-    # a grid point whose bracket is NaN or inf certifies nothing, so the
-    # scalar evaluator must run there
+    # a grid point whose lower end is NaN or inf certifies nothing, so the
+    # scalar evaluator must run there; an upper end of inf (as at the
+    # aluthge-t bracket's rows other than probes) only fails to lower the
+    # cap, and the point may still be skipped on its lower end
     entry = bounds._BOUNDS["fourth-power"]
 
     def holed(ctx, ts):
@@ -400,6 +406,51 @@ def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
         _assert_scans_agree(a, 41, 240, True)
 
 
+def test_pruned_scan_equals_full_scan_with_a_small_stack_budget(monkeypatch):
+    # many chunks, each with fewer probe rows than BRACKET_PROBES
+    monkeypatch.setattr(bounds, "BRACKET_CHUNK_BYTES", 1 << 16)
+    _assert_scans_agree(SHIFT_234, 101, 720, True)
+    _assert_scans_agree(ginibre(np.random.default_rng(618), 4), 101, 720,
+                        False)
+
+
+BRACKET_SETTINGS = [(240, False), (360, True), (720, False)]
+
+
+def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
+    # the bracket as minimize_over_t gets it, before the widening that
+    # covers rounding
+    entry = bounds._BOUNDS["aluthge-t"]
+    ctx = BoundContext(a, theta_grid=theta_grid, theta_refine=refine)
+    ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
+    assert grid_points > bounds.BRACKET_PROBES  # so some rows are not probes
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower, upper = entry.bracket(ctx, ts)
+        for t, lo, hi in zip(ts, lower, upper):
+            v = entry.evaluate(ctx, float(t)).value
+            tol = 1e-12 * (abs(v) + ctx.norm_a)
+            assert not math.isfinite(lo) or lo <= v + tol, (t, lo, v)
+            assert not math.isfinite(hi) or v <= hi + tol, (t, hi, v)
+    return lower
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 615)
+    for n in (1, 2, 3, 6):
+        a = sample(ensemble, n, rng)
+        for theta_grid, refine in BRACKET_SETTINGS:
+            lower = _assert_aluthge_bracket_holds(a, theta_grid, refine)
+            assert np.isfinite(lower).all()
+
+
+def test_aluthge_bracket_holds_the_value_on_edge_inputs():
+    g = ginibre(np.random.default_rng(616), 5)
+    for a in (JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g):
+        for theta_grid, refine in BRACKET_SETTINGS:
+            _assert_aluthge_bracket_holds(a, theta_grid, refine)
+
+
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
 @pytest.mark.parametrize("refine", [True, False])
 def test_subgrid_brackets_the_sweep(theta_grid, refine):
@@ -410,7 +461,7 @@ def test_subgrid_brackets_the_sweep(theta_grid, refine):
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 6)]
     mats += [JORDAN2, np.diag([1.0, -2.0, 1.5j]), np.zeros((3, 3))]
     lower = sweep_subgrid(np.stack([np.pad(m, (0, 6 - m.shape[0]))
-                                    for m in mats]), theta_grid, step)
+                                    for m in mats]), theta_grid, step)[0]
     for m, g_c in zip(mats, lower):
         w = radius_sweep(m, theta_grid, refine=refine).value
         tol = 1e-12 * (1 + abs(w))
@@ -427,4 +478,4 @@ def test_coarse_step():
 
 def test_subgrid_of_non_finite_matrix_is_inf():
     ms = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
-    assert sweep_subgrid(ms, 720, 16).tolist() == [1.0, math.inf]
+    assert sweep_subgrid(ms, 720, 16)[0].tolist() == [1.0, math.inf]

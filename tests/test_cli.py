@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -117,13 +118,30 @@ def test_cli_fuzz_bad_config(runner):
                                   "--dim", "0", "--trials", "1"])
     assert result.exit_code == 2
     for option, value in (("--t-grid", "0"), ("--t-grid", "-3"),
-                          ("--theta-grid", "4")):
+                          ("--theta-grid", "4"), ("--jobs", "0"),
+                          ("--jobs", "-3")):
         result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
                                       "--dim", "3", "--trials", "1",
                                       option, value])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert option in result.output
+
+
+def test_cli_fuzz_rejects_an_unwritable_output_before_running(
+        runner, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr("numrad.cli.run_campaign", no_run)
+    for path in (tmp_path / "missing" / "report.csv", tmp_path):
+        result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
+                                      "--dim", "2", "--trials", "1",
+                                      "--output", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--output" in result.output
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -176,6 +194,23 @@ def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
     assert violations == config.trials
     for row in lines[1:]:
         assert "kitt-sum" in row.rsplit(",", 1)[1].split(";")
+
+
+def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
+    # one for the report's context, one for the pointwise checks, which
+    # kato shares
+    polar = importlib.import_module("numrad.polar")
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return svd(a)
+
+    svd = polar.svd
+    monkeypatch.setattr(polar, "svd", counted)
+    run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
+                                seed=5))
+    assert calls == [(3, 3), (3, 3)]
 
 
 def test_cli_reproduce_examples(runner):

@@ -7,7 +7,7 @@ from numrad import (DomainError, UnitVector, WeightOutOfRange, amer_bound,
                     schwarz_covariance, schwarz_self)
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.pointwise import TOL_PT
-from numrad.polar import T_MIN
+from numrad.polar import T_MIN, _Spectral
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_psd
 
@@ -44,6 +44,12 @@ def test_kato_holds(seed, t):
     n = int(rng.integers(2, 7))
     a = ginibre(rng, n)
     assert kato(a, unit(rng, n), unit(rng, n), t).margin >= -TOL_PT
+
+
+def test_kato_takes_a_spectral_core(rng):
+    a = ginibre(rng, 4)
+    x, y = unit(rng, 4), unit(rng, 4)
+    assert kato(_Spectral(a), x, y, 0.3) == kato(a, x, y, 0.3)
 
 
 def test_mccarthy_orientation(rng):
