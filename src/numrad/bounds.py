@@ -228,9 +228,6 @@ def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
 
 def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
     step = coarse_step(ctx.theta_grid)
-    if step == 1:
-        nan = np.full(ts.shape, math.nan)
-        return nan, nan
     # a probe row holds its (theta, n, n) stack of rotations
     per_probe = 16 * ctx.a.shape[0] ** 2 * (ctx.theta_grid // step)
     probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
@@ -241,22 +238,18 @@ def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
 
 
 def _aluthge_chunk(ctx: BoundContext, ts: np.ndarray, step: int, s: int):
-    # Each sweep's value lies in [g, g / cos(pi * step / theta_grid)], g
-    # being its grid maximum over every step-th angle (Johnson's
-    # support-line bound).  Only the probe rows, every s-th t, pay for g.
-    # At the other t the lower end comes from the probes' top eigenvectors
-    # (quotient_lower), and the upper end is inf.  inner is non-decreasing
-    # in both omega terms, so their brackets carry over to it.
+    # Each sweep's value is at least its grid maximum over every step-th
+    # angle.  Only the probe rows, every s-th t, pay for that maximum; at
+    # the other t the lower end comes from the probes' top eigenvectors
+    # (quotient_lower).  inner is non-decreasing in both omega terms, so
+    # their lower ends carry over to it.
     alu = ctx.aluthge(ts)
     wa, wa2 = (_omega_lower(m, ctx.theta_grid, step, s)
                for m in (alu, alu @ alu))
     pow4, norm, mod, cross = _aluthge_terms(ctx, ts, alu)
     fixed = pow4 + norm + mod
     omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
-    widen = 1 / math.cos(math.pi * step / ctx.theta_grid)
-    upper = np.full(ts.shape, math.inf)
-    upper[::s] = 0.5 * _sqrt_or_inf(fixed[::s] + widen * omega_terms[::s])
-    return 0.5 * _sqrt_or_inf(fixed + omega_terms), upper
+    return 0.5 * _sqrt_or_inf(fixed + omega_terms)
 
 
 def _omega_lower(ms: np.ndarray, grid_points: int, step: int, s: int):
@@ -278,10 +271,10 @@ def _t_chunk(ctx: BoundContext) -> int:
 
 
 def _chunked(bracket: Callable, ts: np.ndarray, size: int):
-    """The pair of arrays bracket(ts), computed over chunks of at most size
-    points of ts, so that memory stays bounded."""
-    parts = [bracket(ts[i:i + size]) for i in range(0, ts.size, size)]
-    return tuple(np.concatenate(end) for end in zip(*parts))
+    """bracket(ts), computed over chunks of at most size points of ts, so
+    that memory stays bounded."""
+    return np.concatenate([bracket(ts[i:i + size])
+                           for i in range(0, ts.size, size)])
 
 
 def _weighted_power(ctx: BoundContext, t):
@@ -331,8 +324,8 @@ def _schwarz_radius(ctx: BoundContext, t):
 @dataclass(frozen=True)
 class _Entry:
     """A catalog bound: its scalar evaluator ``(ctx, t) -> BoundValue`` and,
-    for t-dependent bounds, a bracket ``(ctx, ts) -> (lower, upper)`` that
-    holds the evaluator's value at every t of the vector ts."""
+    for t-dependent bounds, a bracket ``(ctx, ts) -> lower`` whose entries
+    are at most the evaluator's value at each t of the vector ts."""
 
     evaluate: Callable
     bracket: Callable | None = None
@@ -346,10 +339,8 @@ def _t_entry(bound_id: str, bound: Callable) -> _Entry:
                           {k: float(v) for k, v in detail.items()})
 
     def exact(ctx: BoundContext, ts: np.ndarray):
-        def part(chunk):
-            v, _ = bound(ctx, chunk)
-            return v, v
-        return _chunked(part, ts, _t_chunk(ctx))
+        return _chunked(lambda chunk: bound(ctx, chunk)[0], ts,
+                        _t_chunk(ctx))
     return _Entry(evaluate, exact)
 
 
@@ -424,26 +415,25 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     (the objective genuinely diverges when sigma_1 > 1 and the exponent
     blows up) are recorded as +inf and skipped.
 
-    The scan is pruned with certified brackets.  The bound's batched
-    bracket [lower, upper] over the whole grid holds the scalar value at
-    every grid point; an end may be inf.  The scalar evaluator then visits
-    the grid points in order of their lower ends and stops at the first
-    whose lower end exceeds a cap on the grid minimum (the smallest finite
-    upper end, or the smallest value evaluated so far).  A point whose
-    lower end is not finite is always evaluated.  No skipped point can
-    hold or tie the minimum, so the first-index minimum over the grid,
+    The scan is pruned with certified lower ends.  The bound's batched
+    bracket over the whole grid is a lower end of the scalar value at
+    every grid point.  The scalar evaluator then visits the grid points in
+    order of their lower ends, a lower end that is not finite counting as
+    -inf, and stops at the first whose lower end exceeds the smallest
+    value evaluated so far.  Every point whose lower end is at most the
+    grid minimum is visited, so the first-index minimum over the grid,
     and hence the result, is that of the full scan.
 
-    For aluthge-t the bracket is built in chunks of T grid points, and
-    only its probe rows, every s-th point of a chunk with
+    For aluthge-t the bracket is built in chunks of T grid points.  At
+    its probe rows, every s-th point of a chunk with
     s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
-    would exceed BRACKET_CHUNK_BYTES), have both ends: the sweeps of A_t
-    and A_t^2 over a subgrid of angles, and Johnson's widening of them.
-    Every other point has an upper end of inf and a lower end from the
-    probes' top eigenvectors x (rotated Rayleigh quotients): at each angle
-    theta of the sweep's grid, Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x
-    is at most lambda_max(Re(e^{i theta} M)), and so at most the sweep's
-    value, refined or not.  Both ends are widened by BRACKET_REL to cover
+    would exceed BRACKET_CHUNK_BYTES), the lower ends of omega(A_t) and
+    omega(A_t^2) are their sweeps' maxima over a subgrid of angles.  At
+    every other point they come from the probes' top eigenvectors x
+    (rotated Rayleigh quotients): at each angle theta of the sweep's
+    grid, Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x is at most
+    lambda_max(Re(e^{i theta} M)), and so at most the sweep's value,
+    refined or not.  Lower ends are widened by BRACKET_REL to cover
     rounding.
 
     Returns (t_star, value) with value comparable to omega(A).
@@ -457,7 +447,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     entry = _BOUNDS[bound_id]
     f = entry.evaluate
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    lower, upper = _brackets(entry, ctx, ts)
+    lower = _lower_ends(entry, ctx, ts)
     vals = np.full(grid_points, math.inf)
     done = np.zeros(grid_points, dtype=bool)
 
@@ -466,13 +456,10 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
             vals[i] = f(ctx, float(ts[i])).value
             done[i] = True
 
-    certain = np.isfinite(lower)
-    scan(np.flatnonzero(~certain))
-    order = np.flatnonzero(certain)
-    order = order[np.argsort(lower[order], kind="stable")]
-    cap = upper[np.isfinite(upper)].min(initial=math.inf)
-    for i in order:
-        if lower[i] > cap:
+    key = np.where(np.isfinite(lower), lower, -math.inf)
+    cap = math.inf
+    for i in np.argsort(key, kind="stable"):
+        if key[i] > cap:
             break
         scan((i,))
         cap = min(cap, vals[i])
@@ -495,17 +482,16 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     return t_star, value
 
 
-def _brackets(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
-    """The bound's bracket at every t of ts, widened to cover rounding.
+def _lower_ends(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
+    """The bound's lower end at every t of ts, widened to cover rounding.
 
     Overflow and invalid-value warnings are off: exponents such as 1/t
     make the powers overflow near the ends of the grid, and the bound is
     inf there.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        lower, upper = entry.bracket(ctx, ts)
-        return (lower - BRACKET_REL * (abs(lower) + ctx.norm_a),
-                upper + BRACKET_REL * (abs(upper) + ctx.norm_a))
+        lower = entry.bracket(ctx, ts)
+        return lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
 
 
 def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,

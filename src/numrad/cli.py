@@ -126,8 +126,8 @@ def reproduce_examples():
 
 @main.command()
 @click.option("--ensemble", required=True, type=click.Choice(ENSEMBLES))
-@click.option("--dim", required=True, type=int)
-@click.option("--trials", required=True, type=int)
+@click.option("--dim", required=True, type=click.IntRange(min=1))
+@click.option("--trials", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
 @click.option("--jobs", default=1, show_default=True,
               type=click.IntRange(min=1))
@@ -142,7 +142,7 @@ def fuzz(ensemble, dim, trials, seed, jobs, t_grid, theta_grid, output):
                                 seed=seed, t_grid=t_grid,
                                 theta_grid=theta_grid)
         lines, violations = run_campaign(config, jobs=jobs)
-    except (NumradError, ValueError) as exc:
+    except NumradError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     text = "\n".join(lines) + "\n"

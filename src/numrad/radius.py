@@ -18,7 +18,7 @@ from .optimize import golden_max
 DEFAULT_GRID = 720
 DEFAULT_THETA_TOL = 1e-10
 DEFAULT_ASCENT_STEPS = 50
-# Largest angle step of the subgrid that brackets a sweep's value.
+# Largest angle step of the subgrid that gives a lower end of a sweep's value.
 COARSE_STEP_MAX = 16
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -72,20 +72,18 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     if grid_points < 8:
         raise ValueError("grid_points must be at least 8")
     a = as_matrix(a)
-    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    grid_vals = np.linalg.eigvalsh(_rotations(a, np.exp(1j * thetas)))[:, -1]
-    best = int(np.argmax(grid_vals))
+    grid_val, grid_theta = sweep_subgrid(a, grid_points, 1)
     half = np.pi / grid_points
     if not refine:
-        return RadiusEstimate(value=float(grid_vals[best]),
-                              theta_star=float(thetas[best]),
+        return RadiusEstimate(value=float(grid_val),
+                              theta_star=float(grid_theta),
                               grid_points=grid_points,
                               refine_width=float(4 * half))
     theta, value, width = golden_max(
         lambda th: _lambda_max_rotated(a, th),
-        thetas[best] - 2 * half, thetas[best] + 2 * half, DEFAULT_THETA_TOL)
-    if grid_vals[best] > value:
-        theta, value = thetas[best], float(grid_vals[best])
+        grid_theta - 2 * half, grid_theta + 2 * half, DEFAULT_THETA_TOL)
+    if grid_val > value:
+        theta, value = grid_theta, float(grid_val)
     return RadiusEstimate(value=float(value), theta_star=float(theta % (2 * np.pi)),
                           grid_points=grid_points, refine_width=float(width))
 
@@ -99,24 +97,21 @@ def coarse_step(grid_points: int) -> int:
 
 
 def sweep_subgrid(ms, grid_points: int, step: int):
-    """Grid maximum of a sweep over every step-th angle, for each matrix
-    of the stack ms (shape (T, n, n)), and the angle where it lies.
+    """Grid maximum of a sweep over every step-th angle, for the matrix ms
+    or for each matrix of the stack ms (shape (T, n, n)), and the angle
+    where it lies.
 
     The result is the pair (maxima, angles); a non-finite matrix gets a
     maximum of inf.  The subgrid's angles are exact members of the sweep's
-    grid, so a maximum is at most the sweep's value.  With
-    m = grid_points / step >= 3 equally spaced angles, omega is at most
-    the maximum / cos(pi / m) (Johnson's support-line bound).
+    grid, so a maximum is at most the sweep's value; with step 1 it is the
+    sweep's grid value.
     """
     thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
-    out = np.full(ms.shape[0], np.inf)
-    angles = np.zeros(ms.shape[0])
     ok = np.isfinite(ms).all(axis=(-2, -1))
-    if ok.any():
-        w = np.linalg.eigvalsh(_rotations(ms[ok], np.exp(1j * thetas)))
-        out[ok] = w[..., -1].max(axis=-1)
-        angles[ok] = thetas[w[..., -1].argmax(axis=-1)]
-    return out, angles
+    # a non-finite matrix is swept as zero, so its angle is 0
+    top = np.linalg.eigvalsh(_rotations(np.where(ok[..., None, None], ms, 0),
+                                        np.exp(1j * thetas)))[..., -1]
+    return np.where(ok, top.max(axis=-1), np.inf), thetas[top.argmax(axis=-1)]
 
 
 def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:

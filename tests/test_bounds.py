@@ -351,7 +351,7 @@ def test_pruned_scan_equals_full_scan_on_edge_inputs():
     g = ginibre(rng, 5)
     rank_two = g[:, :2] @ g[:2, :]
     for a in (rank_two, JORDAN2, 1e150 * g, 1e150 * rank_two):
-        for theta_grid in (240, 720):
+        for theta_grid in (17, 240, 720):
             _assert_scans_agree(a, 31, theta_grid, True)
 
 
@@ -384,21 +384,22 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
     minimize_over_t("aluthge-t", ginibre(np.random.default_rng(617), 8),
                     1001, refine=False)
     assert 1 <= len(calls) <= 30
+    calls.clear()
+    # 719 angles is prime, so the probe rows sweep the full grid
+    minimize_over_t("aluthge-t", None, 1001, refine=False,
+                    ctx=BoundContext(SHIFT_234, theta_grid=719))
+    assert 1 <= len(calls) <= 30
 
 
 def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
     # a grid point whose lower end is NaN or inf certifies nothing, so the
-    # scalar evaluator must run there; an upper end of inf (as at the
-    # aluthge-t bracket's rows other than probes) only fails to lower the
-    # cap, and the point may still be skipped on its lower end
+    # scalar evaluator must run there
     entry = bounds._BOUNDS["fourth-power"]
 
     def holed(ctx, ts):
-        lower, upper = entry.bracket(ctx, ts)
-        lower, upper = lower.copy(), upper.copy()
+        lower = entry.bracket(ctx, ts).copy()
         lower[1:-1:2] = math.nan
-        upper[2:-1:2] = math.inf
-        return lower, upper
+        return lower
 
     monkeypatch.setitem(bounds._BOUNDS, "fourth-power",
                         bounds._Entry(entry.evaluate, holed))
@@ -414,7 +415,7 @@ def test_pruned_scan_equals_full_scan_with_a_small_stack_budget(monkeypatch):
                         False)
 
 
-BRACKET_SETTINGS = [(240, False), (360, True), (720, False)]
+BRACKET_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
 
 
 def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
@@ -425,12 +426,11 @@ def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     assert grid_points > bounds.BRACKET_PROBES  # so some rows are not probes
     with np.errstate(invalid="ignore", over="ignore"):
-        lower, upper = entry.bracket(ctx, ts)
-        for t, lo, hi in zip(ts, lower, upper):
+        lower = entry.bracket(ctx, ts)
+        for t, lo in zip(ts, lower):
             v = entry.evaluate(ctx, float(t)).value
             tol = 1e-12 * (abs(v) + ctx.norm_a)
             assert not math.isfinite(lo) or lo <= v + tol, (t, lo, v)
-            assert not math.isfinite(hi) or v <= hi + tol, (t, hi, v)
     return lower
 
 

@@ -119,13 +119,25 @@ def test_cli_fuzz_bad_config(runner):
     assert result.exit_code == 2
     for option, value in (("--t-grid", "0"), ("--t-grid", "-3"),
                           ("--theta-grid", "4"), ("--jobs", "0"),
-                          ("--jobs", "-3")):
+                          ("--jobs", "-3"), ("--dim", "0"),
+                          ("--trials", "0")):
         result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
                                       "--dim", "3", "--trials", "1",
                                       option, value])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert option in result.output
+
+
+def test_cli_fuzz_lets_a_programming_error_propagate(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault in the campaign")
+
+    monkeypatch.setattr("numrad.cli.run_campaign", broken)
+    result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
+                                  "--dim", "2", "--trials", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
 
 
 def test_cli_fuzz_rejects_an_unwritable_output_before_running(
