@@ -23,12 +23,9 @@ import numpy as np
 from .errors import NonFinite, NumradError
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (DEFAULT_GRID, RadiusEstimate, coarse_step, quotient_lower,
-                     radius_sweep, sweep_subgrid)
+from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, coarse_step,
+                     pruned_sweep, quotient_lower, sweep_subgrid)
 
-# Widening of a bracket, relative to |value| + ||A||, that covers the
-# rounding differences between stacked and single-matrix arithmetic.
-BRACKET_REL = 1e-9
 # Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
 # stacks of complex, and apart from those, the (theta, n, n) rotations of
 # the aluthge-t bracket's probe rows.  A sizing rule, not a cap: numpy's
@@ -67,8 +64,8 @@ class BoundReport:
 
 
 class BoundContext(_Spectral):
-    """The spectral core of one matrix, with the sweep settings and the
-    cache of sweeps shared by the bounds evaluated on it."""
+    """The spectral core of one matrix, with the sweep settings and a cache
+    of pruned_sweep values (radius_sweep's, bit for bit) for its bounds."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  theta_refine: bool = True):
@@ -80,18 +77,15 @@ class BoundContext(_Spectral):
     def sweep(self, key, m) -> float:
         """omega(m) by the context's sweep, cached under key; inf for an
         overflowed operand."""
-        v = self._omega.get(key)
-        if v is None:
-            if np.all(np.isfinite(m)):
-                v = radius_sweep(m, self.theta_grid, self.theta_refine).value
-            else:
-                v = math.inf
-            self._omega[key] = v
-        return v
+        if key not in self._omega:
+            self._omega[key] = (pruned_sweep(m, self.theta_grid,
+                                             self.theta_refine).value
+                                if np.all(np.isfinite(m)) else math.inf)
+        return self._omega[key]
 
     @cached_property
     def omega_estimate(self) -> RadiusEstimate:
-        return radius_sweep(self.a, self.theta_grid, self.theta_refine)
+        return pruned_sweep(self.a, self.theta_grid, self.theta_refine)
 
 
 def _adj(m: np.ndarray) -> np.ndarray:

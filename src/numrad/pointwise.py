@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError
 from .matrix import as_matrix, frac_power, spectral_norm, spectral_radius
 from .polar import _check_weight, _Spectral
-from .radius import radius_sweep
+from .radius import pruned_sweep
 
 TOL_PT = 1e-9
 
@@ -123,8 +123,8 @@ def amer_bound(a, b, c, d) -> InequalityCheck:
     """Spectral radius of AB + CD against the mixed radius/norm bound."""
     a, b, c, d = (as_matrix(m) for m in (a, b, c, d))
     lhs = spectral_radius(a @ b + c @ d)
-    wba = radius_sweep(b @ a).value
-    wdc = radius_sweep(d @ c).value
+    wba = pruned_sweep(b @ a).value
+    wdc = pruned_sweep(d @ c).value
     cross = spectral_norm(b @ c) * spectral_norm(d @ a)
     rhs = 0.5 * (wba + wdc + np.sqrt((wba - wdc) ** 2 + 4 * cross))
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))

@@ -1,7 +1,8 @@
 """Numerical radius: angle-sweep computation and a sampling oracle.
 
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
-grid over [0, 2pi) and golden-section refines around the best grid point.
+grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
+same bits, and golden-section refines around the best grid point.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -20,6 +21,9 @@ DEFAULT_THETA_TOL = 1e-10
 DEFAULT_ASCENT_STEPS = 50
 # Largest angle step of the subgrid that gives a lower end of a sweep's value.
 COARSE_STEP_MAX = 16
+# Widening, relative to the scale of the values compared, that covers the
+# rounding of stacked against single-matrix arithmetic and of upper ends.
+BRACKET_REL = 1e-9
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -67,25 +71,67 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     lambda_max over the full circle is equivalent to using the norm,
     since ||Re(e^{i theta}A)|| = max(g(theta), g(theta + pi)).  With
     refine=False the grid maximum is returned as-is, trading a slight
-    (one-sided, low) bias for speed.
+    (one-sided, low) bias for speed.  The grid stage solves every angle,
+    in one (grid_points, n, n) stack.
     """
     if grid_points < 8:
         raise ValueError("grid_points must be at least 8")
     a = as_matrix(a)
-    grid_val, grid_theta = sweep_subgrid(a, grid_points, 1)
+    return _refined(a, grid_points, refine, *sweep_subgrid(a, grid_points, 1))
+
+
+def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
+                 refine: bool = True) -> RadiusEstimate:
+    """radius_sweep(a, grid_points, refine), bit for bit, solving only the
+    grid angles where its maximum can lie: the subgrid of every
+    coarse_step(grid_points)-th angle, then in one more stack each angle
+    whose support_upper end, widened by BRACKET_REL, reaches the subgrid
+    maximum (all of them where g is flat).  A skipped angle's value is
+    strictly below the grid maximum: it cannot hold or tie the argmax.
+    """
+    step = coarse_step(grid_points)
+    if step == 1 or grid_points < 8:  # radius_sweep rejects grids below 8
+        return radius_sweep(a, grid_points, refine)
+    a = as_matrix(a)
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    phases = np.exp(1j * thetas)
+    g = np.full(grid_points, -np.inf)
+    g[::step] = sub = np.linalg.eigvalsh(_rotations(a, phases[::step]))[:, -1]
+    top = sub.max()
+    solve = (support_upper(sub, step)
+             + BRACKET_REL * (abs(top) + abs(sub).max()) >= top)
+    solve[::step] = False
+    if solve.any():
+        g[solve] = np.linalg.eigvalsh(_rotations(a, phases[solve]))[:, -1]
+    return _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
+
+
+def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
+    """The sweep's result from its grid value and first-index angle."""
     half = np.pi / grid_points
     if not refine:
-        return RadiusEstimate(value=float(grid_val),
-                              theta_star=float(grid_theta),
-                              grid_points=grid_points,
-                              refine_width=float(4 * half))
+        return RadiusEstimate(float(grid_val), float(grid_theta),
+                              grid_points, float(4 * half))
     theta, value, width = golden_max(
         lambda th: _lambda_max_rotated(a, th),
         grid_theta - 2 * half, grid_theta + 2 * half, DEFAULT_THETA_TOL)
     if grid_val > value:
         theta, value = grid_theta, float(grid_val)
-    return RadiusEstimate(value=float(value), theta_star=float(theta % (2 * np.pi)),
-                          grid_points=grid_points, refine_width=float(width))
+    return RadiusEstimate(float(value), float(theta % (2 * np.pi)),
+                          grid_points, float(width))
+
+
+def support_upper(sub: np.ndarray, step: int) -> np.ndarray:
+    """Unwidened upper ends of g on a grid from its values sub at every
+    step-th angle.  In a gap Delta < pi from theta_k to theta_{k+1},
+    e^{i theta} = alpha e^{i theta_k} + beta e^{i theta_{k+1}} with
+    alpha = sin(theta_{k+1} - theta) / sin(Delta) and beta =
+    sin(theta - theta_k) / sin(Delta), both >= 0, so g(theta) = max over
+    z in W(M) of Re(e^{i theta} z) <= alpha g_k + beta g_{k+1}."""
+    h = 2 * np.pi / (sub.size * step)  # the grid's spacing
+    j = np.arange(step)
+    alpha, beta = np.sin(h * np.array([step - j, j])) / np.sin(h * step)
+    return (np.outer(sub, alpha) + np.outer(np.roll(sub, -1), beta)).ravel()
 
 
 def coarse_step(grid_points: int) -> int:
@@ -179,6 +225,6 @@ def power_check(a, k: int):
     if k < 1:
         raise ValueError("k must be at least 1")
     a = as_matrix(a)
-    lhs = radius_sweep(np.linalg.matrix_power(a, k)).value
-    rhs = radius_sweep(a).value ** k
+    lhs = pruned_sweep(np.linalg.matrix_power(a, k)).value
+    rhs = pruned_sweep(a).value ** k
     return lhs, rhs

@@ -3,6 +3,9 @@ import pytest
 
 from numrad import (DomainError, power_check, radius_oracle, radius_sweep,
                     spectral_norm, splitmix64)
+from numrad.ensembles import ENSEMBLES, sample
+from numrad.radius import coarse_step, pruned_sweep, support_upper
+from numrad.reference import SHIFT_234
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_unitary
 
@@ -107,4 +110,78 @@ def test_empty_matrix_rejected():
     with pytest.raises(DomainError):
         radius_sweep(np.zeros((0, 0)))
     with pytest.raises(DomainError):
+        pruned_sweep(np.zeros((0, 0)))
+    with pytest.raises(DomainError):
         radius_oracle(np.zeros((0, 0)), 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# the pruned grid stage against the full grid it replaces
+
+PRUNED_GRIDS = (8, 11, 17, 240, 360, 719, 720)
+
+
+def _assert_sweeps_equal(a, grids=PRUNED_GRIDS):
+    for grid_points in grids:
+        for refine in (True, False):
+            assert (pruned_sweep(a, grid_points, refine)
+                    == radius_sweep(a, grid_points, refine)), (grid_points,
+                                                               refine)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_pruned_sweep_equals_radius_sweep_over_ensembles(ensemble):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 620)
+    for n in (1, 2, 3, 6, 8, 32):
+        _assert_sweeps_equal(sample(ensemble, n, rng))
+
+
+def test_pruned_sweep_equals_radius_sweep_on_edge_inputs():
+    g = ginibre(np.random.default_rng(621), 4)
+    for a in (np.zeros((3, 3)), JORDAN2, SHIFT_234, 1e-200 * g, 1e150 * g):
+        _assert_sweeps_equal(a)
+
+
+def test_pruned_sweep_rejects_tiny_grid():
+    # 6 angles have a subgrid of 3, so the check is not the fallback's alone
+    for grid_points in (4, 6, 7):
+        with pytest.raises(ValueError):
+            pruned_sweep(JORDAN2, grid_points=grid_points)
+
+
+def _grid_values(m, grid_points):
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    p = np.exp(1j * thetas)[:, None, None]
+    return np.linalg.eigvalsh((p * m + np.conj(p) * m.conj().T) / 2)[:, -1]
+
+
+@pytest.mark.parametrize("grid_points", [8, 16, 240, 360, 720])
+def test_support_upper_holds_the_grid_value_at_every_angle(grid_points):
+    # the unwidened upper end, at every angle the pruned stage may skip
+    rng = np.random.default_rng(622)
+    step = coarse_step(grid_points)
+    assert step > 1
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (1, 2, 3, 6, 8)]
+    mats += [JORDAN2, SHIFT_234, 1e-200 * mats[3], 1e150 * mats[3]]
+    for m in mats:
+        g = _grid_values(m, grid_points)
+        upper = support_upper(g[::step], step)
+        tol = 1e-12 * spectral_norm(m)
+        assert np.all(upper >= g - tol), np.max(g - upper) / tol
+
+
+def test_pruned_sweep_solves_few_angles(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        solved.append(np.shape(m)[0])
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    a = ginibre(np.random.default_rng(623), 8)
+    pruned_sweep(a, 720, refine=False)
+    assert len(solved) == 2 and sum(solved) <= 0.25 * 720, solved
+    solved.clear()
+    radius_sweep(a, 720, refine=False)
+    assert solved == [720]
