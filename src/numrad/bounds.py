@@ -23,8 +23,8 @@ import numpy as np
 from .errors import NonFinite, NumradError
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, coarse_step,
-                     pruned_sweep, quotient_lower, sweep_subgrid)
+from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, check_count,
+                     coarse_step, pruned_sweep, quotient_lower, sweep_subgrid)
 
 # Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
 # stacks of complex, and apart from those, the (theta, n, n) rotations of
@@ -40,12 +40,11 @@ BRACKET_PROBES = 16
 @dataclass(frozen=True)
 class WeightParams:
     t: float
-    r_cap: float
 
 
 def weight_params(t: float) -> WeightParams:
     _check_weight(t)
-    return WeightParams(t=float(t), r_cap=max(t, 1 - t))
+    return WeightParams(t=float(t))
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,7 @@ def _chunked(bracket: Callable, ts: np.ndarray, size: int):
 
 def _weighted_power(ctx: BoundContext, t):
     c = _coef(t)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = (1 - c) * ctx.xpow(1 / (1 - t)) + c * ctx.ypow(1 / t)
+    m = (1 - c) * ctx.xpow(1 / (1 - t)) + c * ctx.ypow(1 / t)
     inner = hnorm(m)
     return _sqrt_or_inf(inner), {"inner": inner}
 
@@ -296,17 +294,15 @@ def _product(ctx: BoundContext, t):
 
 def _fourth_power(ctx: BoundContext, t):
     c = _coef(t)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = ((ctx.xpow(4 * (1 - t)) + ctx.ypow(4 * t)) / 4
-             + ((1 - c) * ctx.xpow(2.0) + c * ctx.ypow(2.0)) / 2)
+    m = ((ctx.xpow(4 * (1 - t)) + ctx.ypow(4 * t)) / 4
+         + ((1 - c) * ctx.xpow(2.0) + c * ctx.ypow(2.0)) / 2)
     inner = hnorm(m)
     return _sqrt_or_inf(inner), {"inner": inner}
 
 
 def _schwarz_radius(ctx: BoundContext, t):
     c = _coef(t)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = c * ctx.xpow(2 / t) + (1 - c) * ctx.ypow(2 / (1 - t))
+    m = c * ctx.xpow(2 / t) + (1 - c) * ctx.ypow(2 / (1 - t))
     norm_m = hnorm(m)
     if not np.isfinite(norm_m).any():
         return norm_m, {"inner": norm_m}
@@ -378,7 +374,7 @@ def _on_matrix(bound_id: str) -> Callable:
         def bound(a) -> BoundValue:
             return evaluate(BoundContext(a))
     bound.__doc__ = f"The catalog bound {bound_id!r} on the matrix a."
-    return bound
+    return np.errstate(over="ignore", invalid="ignore")(bound)
 
 
 kittaneh_sum = _on_matrix("kitt-sum")
@@ -399,6 +395,7 @@ schwarz_radius = _on_matrix("schwarz-radius")
 # ---------------------------------------------------------------------------
 # t-optimization
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
                     refine_tol: float = 1e-8, *, refine: bool = True,
                     ctx: BoundContext | None = None):
@@ -407,7 +404,9 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     Grid scan over [T_MIN, 1 - T_MIN] followed by golden-section
     refinement around the best grid point.  Evaluations that overflow
     (the objective genuinely diverges when sigma_1 > 1 and the exponent
-    blows up) are recorded as +inf and skipped.
+    blows up) are recorded as +inf and skipped.  Overflow and invalid-value
+    warnings are off: exponents such as 1/t make the powers overflow near
+    the ends of the grid, and the bound is inf there.
 
     The scan is pruned with certified lower ends.  The bound's batched
     bracket over the whole grid is a lower end of the scalar value at
@@ -434,8 +433,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     """
     if bound_id not in T_DEPENDENT_IDS:
         raise ValueError(f"bound {bound_id!r} is not t-dependent")
-    if grid_points < 1:
-        raise ValueError("grid_points must be at least 1")
+    check_count("grid_points", grid_points, 1)
     if ctx is None:
         ctx = BoundContext(a)
     entry = _BOUNDS[bound_id]
@@ -477,17 +475,12 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
 
 
 def _lower_ends(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
-    """The bound's lower end at every t of ts, widened to cover rounding.
-
-    Overflow and invalid-value warnings are off: exponents such as 1/t
-    make the powers overflow near the ends of the grid, and the bound is
-    inf there.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        lower = entry.bracket(ctx, ts)
-        return lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
+    """The bound's lower end at every t of ts, widened to cover rounding."""
+    lower = entry.bracket(ctx, ts)
+    return lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
                 refine: bool = True, ids=CATALOG_IDS) -> BoundReport:
     """Evaluate the bounds named by ids, minimizing t-dependent ones.

@@ -17,7 +17,7 @@ from . import pointwise
 from .bounds import CATALOG_IDS, compare_all
 from .ensembles import sample, trial_rng
 from .polar import T_MIN, _Spectral
-from .radius import splitmix64
+from .radius import check_count, splitmix64
 
 TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
 # Amer's lhs is an eigenvalue of the non-normal AB + CD, whose rounding
@@ -38,14 +38,10 @@ class CampaignConfig:
     theta_grid: int = 240
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if self.t_grid < 1:
-            raise ValueError("t_grid must be at least 1")
-        if self.theta_grid < 8:
-            raise ValueError("theta_grid must be at least 8")
+        check_count("trials", self.trials, 1)
+        check_count("dim", self.dim, 1)
+        check_count("t_grid", self.t_grid, 1)
+        check_count("theta_grid", self.theta_grid, 8)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ def _parse_json(text: str) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits or levels
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -43,7 +45,8 @@ def _parse_json(text: str) -> np.ndarray:
         data = doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing required field {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or n < 1:
+    # type(), not isinstance(): JSON's true and false are not numbers
+    if type(n) is not int or n < 1:
         raise ParseError(f"field 'n' must be a positive integer, got {n!r}")
     if not isinstance(data, list) or len(data) != n:
         raise DimensionMismatch(
@@ -54,9 +57,12 @@ def _parse_json(text: str) -> np.ndarray:
             raise DimensionMismatch(f"row {i} must have {n} entries")
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(c, (int, float)) for c in pair)):
+                    or not all(type(c) in (int, float) for c in pair)):
                 raise ParseError(f"entry [{i}][{j}] must be an [re, im] pair")
-            re, im = float(pair[0]), float(pair[1])
+            try:
+                re, im = float(pair[0]), float(pair[1])
+            except OverflowError:  # an integer too large for a float
+                re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ParseError(f"entry [{i}][{j}] is not finite")
             out[i, j] = complex(re, im)

@@ -52,6 +52,7 @@ def _form(m, x) -> complex:
     return complex(np.vdot(x, m @ x))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kato(a, x, y, t: float) -> InequalityCheck:
     """|<Ax,y>|^2 against <|A|^{2(1-t)}x,x><|A*|^{2t}y,y>.
 

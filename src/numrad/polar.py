@@ -30,8 +30,10 @@ class _Spectral:
     Singular directions with sigma <= SIGMA_CUT_REL * sigma_1 are treated
     as kernel and left out of the isometry U.  Each power or transform
     takes a float exponent (or weight) and gives an (n, n) array, or an
-    ndarray vector of them and gives the (len, n, n) stack.  Overflowing
-    powers propagate as non-finite entries.
+    ndarray vector of them and gives the (len, n, n) stack.  Exponents such
+    as 1/t overflow near the ends of the weight window, where the bound is
+    inf: overflowing powers propagate as non-finite entries, quietly under
+    the error state that the calling entry point sets.
     """
 
     def __init__(self, a):
@@ -51,18 +53,16 @@ class _Spectral:
         return self._power(self.left, r)
 
     def _power(self, v: np.ndarray, r) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(r, np.ndarray):
-                d = self.sigma ** r[:, None]
-                m = (v * d[:, None, :]) @ v.conj().T
-            else:
-                m = (v * self.sigma**r) @ v.conj().T
-            return (m + m.conj().swapaxes(-1, -2)) / 2
+        if isinstance(r, np.ndarray):
+            d = self.sigma ** r[:, None]
+            m = (v * d[:, None, :]) @ v.conj().T
+        else:
+            m = (v * self.sigma**r) @ v.conj().T
+        return (m + m.conj().swapaxes(-1, -2)) / 2
 
     def aluthge(self, t):
         """Weighted Aluthge transform |A|^(1-t) U |A|^t."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.xpow(1 - t) @ self.isometry @ self.xpow(t)
+        return self.xpow(1 - t) @ self.isometry @ self.xpow(t)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ phase-aligned ascent, providing an independent lower estimate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,15 @@ class OracleEstimate:
     seed: int
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject a count, such as a grid size, that is not an integer (a
+    numpy integer will do, a bool will not) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _lambda_max_rotated(a, theta: float) -> float:
     h = (np.exp(1j * theta) * a + np.exp(-1j * theta) * a.conj().T) / 2
     return float(np.linalg.eigvalsh(h)[-1])
@@ -74,8 +84,7 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     (one-sided, low) bias for speed.  The grid stage solves every angle,
     in one (grid_points, n, n) stack.
     """
-    if grid_points < 8:
-        raise ValueError("grid_points must be at least 8")
+    check_count("grid_points", grid_points, 8)
     a = as_matrix(a)
     return _refined(a, grid_points, refine, *sweep_subgrid(a, grid_points, 1))
 
@@ -89,8 +98,9 @@ def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
     maximum (all of them where g is flat).  A skipped angle's value is
     strictly below the grid maximum: it cannot hold or tie the argmax.
     """
+    check_count("grid_points", grid_points, 8)
     step = coarse_step(grid_points)
-    if step == 1 or grid_points < 8:  # radius_sweep rejects grids below 8
+    if step == 1:
         return radius_sweep(a, grid_points, refine)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
@@ -179,10 +189,9 @@ def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
     rot = _rotations(probes[ok], np.exp(1j * angles[ok])[:, None])[:, 0]
     x = np.linalg.eigh(rot)[1][..., -1]
     q = np.einsum("pi,tip->tp", x.conj(), ms @ x.T)
-    with np.errstate(invalid="ignore"):
-        j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
-        out = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(
-            axis=-1, initial=-np.inf)
+    j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
+    out = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(
+        axis=-1, initial=-np.inf)
     out[~np.isfinite(ms).all(axis=(-2, -1))] = np.inf
     return out
 
@@ -196,8 +205,7 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
     power step for the Hermitian matrix Re(e^{-i phi}A).  The result is
     the deterministic maximum over all trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_count("trials", trials, 1)
     a = as_matrix(a)
     n = a.shape[0]
     rng = np.random.default_rng(splitmix64(seed, 0))
@@ -222,8 +230,7 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
 
 def power_check(a, k: int):
     """Return (omega(A^k), omega(A)^k), both via the sweep."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_count("k", k, 1)
     a = as_matrix(a)
     lhs = pruned_sweep(np.linalg.matrix_power(a, k)).value
     rhs = pruned_sweep(a).value ** k

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
 from numrad import bounds
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.optimize import golden_min
+from numrad.pointwise import kato
 from numrad.polar import T_MIN
 from numrad.radius import coarse_step, sweep_subgrid
 from numrad.reference import SHIFT_234, SHIFT_342
@@ -65,15 +67,22 @@ def test_aluthge_weighted_at_half_matches_special_case(rng):
         assert general == pytest.approx(special, rel=1e-10)
 
 
-def test_weighted_power_at_half_matches_kittaneh_square(rng):
-    for a in (EXAMPLE1, ginibre(rng, 4)):
-        assert weighted_power(a, weight_params(0.5)).value == pytest.approx(
-            kittaneh_square(a).value, rel=1e-10)
+def test_weighted_power_at_half_matches_kittaneh_square():
+    # at t = 1/2 both operands are (X^2 + Y^2)/2 exactly, halved by powers
+    # of two, so the bounds agree to the last bit at unit scale
+    half = weight_params(0.5)
+    rng = np.random.default_rng(619)
+    mats = [EXAMPLE1] + [sample(ens, n, rng) for ens in ENSEMBLES
+                         for n in (1, 2, 3, 4, 5, 6, 8, 16)]
+    for a in mats:
+        want = kittaneh_square(a)
+        for got in (weighted_power(a, half), fourth_power(a, half)):
+            assert (got.value, got.detail["inner"]) == (
+                want.value, want.detail["inner"]), (got.id, a.shape)
 
 
 def test_weight_params_window():
-    w = weight_params(0.25)
-    assert w.r_cap == 0.75
+    assert weight_params(0.25).t == 0.25
     with pytest.raises(WeightOutOfRange):
         weight_params(0.0)
     with pytest.raises(WeightOutOfRange):
@@ -103,9 +112,10 @@ def test_minimize_rejects_fixed_bounds():
         minimize_over_t("kitt-sum", EXAMPLE1)
 
 
-@pytest.mark.parametrize("grid_points", [0, -3])
+@pytest.mark.parametrize("grid_points", [0, -3, 240.5])
 def test_minimize_rejects_an_empty_grid(grid_points):
-    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+    reason = "an integer" if isinstance(grid_points, float) else "at least 1"
+    with pytest.raises(ValueError, match=f"grid_points must be {reason}"):
         minimize_over_t("product", EXAMPLE1, grid_points)
 
 
@@ -277,6 +287,38 @@ def test_compare_all_at_extreme_scales_raises_nothing(scale):
             assert not math.isnan(bv.value) or bv.detail["error"]
 
 
+ENTRY_POINTS = {
+    "compare_all": lambda a: compare_all(a, t_grid=21, theta_grid=240),
+    "minimize_over_t": lambda a: minimize_over_t("aluthge-t", a, 21),
+    "fourth_power": lambda a: fourth_power(a, weight_params(0.3)),
+    "kato": lambda a: kato(a, np.ones(a.shape[0]), np.ones(a.shape[0]), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_set_the_error_state_and_restore_it(name):
+    # Overflow is an ordinary edge case: it warns of nothing, the caller's
+    # error state changes no result, and that state is back after a
+    # return or a raise.
+    call = ENTRY_POINTS[name]
+    g = ginibre(np.random.default_rng(4), 4)
+    for scale in (1e150, 1e200):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quiet = _outcome(lambda: call(scale * g))
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], scale
+        with np.errstate(over="raise", invalid="raise"):
+            before = np.geterr()
+            assert repr(_outcome(lambda: call(scale * g))) == repr(quiet)
+            assert np.geterr() == before
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        with pytest.raises(DomainError):
+            call(np.zeros((0, 0)))
+        assert np.geterr() == before
+
+
 def test_compare_all_rejects_empty_matrix():
     with pytest.raises(DomainError):
         compare_all(np.zeros((0, 0)))
@@ -285,6 +327,7 @@ def test_compare_all_rejects_empty_matrix():
 # ---------------------------------------------------------------------------
 # the pruned t-scan against the full scan it replaces
 
+@np.errstate(over="ignore", invalid="ignore")  # as minimize_over_t's
 def _full_scan(bound_id, ctx, grid_points, refine_tol, refine):
     """The unpruned scan: every grid point, first-index argmin, golden
     refinement around it."""

@@ -50,6 +50,17 @@ def test_parse_errors():
         parse_matrix('{"n": 1, "data": [[[NaN, 0]]]}')
     with pytest.raises(ParseError):
         parse_matrix("")
+    with pytest.raises(ParseError, match="'n' must be a positive integer"):
+        parse_matrix('{"n": true, "data": [[[1, 0]]]}')
+    with pytest.raises(ParseError, match="must be an"):
+        parse_matrix('{"n": 1, "data": [[[true, false]]]}')
+    with pytest.raises(ParseError, match="not finite"):
+        parse_matrix('{"n": 1, "data": [[[1%s, 0]]]}' % ("0" * 400))
+    # over the int digit limit, where Python has one (3.10.7 and later)
+    with pytest.raises(ParseError, match="invalid JSON|not finite"):
+        parse_matrix('{"n": 1, "data": [[[1%s, 0]]]}' % ("0" * 5000))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_matrix('{"n": 1, "data": %s}' % ("[" * 10**5 + "]" * 10**5))
 
 
 def test_cli_bounds_table(runner, example1_path):
@@ -85,6 +96,10 @@ def test_cli_bounds_bad_file(runner, tmp_path):
     bad.write_text('{"n": 2, "data": []}')
     result = runner.invoke(main, ["bounds", str(bad)])
     assert result.exit_code == 2
+    bad.write_text('{"n": true, "data": [[[1, 0]]]}')
+    result = runner.invoke(main, ["bounds", str(bad)])
+    assert result.exit_code == 2
+    assert "error: field 'n'" in result.output
 
 
 def test_cli_radius(runner, example1_path):
@@ -172,9 +187,10 @@ def test_cli_rejects_out_of_range_grids(runner, example1_path, command,
 
 
 @pytest.mark.parametrize("field, value", [
-    ("t_grid", 0), ("t_grid", -3), ("theta_grid", 4)])
+    ("t_grid", 0), ("t_grid", -3), ("theta_grid", 4), ("theta_grid", 240.5)])
 def test_campaign_config_rejects_out_of_range_grids(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be at least"):
+    reason = "an integer" if isinstance(value, float) else "at least"
+    with pytest.raises(ValueError, match=f"{field} must be {reason}"):
         CampaignConfig(ensemble="ginibre", dim=3, trials=1, seed=0,
                        **{field: value})
 

@@ -53,6 +53,8 @@ def test_sweep_norm_envelope(rng):
 def test_sweep_rejects_tiny_grid():
     with pytest.raises(ValueError):
         radius_sweep(JORDAN2, grid_points=4)
+    with pytest.raises(ValueError, match="grid_points must be an integer"):
+        radius_sweep(JORDAN2, grid_points=240.5)
 
 
 def test_sweep_refinement_beats_coarse_grid():
@@ -72,6 +74,8 @@ def test_power_inequality(rng):
 def test_power_check_rejects_nonpositive():
     with pytest.raises(ValueError):
         power_check(JORDAN2, 0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        power_check(JORDAN2, 2.5)
 
 
 def test_oracle_matches_sweep(rng):
@@ -96,6 +100,8 @@ def test_oracle_deterministic():
 def test_oracle_rejects_zero_trials():
     with pytest.raises(ValueError):
         radius_oracle(JORDAN2, trials=0, seed=1)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        radius_oracle(JORDAN2, trials=2.5, seed=1)
 
 
 def test_splitmix64_stream():
@@ -144,7 +150,7 @@ def test_pruned_sweep_equals_radius_sweep_on_edge_inputs():
 
 def test_pruned_sweep_rejects_tiny_grid():
     # 6 angles have a subgrid of 3, so the check is not the fallback's alone
-    for grid_points in (4, 6, 7):
+    for grid_points in (4, 6, 7, 240.0):
         with pytest.raises(ValueError):
             pruned_sweep(JORDAN2, grid_points=grid_points)
 
