@@ -199,33 +199,48 @@ def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
 def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
     """Lower estimate of the numerical radius from sampled unit vectors.
 
-    Each trial starts from a complex-Gaussian unit vector, all drawn as one
-    block from a single splitmix-seeded stream, and runs a monotone
-    renormalized ascent: align the phase of <Ax,x>, then take a shifted
-    power step for the Hermitian matrix Re(e^{-i phi}A).  The result is
-    the deterministic maximum over all trials.
+    Trials start from one splitmix-seeded block of complex-Gaussian unit
+    vectors, the columns of a real array, and take at most
+    DEFAULT_ASCENT_STEPS power steps for cos(phi) B + sin(phi) C shifted by
+    ||A||, phi = arg <Ax,x>, A = B + iC (B, C Hermitian) scaled by the power
+    of two nearest 1/||A||.  A trial retires when its gain stalls or ten
+    times its gains' geometric tail cannot reach the best of all trials.
     """
     check_count("trials", trials, 1)
     a = as_matrix(a)
-    n = a.shape[0]
     rng = np.random.default_rng(splitmix64(seed, 0))
-    g = rng.standard_normal((trials, 2, n))
-    z = g[:, 0] + 1j * g[:, 1]
-    x = z / np.linalg.norm(z, axis=1, keepdims=True)
-    shift = max(1.0, float(np.linalg.norm(a, 2)))
-    best = np.zeros(trials)
-    for _ in range(DEFAULT_ASCENT_STEPS + 1):
-        ax = x @ a.T
-        q = np.einsum("ti,ti->t", x.conj(), ax)
-        best = np.maximum(best, np.abs(q))
-        phase = np.where(np.abs(q) > 0, q / np.where(np.abs(q) > 0, np.abs(q), 1.0), 1.0)
-        ahx = x @ a.conj()
-        hx = (np.conj(phase)[:, None] * ax + phase[:, None] * ahx) / 2
-        y = hx + shift * x
-        norms = np.linalg.norm(y, axis=1)
-        norms = np.where(norms > 0, norms, 1.0)
-        x = y / norms[:, None]
-    return OracleEstimate(value=float(best.max()), trials=trials, seed=seed)
+    x = rng.standard_normal((trials, 2, a.shape[0])).transpose(1, 2, 0)
+    x = x.reshape(-1, trials) / np.linalg.norm(x, axis=(0, 1))
+    norm = float(np.linalg.norm(a, 2))
+    if norm == 0:
+        return OracleEstimate(value=0.0, trials=trials, seed=seed)
+    scale = np.ldexp(1.0, min(1023, -int(np.rint(np.log2(norm)))))
+    b, c = (a + a.conj().T) * (scale / 2), (a - a.conj().T) * (scale / 2j)
+    # [B; C] on the real embedding [Re x; Im x] of a trial x
+    m = np.block([[b.real, -b.imag], [b.imag, b.real],
+                  [c.real, -c.imag], [c.imag, c.real]])
+    best, gain, top = np.zeros(trials), np.zeros(trials), 0.0
+    done = np.zeros(trials, dtype=bool)
+    for step in range(DEFAULT_ASCENT_STEPS + 1):
+        p = (m @ x).reshape(2, -1, x.shape[1])  # Bx and Cx
+        reim = np.einsum("it,kit->kt", x, p)
+        q = np.hypot(*reim)
+        gain, last = np.maximum(best, q) - best, gain
+        best += gain
+        top = max(top, best.max())
+        if step >= 2:  # stalled, or outpaced by ten geometric tails
+            rho = np.minimum(gain, 0.999 * last) / np.where(last > 0, last, 1)
+            done |= (gain <= 1e-13 * best) | (
+                best + 10 * gain * rho / (1 - rho) < top * (1 - 1e-12))
+        if step == DEFAULT_ASCENT_STEPS or done.all():
+            break
+        phase = np.where(q > 0, reim / np.where(q > 0, q, 1), [[1.0], [0.0]])
+        x = norm * scale * x + np.einsum("kt,kit->it", phase, p)
+        x /= np.sqrt(np.einsum("it,it->t", x, x))
+        if done.sum() >= 0.2 * done.size:
+            keep = ~done
+            x, best, gain, done = (v[..., keep] for v in (x, best, gain, done))
+    return OracleEstimate(value=float(top / scale), trials=trials, seed=seed)
 
 
 def power_check(a, k: int):

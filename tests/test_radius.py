@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from numrad import (DomainError, power_check, radius_oracle, radius_sweep,
                     spectral_norm, splitmix64)
 from numrad.ensembles import ENSEMBLES, sample
-from numrad.radius import coarse_step, pruned_sweep, support_upper
+from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
+                           support_upper)
 from numrad.reference import SHIFT_234
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_unitary
@@ -102,6 +105,73 @@ def test_oracle_rejects_zero_trials():
         radius_oracle(JORDAN2, trials=0, seed=1)
     with pytest.raises(ValueError, match="trials must be an integer"):
         radius_oracle(JORDAN2, trials=2.5, seed=1)
+
+
+def _reference_oracle(a, trials, seed):
+    """The complex ascent that radius_oracle runs in real form: the same
+    starts and the same shift ||A||, with every trial on a (trials, n) row
+    for all DEFAULT_ASCENT_STEPS steps and none retired."""
+    n = a.shape[0]
+    rng = np.random.default_rng(splitmix64(seed, 0))
+    g = rng.standard_normal((trials, 2, n))
+    z = g[:, 0] + 1j * g[:, 1]
+    x = z / np.linalg.norm(z, axis=1, keepdims=True)
+    shift = float(np.linalg.norm(a, 2))
+    best = np.zeros(trials)
+    for _ in range(DEFAULT_ASCENT_STEPS + 1):
+        ax = x @ a.T
+        q = np.einsum("ti,ti->t", x.conj(), ax)
+        best = np.maximum(best, np.abs(q))
+        phase = np.where(np.abs(q) > 0,
+                         q / np.where(np.abs(q) > 0, np.abs(q), 1.0), 1.0)
+        ahx = x @ a.conj()
+        hx = (np.conj(phase)[:, None] * ax + phase[:, None] * ahx) / 2
+        y = hx + shift * x
+        norms = np.linalg.norm(y, axis=1)
+        norms = np.where(norms > 0, norms, 1.0)
+        x = y / norms[:, None]
+    return float(best.max())
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_oracle_matches_the_full_complex_ascent(ensemble):
+    # retirement may lose a little, the real form no more than rounding
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 630)
+    for n in (1, 2, 3, 6, 8):
+        for seed in range(6):
+            a = sample(ensemble, n, rng)
+            w = radius_sweep(a).value
+            ref = _reference_oracle(a, 2000, seed)
+            got = radius_oracle(a, 2000, seed).value
+            assert ref - 1e-7 * w <= got <= ref + 1e-12 * w, (n, seed)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-3, 1.0, 1e150, 1e154])
+def test_oracle_is_scale_free(scale):
+    g = ginibre(np.random.default_rng(631), 6)
+    for a in (SHIFT_234, g):
+        w = radius_sweep(a).value
+        got = radius_oracle(scale * a, 10**4, 5).value / scale
+        assert got <= w + 1e-6 * w
+        assert got == pytest.approx(w, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["1x1", "zero", "jordan", "one-trial",
+                                  "nilpotent"])
+def test_oracle_edge_inputs(case):
+    nilpotent = sample("nilpotent", 6, np.random.default_rng(632))
+    a, trials, want, rel = {
+        "1x1": (np.array([[3 - 4j]]), 10, 5.0, 1e-15),
+        "zero": (np.zeros((3, 3)), 10, 0.0, 0),
+        "jordan": (JORDAN2, 100, 0.5, 1e-9),
+        "one-trial": (SHIFT_234, 1, radius_sweep(SHIFT_234).value, 1e-3),
+        "nilpotent": (nilpotent, 2000, radius_sweep(nilpotent).value, 1e-3),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = radius_oracle(a, trials, 0).value
+    assert got <= want + 1e-9 * want
+    assert got == pytest.approx(want, rel=rel, abs=0)
 
 
 def test_splitmix64_stream():
