@@ -6,9 +6,10 @@ computed once per context.  All bound evaluators return a BoundValue
 whose value is directly comparable to omega(A); bounds stated in the
 squared form record the pre-square-root quantity under detail["inner"].
 
-Each t-dependent bound but aluthge-t is one function of (ctx, t) giving
-(value, detail), for a float t or a vector of t; the t-scan's evaluator
-and bracket are that function at a float and at the grid's vector.
+Each t-dependent bound is one function of (ctx, t) giving (value,
+detail), for a float t or a vector of t; the t-scan's evaluator and
+bracket are that function at a float and at the grid's vector.  A fixed
+bound that is a weighted bound at one weight is that function there.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, NumradError
+from .errors import DomainError, NonFinite, NumradError
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, check_count,
@@ -28,13 +29,16 @@ from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, check_count,
 
 # Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
 # stacks of complex, and apart from those, the (theta, n, n) rotations of
-# the aluthge-t bracket's probe rows.  A sizing rule, not a cap: numpy's
+# the probe rows of a swept stack.  A sizing rule, not a cap: numpy's
 # temporaries come on top.
 BRACKET_CHUNK_BYTES = 1 << 24
-# Largest number of probe rows in one call of the aluthge-t bracket: the
-# rows where it sweeps a subgrid, whose top eigenvectors give the lower
-# ends at its other rows.
+# Largest number of probe rows in one swept stack: the rows where the
+# sweep runs on a subgrid, whose top eigenvectors give the lower ends at
+# the other rows.
 BRACKET_PROBES = 16
+# Grid of the t-scan: its default size, and the smallest it accepts.
+DEFAULT_T_GRID = 1001
+T_GRID_MIN = 1
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,42 @@ class BoundContext(_Spectral):
         self.theta_refine = theta_refine
         self._omega: dict = {}
 
-    def sweep(self, key, m) -> float:
-        """omega(m) by the context's sweep, cached under key; inf for an
-        overflowed operand."""
-        if key not in self._omega:
-            self._omega[key] = (pruned_sweep(m, self.theta_grid,
-                                             self.theta_refine).value
-                                if np.all(np.isfinite(m)) else math.inf)
-        return self._omega[key]
+    def sweep(self, key, m):
+        """omega(m) by the context's sweep for a matrix m, cached under key;
+        inf for an operand whose entries or norm overflow.  For a (T, n, n)
+        stack m, a certified lower end of that value for each matrix,
+        clamped at 0 (omega is not below 0), with key unused.
+
+        In a stack, the probe rows are every s-th matrix, with
+        s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
+        would exceed BRACKET_CHUNK_BYTES).  At a probe row the lower end is
+        the sweep's maximum over a subgrid of its angles, every
+        coarse_step(theta_grid)-th one.  At every other row it comes from
+        the probes' top eigenvectors x (rotated Rayleigh quotients): at each
+        angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
+        x*Re(e^{i theta} M)x is at most lambda_max(Re(e^{i theta} M)), and
+        so at most the sweep's value, refined or not.  A non-finite matrix
+        gets inf.
+        """
+        if m.ndim == 2:
+            if key not in self._omega:
+                try:
+                    self._omega[key] = pruned_sweep(
+                        m, self.theta_grid, self.theta_refine).value
+                except DomainError:  # as_matrix: the operand overflowed
+                    self._omega[key] = math.inf
+            return self._omega[key]
+        step = coarse_step(self.theta_grid)
+        # a probe row holds its (theta, n, n) stack of rotations
+        per_probe = 16 * m.shape[-1] ** 2 * (self.theta_grid // step)
+        probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
+        s = -(-m.shape[0] // probes)
+        g, angles = sweep_subgrid(m[::s], self.theta_grid, step)
+        if s == 1:
+            return np.maximum(g, 0)
+        lower = quotient_lower(m, m[::s], angles, self.theta_grid)
+        lower[::s] = g
+        return np.maximum(lower, 0)
 
     @cached_property
     def omega_estimate(self) -> RadiusEstimate:
@@ -148,11 +180,6 @@ def _kitt_sum(ctx: BoundContext, t=None) -> BoundValue:
     return BoundValue("kitt-sum", None, v)
 
 
-def _kitt_square(ctx: BoundContext, t=None) -> BoundValue:
-    inner = 0.5 * hnorm(ctx.xpow(2.0) + ctx.ypow(2.0))
-    return BoundValue("kitt-square", None, math.sqrt(inner), {"inner": inner})
-
-
 def _kitt_mixed(ctx: BoundContext, t=None) -> BoundValue:
     norm_sq = gnorm(ctx.a @ ctx.a)
     v = 0.5 * (ctx.norm_a + math.sqrt(norm_sq))
@@ -195,79 +222,19 @@ def _aluthge_half(ctx: BoundContext, t=None) -> BoundValue:
                        "omega_aluthge_sq": wa2})
 
 
-def _aluthge_terms(ctx: BoundContext, t, alu: np.ndarray):
-    """The aluthge-t terms that need no sweep, at a float or a vector t:
-    pow4, norm, mod, and the factor of omega(A_t) in the cross term."""
-    pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
-    norm = 0.5 * _square(ctx.norm_a)
-    mod = 0.25 * hnorm(_adj(alu) @ alu + alu @ _adj(alu))
-    cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
-    return pow4, norm, mod, cross
-
-
-def _aluthge_weighted(ctx: BoundContext, t: float) -> BoundValue:
+def _aluthge_weighted(ctx: BoundContext, t):
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
-    term_pow4, term_norm, term_mod, cross = _aluthge_terms(ctx, t, alu)
+    term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
+    term_norm = 0.5 * _square(ctx.norm_a)
+    term_mod = 0.25 * hnorm(_adj(alu) @ alu + alu @ _adj(alu))
     term_sq = 0.5 * wa2
-    term_cross = cross * wa
+    term_cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t))) * wa
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
-    detail = {"inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
-              "term_mod": term_mod, "term_sq": term_sq,
-              "term_cross": term_cross}
-    return BoundValue("aluthge-t", t, 0.5 * _sqrt_or_inf(inner), detail)
-
-
-def _aluthge_weighted_bracket(ctx: BoundContext, ts: np.ndarray):
-    step = coarse_step(ctx.theta_grid)
-    # a probe row holds its (theta, n, n) stack of rotations
-    per_probe = 16 * ctx.a.shape[0] ** 2 * (ctx.theta_grid // step)
-    probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
-    return _chunked(
-        lambda part: _aluthge_chunk(ctx, part, step,
-                                    -(-part.size // probes)),
-        ts, _t_chunk(ctx))
-
-
-def _aluthge_chunk(ctx: BoundContext, ts: np.ndarray, step: int, s: int):
-    # Each sweep's value is at least its grid maximum over every step-th
-    # angle.  Only the probe rows, every s-th t, pay for that maximum; at
-    # the other t the lower end comes from the probes' top eigenvectors
-    # (quotient_lower).  inner is non-decreasing in both omega terms, so
-    # their lower ends carry over to it.
-    alu = ctx.aluthge(ts)
-    wa, wa2 = (_omega_lower(m, ctx.theta_grid, step, s)
-               for m in (alu, alu @ alu))
-    pow4, norm, mod, cross = _aluthge_terms(ctx, ts, alu)
-    fixed = pow4 + norm + mod
-    omega_terms = 0.5 * np.maximum(wa2, 0) + cross * np.maximum(wa, 0)
-    return 0.5 * _sqrt_or_inf(fixed + omega_terms)
-
-
-def _omega_lower(ms: np.ndarray, grid_points: int, step: int, s: int):
-    """A lower end of the sweep's value for each matrix of the stack ms:
-    the subgrid maximum at every s-th matrix, and the probe vectors'
-    rotated quotients at the others (there are none if s is 1)."""
-    g, angles = sweep_subgrid(ms[::s], grid_points, step)
-    if s == 1:
-        return g
-    lower = quotient_lower(ms, ms[::s], angles, grid_points)
-    lower[::s] = g
-    return lower
-
-
-def _t_chunk(ctx: BoundContext) -> int:
-    """Points of t per chunk of a bracket: 16 (t, n, n) stacks of complex
-    in BRACKET_CHUNK_BYTES."""
-    return max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
-
-
-def _chunked(bracket: Callable, ts: np.ndarray, size: int):
-    """bracket(ts), computed over chunks of at most size points of ts, so
-    that memory stays bounded."""
-    return np.concatenate([bracket(ts[i:i + size])
-                           for i in range(0, ts.size, size)])
+    return 0.5 * _sqrt_or_inf(inner), {
+        "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
+        "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross}
 
 
 def _weighted_power(ctx: BoundContext, t):
@@ -321,28 +288,32 @@ class _Entry:
     bracket: Callable | None = None
 
 
-def _t_entry(bound_id: str, bound: Callable) -> _Entry:
-    """The entry of a t-dependent bound written as one function of t."""
-    def evaluate(ctx: BoundContext, t: float) -> BoundValue:
-        value, detail = bound(ctx, t)
+def _t_entry(bound_id: str, bound: Callable, at: float | None = None):
+    """The entry of a bound written as one function of t: a t-dependent
+    bound, or, given at, the fixed bound that it is at the weight at."""
+    def evaluate(ctx: BoundContext, t: float | None = None) -> BoundValue:
+        value, detail = bound(ctx, at if t is None else t)
         return BoundValue(bound_id, t, float(value),
                           {k: float(v) for k, v in detail.items()})
 
-    def exact(ctx: BoundContext, ts: np.ndarray):
-        return _chunked(lambda chunk: bound(ctx, chunk)[0], ts,
-                        _t_chunk(ctx))
-    return _Entry(evaluate, exact)
+    def lower(ctx: BoundContext, ts: np.ndarray):
+        # chunks of t in which 16 (t, n, n) stacks of complex fill
+        # BRACKET_CHUNK_BYTES, so that memory stays bounded
+        size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
+        return np.concatenate([bound(ctx, ts[i:i + size])[0]
+                               for i in range(0, ts.size, size)])
+    return _Entry(evaluate) if at is not None else _Entry(evaluate, lower)
 
 
 _BOUNDS = {
     "classic": _Entry(_classic),
     "kitt-sum": _Entry(_kitt_sum),
-    "kitt-square": _Entry(_kitt_square),
+    "kitt-square": _t_entry("kitt-square", _weighted_power, at=0.5),
     "kitt-mixed": _Entry(_kitt_mixed),
     "integral": _Entry(_integral),
     "integral-refined": _Entry(_integral_refined),
     "yamazaki": _Entry(_yamazaki),
-    "aluthge-t": _Entry(_aluthge_weighted, _aluthge_weighted_bracket),
+    "aluthge-t": _t_entry("aluthge-t", _aluthge_weighted),
     "aluthge-half": _Entry(_aluthge_half),
     "weighted-power": _t_entry("weighted-power", _weighted_power),
     "weighted-r": _t_entry("weighted-r", _weighted_r),
@@ -396,7 +367,7 @@ schwarz_radius = _on_matrix("schwarz-radius")
 # t-optimization
 
 @np.errstate(over="ignore", invalid="ignore")
-def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
+def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
                     refine_tol: float = 1e-8, *, refine: bool = True,
                     ctx: BoundContext | None = None):
     """Minimize a t-dependent bound over the clamped weight window.
@@ -410,30 +381,21 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
 
     The scan is pruned with certified lower ends.  The bound's batched
     bracket over the whole grid is a lower end of the scalar value at
-    every grid point.  The scalar evaluator then visits the grid points in
+    every grid point, widened by BRACKET_REL to cover rounding; the
+    omega terms of aluthge-t are lower ends from BoundContext.sweep on the
+    grid's stack.  The scalar evaluator then visits the grid points in
     order of their lower ends, a lower end that is not finite counting as
     -inf, and stops at the first whose lower end exceeds the smallest
     value evaluated so far.  Every point whose lower end is at most the
     grid minimum is visited, so the first-index minimum over the grid,
-    and hence the result, is that of the full scan.
-
-    For aluthge-t the bracket is built in chunks of T grid points.  At
-    its probe rows, every s-th point of a chunk with
-    s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
-    would exceed BRACKET_CHUNK_BYTES), the lower ends of omega(A_t) and
-    omega(A_t^2) are their sweeps' maxima over a subgrid of angles.  At
-    every other point they come from the probes' top eigenvectors x
-    (rotated Rayleigh quotients): at each angle theta of the sweep's
-    grid, Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x is at most
-    lambda_max(Re(e^{i theta} M)), and so at most the sweep's value,
-    refined or not.  Lower ends are widened by BRACKET_REL to cover
-    rounding.
+    and hence the result, is that of the full scan; if no value is finite,
+    every point is visited.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
     if bound_id not in T_DEPENDENT_IDS:
         raise ValueError(f"bound {bound_id!r} is not t-dependent")
-    check_count("grid_points", grid_points, 1)
+    check_count("grid_points", grid_points, T_GRID_MIN)
     if ctx is None:
         ctx = BoundContext(a)
     entry = _BOUNDS[bound_id]
@@ -441,25 +403,14 @@ def minimize_over_t(bound_id: str, a, grid_points: int = 1001,
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     lower = _lower_ends(entry, ctx, ts)
     vals = np.full(grid_points, math.inf)
-    done = np.zeros(grid_points, dtype=bool)
-
-    def scan(indices):
-        for i in indices:
-            vals[i] = f(ctx, float(ts[i])).value
-            done[i] = True
-
     key = np.where(np.isfinite(lower), lower, -math.inf)
     cap = math.inf
     for i in np.argsort(key, kind="stable"):
         if key[i] > cap:
             break
-        scan((i,))
+        vals[i] = f(ctx, float(ts[i])).value
         cap = min(cap, vals[i])
     best = int(np.argmin(vals))
-    if not math.isfinite(vals[best]) and not done.all():
-        # no finite value among the visited points: finish the scan
-        scan(np.flatnonzero(~done))
-        best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
@@ -481,8 +432,9 @@ def _lower_ends(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def compare_all(a, t_grid: int = 1001, theta_grid: int = DEFAULT_GRID,
-                refine: bool = True, ids=CATALOG_IDS) -> BoundReport:
+def compare_all(a, t_grid: int = DEFAULT_T_GRID,
+                theta_grid: int = DEFAULT_GRID, refine: bool = True,
+                ids=CATALOG_IDS) -> BoundReport:
     """Evaluate the bounds named by ids, minimizing t-dependent ones.
 
     ids defaults to the full catalog.  A bound that fails with a

@@ -14,10 +14,10 @@ from functools import partial
 import numpy as np
 
 from . import pointwise
-from .bounds import CATALOG_IDS, compare_all
+from .bounds import CATALOG_IDS, T_GRID_MIN, compare_all
 from .ensembles import sample, trial_rng
 from .polar import T_MIN, _Spectral
-from .radius import check_count, splitmix64
+from .radius import THETA_GRID_MIN, check_count, splitmix64
 
 TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
 # Amer's lhs is an eigenvalue of the non-normal AB + CD, whose rounding
@@ -40,8 +40,8 @@ class CampaignConfig:
     def __post_init__(self):
         check_count("trials", self.trials, 1)
         check_count("dim", self.dim, 1)
-        check_count("t_grid", self.t_grid, 1)
-        check_count("theta_grid", self.theta_grid, 8)
+        check_count("t_grid", self.t_grid, T_GRID_MIN)
+        check_count("theta_grid", self.theta_grid, THETA_GRID_MIN)
 
 
 @dataclass(frozen=True)

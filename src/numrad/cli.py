@@ -8,18 +8,19 @@ import sys
 
 import click
 
-from .bounds import CATALOG_IDS, compare_all
+from .bounds import CATALOG_IDS, DEFAULT_T_GRID, T_GRID_MIN, compare_all
 from .campaign import TOL_SLACK, CampaignConfig, run_campaign
 from .ensembles import ENSEMBLES
 from .errors import NumradError, ParseError
 from .matrixio import parse_matrix
-from .radius import DEFAULT_GRID, radius_oracle, radius_sweep
+from .radius import (DEFAULT_GRID, THETA_GRID_MIN, radius_oracle,
+                     radius_sweep)
 from .reference import run_reference_checks
 
 
 # The smallest grids that minimize_over_t and radius_sweep accept.
-T_GRID = click.IntRange(min=1)
-THETA_GRID = click.IntRange(min=8)
+T_GRID = click.IntRange(min=T_GRID_MIN)
+THETA_GRID = click.IntRange(min=THETA_GRID_MIN)
 
 
 def _load(path: str):
@@ -45,8 +46,8 @@ def main():
 @click.option("--bound", "bound_id", default="all",
               type=click.Choice(("all",) + CATALOG_IDS),
               help="Single bound to evaluate, or 'all'.")
-@click.option("--t-grid", default=1001, show_default=True, type=T_GRID,
-              help="Grid size for t-optimization.")
+@click.option("--t-grid", default=DEFAULT_T_GRID, show_default=True,
+              type=T_GRID, help="Grid size for t-optimization.")
 @click.option("--theta-grid", default=DEFAULT_GRID, show_default=True,
               type=THETA_GRID, help="Angle grid size for the radius sweep.")
 @click.option("--format", "fmt", default="table", show_default=True,
@@ -131,8 +132,10 @@ def reproduce_examples():
 @click.option("--seed", default=0, envvar="NUMRAD_SEED", show_default=True)
 @click.option("--jobs", default=1, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--t-grid", default=9, show_default=True, type=T_GRID)
-@click.option("--theta-grid", default=240, show_default=True, type=THETA_GRID)
+@click.option("--t-grid", default=CampaignConfig.t_grid, show_default=True,
+              type=T_GRID)
+@click.option("--theta-grid", default=CampaignConfig.theta_grid,
+              show_default=True, type=THETA_GRID)
 @click.option("--output", type=click.File("w", lazy=False), default=None,
               help="Write the CSV report here instead of stdout.")
 def fuzz(ensemble, dim, trials, seed, jobs, t_grid, theta_grid, output):

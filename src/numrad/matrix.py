@@ -14,10 +14,14 @@ from .errors import DomainError, NoConvergence, NotHermitian, NotPSD
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
+# n * max(|Re a_ij|, |Im a_ij|) may be at most this: then ||A|| <= ||A||_F
+# stays below half the largest float, and so do sums such as A + A*.
+NORM_MAX = np.finfo(np.float64).max / 4
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and coerce input to a nonempty square complex matrix."""
+    """Validate and coerce input to a nonempty square complex matrix whose
+    norm does not overflow (see NORM_MAX)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
@@ -25,6 +29,9 @@ def as_matrix(a) -> np.ndarray:
         raise DomainError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
+    if np.maximum(abs(m.real), abs(m.imag)).max() > NORM_MAX / m.shape[0]:
+        raise DomainError("matrix norm overflows: an entry exceeds "
+                          f"{NORM_MAX / m.shape[0]:.3e}")
     return m
 
 

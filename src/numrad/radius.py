@@ -18,6 +18,7 @@ from .matrix import as_matrix
 from .optimize import golden_max
 
 DEFAULT_GRID = 720
+THETA_GRID_MIN = 8  # the smallest angle grid a sweep accepts
 DEFAULT_THETA_TOL = 1e-10
 DEFAULT_ASCENT_STEPS = 50
 # Largest angle step of the subgrid that gives a lower end of a sweep's value.
@@ -84,7 +85,7 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     (one-sided, low) bias for speed.  The grid stage solves every angle,
     in one (grid_points, n, n) stack.
     """
-    check_count("grid_points", grid_points, 8)
+    check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
     return _refined(a, grid_points, refine, *sweep_subgrid(a, grid_points, 1))
 
@@ -98,7 +99,7 @@ def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
     maximum (all of them where g is flat).  A skipped angle's value is
     strictly below the grid maximum: it cannot hold or tie the argmax.
     """
-    check_count("grid_points", grid_points, 8)
+    check_count("grid_points", grid_points, THETA_GRID_MIN)
     step = coarse_step(grid_points)
     if step == 1:
         return radius_sweep(a, grid_points, refine)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from numrad.bounds import hnorm
 
 EXAMPLE1 = np.array([[0, 2, 0],
                      [0, 0, 3],
@@ -16,6 +20,15 @@ JORDAN2 = np.array([[0, 1],
 def ginibre(rng, n):
     return (rng.standard_normal((n, n))
             + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def half_square_sum(ctx):
+    """Kittaneh's bound sqrt(||X^2 + Y^2|| / 2), X = |A| and Y = |A*|, on a
+    BoundContext: (value, inner).  The catalog computes it as weighted-power
+    at t = 1/2; this is the formula written out on its own, as the
+    independent reference for that identity."""
+    inner = 0.5 * hnorm(ctx.xpow(2.0) + ctx.ypow(2.0))
+    return math.sqrt(inner), inner
 
 
 def random_unitary(rng, n):

@@ -21,7 +21,7 @@ from numrad import pointwise
 from numrad.polar import T_MIN, abs_value
 from numrad.matrix import adjoint
 
-from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre
+from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre, half_square_sum
 
 
 def _report(name, ok):
@@ -86,21 +86,26 @@ def test_soundness_sweep():
 
 
 def test_specialization_identities():
+    # weighted-power and fourth-power at 1/2 are kitt-square to the last
+    # bit; the other two pairs agree to rounding
     rng = np.random.default_rng(31415)
-    pairs = (("weighted-power", "kitt-square"),
-             ("fourth-power", "kitt-square"),
-             ("weighted-r", "kitt-sum"),
-             ("aluthge-t", "aluthge-half"))
-    worst = 0.0
+    exact = ("weighted-power", "fourth-power")
+    pairs = (("weighted-r", "kitt-sum"), ("aluthge-t", "aluthge-half"))
+    worst, same = 0.0, True
     for _ in range(200):
         n = int(rng.integers(2, 9))
         ctx = BoundContext(ginibre(rng, n))
+        want = half_square_sum(ctx)[0]
+        for general in exact:
+            same &= _BOUNDS[general].evaluate(ctx, 0.5).value == want
+        same &= _BOUNDS["kitt-square"].evaluate(ctx).value == want
         for general, special in pairs:
             lhs = _BOUNDS[general].evaluate(ctx, 0.5).value
             rhs = _BOUNDS[special].evaluate(ctx).value
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    ok = worst <= 1e-10
-    _report(f"specialization identities (worst {worst:.2e})", ok)
+    ok = same and worst <= 1e-10
+    _report(f"specialization identities (exact {same}, worst {worst:.2e})",
+            ok)
 
 
 def test_ordering_chains():

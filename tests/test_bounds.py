@@ -20,7 +20,7 @@ from numrad.polar import T_MIN
 from numrad.radius import coarse_step, sweep_subgrid
 from numrad.reference import SHIFT_234, SHIFT_342
 
-from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre
+from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre, half_square_sum
 
 
 def test_classic_envelope_example1():
@@ -69,16 +69,17 @@ def test_aluthge_weighted_at_half_matches_special_case(rng):
 
 def test_weighted_power_at_half_matches_kittaneh_square():
     # at t = 1/2 both operands are (X^2 + Y^2)/2 exactly, halved by powers
-    # of two, so the bounds agree to the last bit at unit scale
+    # of two, so the bounds agree to the last bit at unit scale with the
+    # formula written out
     half = weight_params(0.5)
     rng = np.random.default_rng(619)
     mats = [EXAMPLE1] + [sample(ens, n, rng) for ens in ENSEMBLES
                          for n in (1, 2, 3, 4, 5, 6, 8, 16)]
     for a in mats:
-        want = kittaneh_square(a)
-        for got in (weighted_power(a, half), fourth_power(a, half)):
-            assert (got.value, got.detail["inner"]) == (
-                want.value, want.detail["inner"]), (got.id, a.shape)
+        want = half_square_sum(BoundContext(a))
+        for got in (kittaneh_square(a), weighted_power(a, half),
+                    fourth_power(a, half)):
+            assert (got.value, got.detail["inner"]) == want, (got.id, a.shape)
 
 
 def test_weight_params_window():
@@ -398,15 +399,26 @@ def test_pruned_scan_equals_full_scan_on_edge_inputs():
             _assert_scans_agree(a, 31, theta_grid, True)
 
 
-def test_pruned_scan_overflow_matches_full_scan():
+def test_pruned_scan_overflow_matches_full_scan(monkeypatch):
     # at this scale the grid overflows: some bounds are finite only on
     # part of the grid, and others nowhere
     a = 1e150 * ginibre(np.random.default_rng(612), 4)
+    calls = []
+    entry = bounds._BOUNDS["schwarz-radius"]
+
+    def counted(ctx, t):
+        calls.append(t)
+        return entry.evaluate(ctx, t)
+
+    monkeypatch.setitem(bounds._BOUNDS, "schwarz-radius",
+                        bounds._Entry(counted, entry.bracket))
     outcomes = {}
     for bound_id in sorted(T_DEPENDENT_IDS):
         outcomes[bound_id] = _outcome(lambda: minimize_over_t(
             bound_id, a, 31))
     assert outcomes["schwarz-radius"][0] == "NonFinite"
+    # no value is finite, so the scan visits every point, once
+    assert sorted(calls) == np.linspace(T_MIN, 1 - T_MIN, 31).tolist()
     assert any(isinstance(v[1], float) for v in outcomes.values())
     _assert_scans_agree(a, 31, 720, True)
 

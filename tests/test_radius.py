@@ -1,10 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from numrad import (DomainError, power_check, radius_oracle, radius_sweep,
-                    spectral_norm, splitmix64)
+from numrad import (DomainError, compare_all, power_check, radius_oracle,
+                    radius_sweep, spectral_norm, splitmix64)
+from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
                            support_upper)
@@ -189,6 +191,32 @@ def test_empty_matrix_rejected():
         pruned_sweep(np.zeros((0, 0)))
     with pytest.raises(DomainError):
         radius_oracle(np.zeros((0, 0)), 10, 0)
+
+
+OMEGA_OF = {
+    "radius_sweep": lambda a: radius_sweep(a).value,
+    "pruned_sweep": lambda a: pruned_sweep(a).value,
+    "radius_oracle": lambda a: radius_oracle(a, 10, 0).value,
+    "compare_all": lambda a: compare_all(a, t_grid=9).omega.value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_OF))
+def test_a_norm_that_overflows_is_a_domain_error(name):
+    # finite entries, but A + A* and the norm overflow
+    omega = OMEGA_OF[name]
+    for a in (1e308 * np.ones((3, 3)), np.array([[1e308]]),
+              np.full((3, 3), NORM_MAX / 3 * (1 + 1e-15)),
+              np.full((3, 3), 1j * NORM_MAX / 2)):
+        with pytest.raises(DomainError, match="norm overflows"):
+            omega(a)
+    # the largest entries accepted give a finite omega, quietly
+    for a in (np.full((3, 3), NORM_MAX / 3 * (1 + 1j)),
+              np.array([[NORM_MAX * (1 - 1j)]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = omega(a)
+        assert 0 < value < math.inf, (a[0, 0], value)
 
 
 # ---------------------------------------------------------------------------
