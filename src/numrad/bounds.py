@@ -6,10 +6,12 @@ computed once per context.  All bound evaluators return a BoundValue
 whose value is directly comparable to omega(A); bounds stated in the
 squared form record the pre-square-root quantity under detail["inner"].
 
-Each t-dependent bound is one function of (ctx, t) giving (value,
-detail), for a float t or a vector of t; the t-scan's evaluator and
-bracket are that function at a float and at the grid's vector.  A fixed
-bound that is a weighted bound at one weight is that function there.
+Every catalog bound is one function of (ctx, t) giving (value, detail),
+registered in one table, _BOUNDS, with whether it is minimised over t.
+A fixed bound ignores t, or is a weighted bound at one weight.  A
+weighted bound takes a float t or a vector of t: at a float it is the
+t-scan's evaluator, and at the grid's vector it gives the lower ends
+that prune the scan.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ BRACKET_PROBES = 16
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
 T_GRID_MIN = 1
+# Width in t at which the golden-section refinement of the t-scan stops.
+REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class BoundContext(_Spectral):
         angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
         x*Re(e^{i theta} M)x is at most lambda_max(Re(e^{i theta} M)), and
         so at most the sweep's value, refined or not.  A non-finite matrix
-        gets inf.
+        is swept as zero and gets inf.
         """
         if m.ndim == 2:
             if key not in self._omega:
@@ -102,17 +106,19 @@ class BoundContext(_Spectral):
                 except DomainError:  # as_matrix: the operand overflowed
                     self._omega[key] = math.inf
             return self._omega[key]
+        ok = np.isfinite(m).all(axis=(-2, -1))
+        m = np.where(ok[:, None, None], m, 0)
         step = coarse_step(self.theta_grid)
         # a probe row holds its (theta, n, n) stack of rotations
         per_probe = 16 * m.shape[-1] ** 2 * (self.theta_grid // step)
         probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
         s = -(-m.shape[0] // probes)
         g, angles = sweep_subgrid(m[::s], self.theta_grid, step)
-        if s == 1:
-            return np.maximum(g, 0)
-        lower = quotient_lower(m, m[::s], angles, self.theta_grid)
-        lower[::s] = g
-        return np.maximum(lower, 0)
+        lower = g
+        if s > 1:
+            lower = quotient_lower(m, m[::s], angles, self.theta_grid)
+            lower[::s] = g
+        return np.where(ok, np.maximum(lower, 0), math.inf)
 
     @cached_property
     def omega_estimate(self) -> RadiusEstimate:
@@ -137,11 +143,12 @@ def _finite_norm(norm: Callable, m: np.ndarray):
 
 
 def hnorm(m: np.ndarray):
-    """Spectral norm of a Hermitian operand, or of each of a stack."""
+    """Spectral norm of the Hermitian part (m + m*)/2 of an operand, or of
+    each of a stack; inf where that part overflows."""
     def norm(h):
-        w = np.linalg.eigvalsh((h + _adj(h)) / 2)
+        w = np.linalg.eigvalsh(h)
         return np.maximum(abs(w[..., 0]), abs(w[..., -1]))
-    return _finite_norm(norm, m)
+    return _finite_norm(norm, (m + _adj(m)) / 2)
 
 
 def gnorm(m: np.ndarray):
@@ -170,20 +177,18 @@ def _coef(t):
     return t[:, None, None] if isinstance(t, np.ndarray) else t
 
 
-def _classic(ctx: BoundContext, t=None) -> BoundValue:
-    return BoundValue("classic", None, ctx.norm_a,
-                      {"lower": ctx.norm_a / 2})
+def _classic(ctx: BoundContext, t):
+    return ctx.norm_a, {"lower": ctx.norm_a / 2}
 
 
-def _kitt_sum(ctx: BoundContext, t=None) -> BoundValue:
-    v = 0.5 * hnorm(ctx.xpow(1.0) + ctx.ypow(1.0))
-    return BoundValue("kitt-sum", None, v)
+def _kitt_sum(ctx: BoundContext, t):
+    return 0.5 * hnorm(ctx.xpow(1.0) + ctx.ypow(1.0)), {}
 
 
-def _kitt_mixed(ctx: BoundContext, t=None) -> BoundValue:
+def _kitt_mixed(ctx: BoundContext, t):
     norm_sq = gnorm(ctx.a @ ctx.a)
-    v = 0.5 * (ctx.norm_a + math.sqrt(norm_sq))
-    return BoundValue("kitt-mixed", None, v, {"norm_a_squared": norm_sq})
+    value = 0.5 * (ctx.norm_a + math.sqrt(norm_sq))
+    return value, {"norm_a_squared": norm_sq}
 
 
 def _integral_operand(ctx: BoundContext) -> np.ndarray:
@@ -192,34 +197,31 @@ def _integral_operand(ctx: BoundContext) -> np.ndarray:
     return (ctx.xpow(2.0) + ctx.ypow(2.0)) / 3 + (xy + xy.conj().T) / 6
 
 
-def _integral(ctx: BoundContext, t=None) -> BoundValue:
+def _integral(ctx: BoundContext, t):
     inner = hnorm(_integral_operand(ctx))
-    return BoundValue("integral", None, math.sqrt(inner), {"inner": inner})
+    return math.sqrt(inner), {"inner": inner}
 
 
-def _integral_refined(ctx: BoundContext, t=None) -> BoundValue:
+def _integral_refined(ctx: BoundContext, t):
     d = ctx.xpow(1.0) - ctx.ypow(1.0)
     inner = hnorm(_integral_operand(ctx) - d @ d / 48)
-    return BoundValue("integral-refined", None, math.sqrt(inner),
-                      {"inner": inner})
+    return math.sqrt(inner), {"inner": inner}
 
 
-def _yamazaki(ctx: BoundContext, t=None) -> BoundValue:
+def _yamazaki(ctx: BoundContext, t):
     wa = ctx.sweep(("alu", 0.5), ctx.aluthge(0.5))
-    return BoundValue("yamazaki", None, 0.5 * (ctx.norm_a + wa),
-                      {"omega_aluthge": wa})
+    return 0.5 * (ctx.norm_a + wa), {"omega_aluthge": wa}
 
 
-def _aluthge_half(ctx: BoundContext, t=None) -> BoundValue:
+def _aluthge_half(ctx: BoundContext, t):
     alu = ctx.aluthge(0.5)
     wa = ctx.sweep(("alu", 0.5), alu)
     wa2 = ctx.sweep(("alu2", 0.5), alu @ alu)
     mod = alu.conj().T @ alu + alu @ alu.conj().T
     inner = (_square(ctx.norm_a) + 0.25 * hnorm(mod) + 0.5 * wa2
              + 2 * ctx.norm_a * wa)
-    return BoundValue("aluthge-half", None, 0.5 * math.sqrt(inner),
-                      {"inner": inner, "omega_aluthge": wa,
-                       "omega_aluthge_sq": wa2})
+    return 0.5 * math.sqrt(inner), {"inner": inner, "omega_aluthge": wa,
+                                    "omega_aluthge_sq": wa2}
 
 
 def _aluthge_weighted(ctx: BoundContext, t):
@@ -278,52 +280,45 @@ def _schwarz_radius(ctx: BoundContext, t):
     return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """A catalog bound: its scalar evaluator ``(ctx, t) -> BoundValue`` and,
-    for t-dependent bounds, a bracket ``(ctx, ts) -> lower`` whose entries
-    are at most the evaluator's value at each t of the vector ts."""
-
-    evaluate: Callable
-    bracket: Callable | None = None
-
-
-def _t_entry(bound_id: str, bound: Callable, at: float | None = None):
-    """The entry of a bound written as one function of t: a t-dependent
-    bound, or, given at, the fixed bound that it is at the weight at."""
-    def evaluate(ctx: BoundContext, t: float | None = None) -> BoundValue:
-        value, detail = bound(ctx, at if t is None else t)
-        return BoundValue(bound_id, t, float(value),
-                          {k: float(v) for k, v in detail.items()})
-
-    def lower(ctx: BoundContext, ts: np.ndarray):
-        # chunks of t in which 16 (t, n, n) stacks of complex fill
-        # BRACKET_CHUNK_BYTES, so that memory stays bounded
-        size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
-        return np.concatenate([bound(ctx, ts[i:i + size])[0]
-                               for i in range(0, ts.size, size)])
-    return _Entry(evaluate) if at is not None else _Entry(evaluate, lower)
-
-
+# Every catalog bound in the report's order, with whether it is
+# minimised over t.
 _BOUNDS = {
-    "classic": _Entry(_classic),
-    "kitt-sum": _Entry(_kitt_sum),
-    "kitt-square": _t_entry("kitt-square", _weighted_power, at=0.5),
-    "kitt-mixed": _Entry(_kitt_mixed),
-    "integral": _Entry(_integral),
-    "integral-refined": _Entry(_integral_refined),
-    "yamazaki": _Entry(_yamazaki),
-    "aluthge-t": _t_entry("aluthge-t", _aluthge_weighted),
-    "aluthge-half": _Entry(_aluthge_half),
-    "weighted-power": _t_entry("weighted-power", _weighted_power),
-    "weighted-r": _t_entry("weighted-r", _weighted_r),
-    "product": _t_entry("product", _product),
-    "fourth-power": _t_entry("fourth-power", _fourth_power),
-    "schwarz-radius": _t_entry("schwarz-radius", _schwarz_radius),
+    "classic": (_classic, False),
+    "kitt-sum": (_kitt_sum, False),
+    "kitt-square": (lambda ctx, t: _weighted_power(ctx, 0.5), False),
+    "kitt-mixed": (_kitt_mixed, False),
+    "integral": (_integral, False),
+    "integral-refined": (_integral_refined, False),
+    "yamazaki": (_yamazaki, False),
+    "aluthge-t": (_aluthge_weighted, True),
+    "aluthge-half": (_aluthge_half, False),
+    "weighted-power": (_weighted_power, True),
+    "weighted-r": (_weighted_r, True),
+    "product": (_product, True),
+    "fourth-power": (_fourth_power, True),
+    "schwarz-radius": (_schwarz_radius, True),
 }
 CATALOG_IDS = tuple(_BOUNDS)
-T_DEPENDENT_IDS = frozenset(
-    bid for bid, entry in _BOUNDS.items() if entry.bracket is not None)
+T_DEPENDENT_IDS = frozenset(bid for bid, (_, t_dep) in _BOUNDS.items()
+                            if t_dep)
+
+
+def _evaluate(bound_id: str, ctx: BoundContext,
+              t: float | None = None) -> BoundValue:
+    """The catalog bound bound_id at the weight t (None for a fixed bound)."""
+    value, detail = _BOUNDS[bound_id][0](ctx, t)
+    return BoundValue(bound_id, t, float(value),
+                      {k: float(v) for k, v in detail.items()})
+
+
+def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    """Lower ends of a weighted bound at every t of the vector ts, at most
+    its value at each; in chunks of t in which 16 (t, n, n) stacks of
+    complex fill BRACKET_CHUNK_BYTES, so that memory stays bounded."""
+    bound = _BOUNDS[bound_id][0]
+    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
+    return np.concatenate([bound(ctx, ts[i:i + size])[0]
+                           for i in range(0, ts.size, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +332,12 @@ def classic_envelope(a):
 
 def _on_matrix(bound_id: str) -> Callable:
     """The public evaluator of a catalog bound on a fresh context."""
-    evaluate = _BOUNDS[bound_id].evaluate
     if bound_id in T_DEPENDENT_IDS:
         def bound(a, w: WeightParams) -> BoundValue:
-            return evaluate(BoundContext(a), w.t)
+            return _evaluate(bound_id, BoundContext(a), w.t)
     else:
         def bound(a) -> BoundValue:
-            return evaluate(BoundContext(a))
+            return _evaluate(bound_id, BoundContext(a))
     bound.__doc__ = f"The catalog bound {bound_id!r} on the matrix a."
     return np.errstate(over="ignore", invalid="ignore")(bound)
 
@@ -368,28 +362,26 @@ schwarz_radius = _on_matrix("schwarz-radius")
 
 @np.errstate(over="ignore", invalid="ignore")
 def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
-                    refine_tol: float = 1e-8, *, refine: bool = True,
-                    ctx: BoundContext | None = None):
+                    *, refine: bool = True, ctx: BoundContext | None = None):
     """Minimize a t-dependent bound over the clamped weight window.
 
     Grid scan over [T_MIN, 1 - T_MIN] followed by golden-section
-    refinement around the best grid point.  Evaluations that overflow
-    (the objective genuinely diverges when sigma_1 > 1 and the exponent
-    blows up) are recorded as +inf and skipped.  Overflow and invalid-value
-    warnings are off: exponents such as 1/t make the powers overflow near
-    the ends of the grid, and the bound is inf there.
+    refinement, to REFINE_TOL, around the best grid point.  Evaluations
+    that overflow (the objective genuinely diverges when sigma_1 > 1 and
+    the exponent blows up) are recorded as +inf and skipped.  Overflow and
+    invalid-value warnings are off: exponents such as 1/t make the powers
+    overflow near the ends of the grid, and the bound is inf there.
 
-    The scan is pruned with certified lower ends.  The bound's batched
-    bracket over the whole grid is a lower end of the scalar value at
-    every grid point, widened by BRACKET_REL to cover rounding; the
-    omega terms of aluthge-t are lower ends from BoundContext.sweep on the
-    grid's stack.  The scalar evaluator then visits the grid points in
-    order of their lower ends, a lower end that is not finite counting as
-    -inf, and stops at the first whose lower end exceeds the smallest
-    value evaluated so far.  Every point whose lower end is at most the
-    grid minimum is visited, so the first-index minimum over the grid,
-    and hence the result, is that of the full scan; if no value is finite,
-    every point is visited.
+    The scan is pruned with certified lower ends.  The bound at the grid's
+    vector of t is a lower end of its value at every grid point, widened
+    here by BRACKET_REL to cover rounding; the omega terms of aluthge-t
+    are lower ends from BoundContext.sweep on the grid's stack.  The
+    scalar evaluator then visits the grid points in order of their lower
+    ends, a lower end that is not finite counting as -inf, and stops at
+    the first whose lower end exceeds the smallest value evaluated so far.
+    Every point whose lower end is at most the grid minimum is visited, so
+    the first-index minimum over the grid, and hence the result, is that
+    of the full scan; if no value is finite, every point is visited.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
@@ -398,17 +390,16 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
     check_count("grid_points", grid_points, T_GRID_MIN)
     if ctx is None:
         ctx = BoundContext(a)
-    entry = _BOUNDS[bound_id]
-    f = entry.evaluate
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    lower = _lower_ends(entry, ctx, ts)
+    lower = _lower(bound_id, ctx, ts)
+    lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
     vals = np.full(grid_points, math.inf)
     key = np.where(np.isfinite(lower), lower, -math.inf)
     cap = math.inf
     for i in np.argsort(key, kind="stable"):
         if key[i] > cap:
             break
-        vals[i] = f(ctx, float(ts[i])).value
+        vals[i] = _evaluate(bound_id, ctx, float(ts[i])).value
         cap = min(cap, vals[i])
     best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
@@ -419,16 +410,11 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
         t_ref, v_ref, _ = golden_min(
-            lambda t: f(ctx, float(t)).value, lo, hi, refine_tol)
+            lambda t: _evaluate(bound_id, ctx, float(t)).value, lo, hi,
+            REFINE_TOL)
         if v_ref < value:
             t_star, value = float(t_ref), float(v_ref)
     return t_star, value
-
-
-def _lower_ends(entry: _Entry, ctx: BoundContext, ts: np.ndarray):
-    """The bound's lower end at every t of ts, widened to cover rounding."""
-    lower = entry.bracket(ctx, ts)
-    return lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -449,12 +435,11 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     bounds = []
     for bound_id in ids:
         try:
+            t = None
             if bound_id in T_DEPENDENT_IDS:
-                t_star, _ = minimize_over_t(bound_id, None, t_grid,
-                                            refine=refine, ctx=ctx)
-                bv = _BOUNDS[bound_id].evaluate(ctx, t_star)
-            else:
-                bv = _BOUNDS[bound_id].evaluate(ctx)
+                t, _ = minimize_over_t(bound_id, None, t_grid, refine=refine,
+                                       ctx=ctx)
+            bv = _evaluate(bound_id, ctx, t)
         except (NumradError, np.linalg.LinAlgError, FloatingPointError) as exc:
             bv = BoundValue(bound_id, None, math.nan, {"error": str(exc)})
         bounds.append(bv)

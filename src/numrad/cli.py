@@ -68,11 +68,10 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
                       "grid_points": report.omega.grid_points},
             "bounds": [{"id": bv.id, "t": bv.t_used, "value": bv.value,
                         "slack": report.slacks.get(bv.id),
-                        "detail": {k: v for k, v in bv.detail.items()
-                                   if isinstance(v, (int, float, str))}}
+                        "detail": bv.detail}
                        for bv in rows],
         }
-        click.echo(json.dumps(doc, indent=2, default=str))
+        click.echo(json.dumps(doc, indent=2))
     elif fmt == "csv":
         click.echo("id,t,value,slack")
         for bv in rows:

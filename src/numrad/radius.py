@@ -101,8 +101,6 @@ def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     step = coarse_step(grid_points)
-    if step == 1:
-        return radius_sweep(a, grid_points, refine)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
     phases = np.exp(1j * thetas)
@@ -158,23 +156,19 @@ def sweep_subgrid(ms, grid_points: int, step: int):
     or for each matrix of the stack ms (shape (T, n, n)), and the angle
     where it lies.
 
-    The result is the pair (maxima, angles); a non-finite matrix gets a
-    maximum of inf.  The subgrid's angles are exact members of the sweep's
-    grid, so a maximum is at most the sweep's value; with step 1 it is the
-    sweep's grid value.
+    The result is the pair (maxima, angles).  The subgrid's angles are
+    exact members of the sweep's grid, so a maximum is at most the sweep's
+    value; with step 1 it is the sweep's grid value.
     """
     thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
-    ok = np.isfinite(ms).all(axis=(-2, -1))
-    # a non-finite matrix is swept as zero, so its angle is 0
-    top = np.linalg.eigvalsh(_rotations(np.where(ok[..., None, None], ms, 0),
-                                        np.exp(1j * thetas)))[..., -1]
-    return np.where(ok, top.max(axis=-1), np.inf), thetas[top.argmax(axis=-1)]
+    top = np.linalg.eigvalsh(_rotations(ms, np.exp(1j * thetas)))[..., -1]
+    return top.max(axis=-1), thetas[top.argmax(axis=-1)]
 
 
 def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
     """A lower end of the sweep's value for each matrix of the stack ms,
     from the top eigenvectors x of Re(e^{i angle} P) over the probe
-    matrices P and their angles; inf for a non-finite matrix.
+    matrices P and their angles.
 
     At an angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
     x*Re(e^{i theta} M)x <= lambda_max(Re(e^{i theta} M)), which the
@@ -182,19 +176,13 @@ def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
     identity).  This holds for any unit x; the probes' vectors are chosen
     because M is near a probe.  The result is the largest such quotient
     over the vectors, each at the grid angle nearest to -arg(x*Mx).
-    Probes that are not finite are left out; with none left the result
-    is -inf.
     """
-    ok = np.isfinite(probes).all(axis=(-2, -1))
     # one phase per probe: the broadcast pairs probe k with angle k
-    rot = _rotations(probes[ok], np.exp(1j * angles[ok])[:, None])[:, 0]
+    rot = _rotations(probes, np.exp(1j * angles)[:, None])[:, 0]
     x = np.linalg.eigh(rot)[1][..., -1]
     q = np.einsum("pi,tip->tp", x.conj(), ms @ x.T)
     j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
-    out = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(
-        axis=-1, initial=-np.inf)
-    out[~np.isfinite(ms).all(axis=(-2, -1))] = np.inf
-    return out
+    return (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(axis=-1)
 
 
 def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:

@@ -252,20 +252,19 @@ def test_compare_all_ids_subset(rng):
 
 
 def test_compare_all_propagates_programming_errors(monkeypatch):
-    def broken(ctx, t=None):
+    def broken(ctx, t):
         raise TypeError("bug in an evaluator")
 
-    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", bounds._Entry(broken))
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (broken, False))
     with pytest.raises(TypeError):
         compare_all(EXAMPLE1, t_grid=21, theta_grid=240)
 
 
 def test_compare_all_records_numrad_errors_as_nan_rows(monkeypatch):
-    def overflowing(ctx, t=None):
+    def overflowing(ctx, t):
         raise NonFinite("kitt-sum overflowed")
 
-    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum",
-                        bounds._Entry(overflowing))
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (overflowing, False))
     report = compare_all(EXAMPLE1, t_grid=21, theta_grid=240)
     row = next(bv for bv in report.bounds if bv.id == "kitt-sum")
     assert math.isnan(row.value)
@@ -286,6 +285,19 @@ def test_compare_all_at_extreme_scales_raises_nothing(scale):
         assert sorted(bv.id for bv in report.bounds) == sorted(CATALOG_IDS)
         for bv in report.bounds:
             assert not math.isnan(bv.value) or bv.detail["error"]
+
+
+def test_an_overflowing_hermitian_part_is_inf():
+    # (M + M*)/2 of a finite operand can overflow: its norm is inf, not a
+    # LAPACK failure or a NaN
+    with np.errstate(over="ignore"):
+        assert bounds.hnorm(np.full((2, 2), 1e308)) == math.inf
+    g = ginibre(np.random.default_rng(4), 4)
+    for bv in compare_all(3e153 * g, t_grid=101, theta_grid=240).bounds:
+        if math.isnan(bv.value):
+            assert "did not converge" not in bv.detail["error"], bv
+    bv = aluthge_half(1.2e154 * np.array([[0.6, 0.3], [0.2, -0.5j]]))
+    assert bv.value == bv.detail["inner"] == math.inf
 
 
 ENTRY_POINTS = {
@@ -329,12 +341,14 @@ def test_compare_all_rejects_empty_matrix():
 # the pruned t-scan against the full scan it replaces
 
 @np.errstate(over="ignore", invalid="ignore")  # as minimize_over_t's
-def _full_scan(bound_id, ctx, grid_points, refine_tol, refine):
+def _full_scan(bound_id, ctx, grid_points, refine):
     """The unpruned scan: every grid point, first-index argmin, golden
     refinement around it."""
-    f = bounds._BOUNDS[bound_id].evaluate
+    def f(t):
+        return bounds._evaluate(bound_id, ctx, float(t)).value
+
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    vals = np.array([f(ctx, float(t)).value for t in ts])
+    vals = np.array([f(t) for t in ts])
     best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
@@ -343,8 +357,7 @@ def _full_scan(bound_id, ctx, grid_points, refine_tol, refine):
     if refine and grid_points > 1:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
-        t_ref, v_ref, _ = golden_min(
-            lambda t: f(ctx, float(t)).value, lo, hi, refine_tol)
+        t_ref, v_ref, _ = golden_min(f, lo, hi, bounds.REFINE_TOL)
         if v_ref < value:
             t_star, value = float(t_ref), float(v_ref)
     return t_star, value
@@ -357,29 +370,29 @@ def _outcome(fn):
         return ("NonFinite", str(exc))
 
 
-def _assert_scans_agree(a, grid_points, theta_grid, refine,
-                        refine_tol=1e-8):
+def _assert_scans_agree(a, grid_points, theta_grid, refine):
     for bound_id in sorted(T_DEPENDENT_IDS):
         # separate contexts, so that no cached value passes between them
         want = _outcome(lambda: _full_scan(
             bound_id, BoundContext(a, theta_grid=theta_grid,
                                    theta_refine=refine),
-            grid_points, refine_tol, refine))
+            grid_points, refine))
         got = _outcome(lambda: minimize_over_t(
-            bound_id, None, grid_points, refine_tol, refine=refine,
+            bound_id, None, grid_points, refine=refine,
             ctx=BoundContext(a, theta_grid=theta_grid, theta_refine=refine)))
         assert got == want, (bound_id, theta_grid, refine)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_pruned_scan_equals_full_scan_over_ensembles(ensemble):
+def test_pruned_scan_equals_full_scan_over_ensembles(ensemble, monkeypatch):
+    # a coarser refinement, for both scans, keeps the test quick
+    monkeypatch.setattr(bounds, "REFINE_TOL", 1e-6)
     rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 610)
     for n in (2, 3, 5, 8):
         a = sample(ensemble, n, rng)
         for theta_grid in (240, 360, 720):
             for refine in (True, False):
-                _assert_scans_agree(a, 15, theta_grid, refine,
-                                    refine_tol=1e-6)
+                _assert_scans_agree(a, 15, theta_grid, refine)
 
 
 @pytest.mark.parametrize("name", ["SHIFT_234", "SHIFT_342"])
@@ -399,19 +412,26 @@ def test_pruned_scan_equals_full_scan_on_edge_inputs():
             _assert_scans_agree(a, 31, theta_grid, True)
 
 
+def _count_scalar_calls(monkeypatch, bound_id):
+    """Record the float t of every scalar evaluation of a weighted bound;
+    the calls at the grid's vector of t are not counted."""
+    calls = []
+    bound, t_dependent = bounds._BOUNDS[bound_id]
+
+    def counted(ctx, t):
+        if not isinstance(t, np.ndarray):
+            calls.append(t)
+        return bound(ctx, t)
+
+    monkeypatch.setitem(bounds._BOUNDS, bound_id, (counted, t_dependent))
+    return calls
+
+
 def test_pruned_scan_overflow_matches_full_scan(monkeypatch):
     # at this scale the grid overflows: some bounds are finite only on
     # part of the grid, and others nowhere
     a = 1e150 * ginibre(np.random.default_rng(612), 4)
-    calls = []
-    entry = bounds._BOUNDS["schwarz-radius"]
-
-    def counted(ctx, t):
-        calls.append(t)
-        return entry.evaluate(ctx, t)
-
-    monkeypatch.setitem(bounds._BOUNDS, "schwarz-radius",
-                        bounds._Entry(counted, entry.bracket))
+    calls = _count_scalar_calls(monkeypatch, "schwarz-radius")
     outcomes = {}
     for bound_id in sorted(T_DEPENDENT_IDS):
         outcomes[bound_id] = _outcome(lambda: minimize_over_t(
@@ -424,15 +444,7 @@ def test_pruned_scan_overflow_matches_full_scan(monkeypatch):
 
 
 def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
-    calls = []
-    entry = bounds._BOUNDS["aluthge-t"]
-
-    def counted(ctx, t):
-        calls.append(t)
-        return entry.evaluate(ctx, t)
-
-    monkeypatch.setitem(bounds._BOUNDS, "aluthge-t",
-                        bounds._Entry(counted, entry.bracket))
+    calls = _count_scalar_calls(monkeypatch, "aluthge-t")
     minimize_over_t("aluthge-t", SHIFT_234, 201, refine=False)
     assert 1 <= len(calls) <= 20
     calls.clear()
@@ -449,15 +461,16 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
 def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
     # a grid point whose lower end is NaN or inf certifies nothing, so the
     # scalar evaluator must run there
-    entry = bounds._BOUNDS["fourth-power"]
+    bound = bounds._BOUNDS["fourth-power"][0]
 
-    def holed(ctx, ts):
-        lower = entry.bracket(ctx, ts).copy()
-        lower[1:-1:2] = math.nan
-        return lower
+    def holed(ctx, t):
+        value, detail = bound(ctx, t)
+        if isinstance(t, np.ndarray):
+            value = value.copy()
+            value[1:-1:2] = math.nan
+        return value, detail
 
-    monkeypatch.setitem(bounds._BOUNDS, "fourth-power",
-                        bounds._Entry(entry.evaluate, holed))
+    monkeypatch.setitem(bounds._BOUNDS, "fourth-power", (holed, True))
     for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
         _assert_scans_agree(a, 41, 240, True)
 
@@ -476,14 +489,13 @@ BRACKET_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
 def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
     # the bracket as minimize_over_t gets it, before the widening that
     # covers rounding
-    entry = bounds._BOUNDS["aluthge-t"]
     ctx = BoundContext(a, theta_grid=theta_grid, theta_refine=refine)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     assert grid_points > bounds.BRACKET_PROBES  # so some rows are not probes
     with np.errstate(invalid="ignore", over="ignore"):
-        lower = entry.bracket(ctx, ts)
+        lower = bounds._lower("aluthge-t", ctx, ts)
         for t, lo in zip(ts, lower):
-            v = entry.evaluate(ctx, float(t)).value
+            v = bounds._evaluate("aluthge-t", ctx, float(t)).value
             tol = 1e-12 * (abs(v) + ctx.norm_a)
             assert not math.isfinite(lo) or lo <= v + tol, (t, lo, v)
     return lower
@@ -531,6 +543,15 @@ def test_coarse_step():
     assert coarse_step(11) == 1
 
 
-def test_subgrid_of_non_finite_matrix_is_inf():
-    ms = np.stack([np.eye(2), np.full((2, 2), np.inf)]).astype(complex)
-    assert sweep_subgrid(ms, 720, 16)[0].tolist() == [1.0, math.inf]
+def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
+    # with 2 rows every row is a probe; with 40 the probes are every third
+    # row, a non-finite one among them, and rotated quotients give the rest
+    for rows in (2, 40):
+        ms = np.stack([np.eye(2)] * rows).astype(complex)
+        ms[1::3, 0, 1] = np.inf
+        ms[rows // 2, 1, 0] = np.nan
+        lower = BoundContext(np.eye(2)).sweep(None, ms)
+        bad = ~np.isfinite(ms).all(axis=(-2, -1))
+        assert (lower[bad] == math.inf).all()
+        assert lower[~bad] == pytest.approx(np.ones(rows - bad.sum()),
+                                            rel=1e-15)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from numrad import (CATALOG_IDS, BoundValue, DimensionMismatch, ParseError,
+from numrad import (CATALOG_IDS, DimensionMismatch, ParseError,
                     bounds, parse_matrix, serialize_matrix)
 from numrad.campaign import CSV_COLUMNS, CampaignConfig, run_campaign
 from numrad.cli import main
@@ -79,6 +79,36 @@ def test_cli_bounds_json_sound(runner, example1_path):
     assert doc["omega"]["value"] == pytest.approx(3.0373, abs=1e-3)
     assert len(doc["bounds"]) == len(CATALOG_IDS)
     assert all(b["slack"] >= -1e-7 for b in doc["bounds"])
+
+
+DETAIL_KEYS = {
+    "classic": {"lower"},
+    "kitt-sum": set(),
+    "kitt-square": {"inner"},
+    "kitt-mixed": {"norm_a_squared"},
+    "integral": {"inner"},
+    "integral-refined": {"inner"},
+    "yamazaki": {"omega_aluthge"},
+    "aluthge-t": {"inner", "term_pow4", "term_norm", "term_mod", "term_sq",
+                  "term_cross"},
+    "aluthge-half": {"inner", "omega_aluthge", "omega_aluthge_sq"},
+    "weighted-power": {"inner"},
+    "weighted-r": {"inner"},
+    "product": {"norm_t", "norm_one_minus_t"},
+    "fourth-power": {"inner"},
+    "schwarz-radius": {"inner", "omega_a_squared"},
+}
+
+
+def test_cli_bounds_json_detail_keys(runner, example1_path):
+    # every detail value of a computed bound reaches the JSON as a number
+    result = runner.invoke(main, ["bounds", example1_path, "--format", "json",
+                                  "--t-grid", "21", "--theta-grid", "240"])
+    assert result.exit_code == 0
+    details = {b["id"]: b["detail"] for b in json.loads(result.output)["bounds"]}
+    assert {bid: set(d) for bid, d in details.items()} == DETAIL_KEYS
+    for detail in details.values():
+        assert all(type(v) is float for v in detail.values())
 
 
 def test_cli_bounds_single(runner, example1_path):
@@ -213,10 +243,10 @@ def test_campaign_all_ensembles_sound():
 
 
 def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
-    def unsound(ctx, t=None):
-        return BoundValue("kitt-sum", None, 0.5 * ctx.omega_estimate.value)
+    def unsound(ctx, t):
+        return 0.5 * ctx.omega_estimate.value, {}
 
-    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", bounds._Entry(unsound))
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (unsound, False))
     config = CampaignConfig(ensemble="ginibre", dim=3, trials=4, seed=5)
     lines, violations = run_campaign(config, jobs=1)
     assert violations == config.trials
