@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, NumradError
+from .errors import NonFinite, NumradError
+from .matrix import fits
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, check_count,
@@ -72,20 +72,21 @@ class BoundReport:
 
 class BoundContext(_Spectral):
     """The spectral core of one matrix, with the sweep settings and a cache
-    of pruned_sweep values (radius_sweep's, bit for bit) for its bounds."""
+    of pruned_sweep values (radius_sweep's, bit for bit) for its bounds;
+    refine refines both its sweeps in theta and minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
-                 theta_refine: bool = True):
+                 refine: bool = True):
         super().__init__(a)
         self.theta_grid = theta_grid
-        self.theta_refine = theta_refine
+        self.refine = refine
         self._omega: dict = {}
 
     def sweep(self, key, m):
         """omega(m) by the context's sweep for a matrix m, cached under key;
-        inf for an operand whose entries or norm overflow.  For a (T, n, n)
-        stack m, a certified lower end of that value for each matrix,
-        clamped at 0 (omega is not below 0), with key unused.
+        inf if m does not fit (matrix.fits: its entries or norm overflow).
+        For a (T, n, n) stack m, a certified lower end of that value for
+        each matrix, clamped at 0 (omega is not below 0), key unused.
 
         In a stack, the probe rows are every s-th matrix, with
         s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
@@ -95,18 +96,16 @@ class BoundContext(_Spectral):
         the probes' top eigenvectors x (rotated Rayleigh quotients): at each
         angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
         x*Re(e^{i theta} M)x is at most lambda_max(Re(e^{i theta} M)), and
-        so at most the sweep's value, refined or not.  A non-finite matrix
-        is swept as zero and gets inf.
+        so at most the sweep's value, refined or not.  A matrix that does
+        not fit is swept as zero and gets inf.
         """
         if m.ndim == 2:
             if key not in self._omega:
-                try:
-                    self._omega[key] = pruned_sweep(
-                        m, self.theta_grid, self.theta_refine).value
-                except DomainError:  # as_matrix: the operand overflowed
-                    self._omega[key] = math.inf
+                self._omega[key] = (
+                    pruned_sweep(m, self.theta_grid, self.refine).value
+                    if fits(m) else math.inf)
             return self._omega[key]
-        ok = np.isfinite(m).all(axis=(-2, -1))
+        ok = fits(m)
         m = np.where(ok[:, None, None], m, 0)
         step = coarse_step(self.theta_grid)
         # a probe row holds its (theta, n, n) stack of rotations
@@ -119,10 +118,6 @@ class BoundContext(_Spectral):
             lower = quotient_lower(m, m[::s], angles, self.theta_grid)
             lower[::s] = g
         return np.where(ok, np.maximum(lower, 0), math.inf)
-
-    @cached_property
-    def omega_estimate(self) -> RadiusEstimate:
-        return pruned_sweep(self.a, self.theta_grid, self.theta_refine)
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
@@ -272,11 +267,8 @@ def _fourth_power(ctx: BoundContext, t):
 def _schwarz_radius(ctx: BoundContext, t):
     c = _coef(t)
     m = c * ctx.xpow(2 / t) + (1 - c) * ctx.ypow(2 / (1 - t))
-    norm_m = hnorm(m)
-    if not np.isfinite(norm_m).any():
-        return norm_m, {"inner": norm_m}
     wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
-    inner = 0.5 * (_sqrt_or_inf(norm_m) + wa2)
+    inner = 0.5 * (_sqrt_or_inf(hnorm(m)) + wa2)
     return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
 
 
@@ -361,11 +353,11 @@ schwarz_radius = _on_matrix("schwarz-radius")
 # t-optimization
 
 @np.errstate(over="ignore", invalid="ignore")
-def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
-                    *, refine: bool = True, ctx: BoundContext | None = None):
+def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     """Minimize a t-dependent bound over the clamped weight window.
 
-    Grid scan over [T_MIN, 1 - T_MIN] followed by golden-section
+    a is a matrix or a BoundContext.  Grid scan over [T_MIN, 1 - T_MIN]
+    followed, if the context's refine is on, by golden-section
     refinement, to REFINE_TOL, around the best grid point.  Evaluations
     that overflow (the objective genuinely diverges when sigma_1 > 1 and
     the exponent blows up) are recorded as +inf and skipped.  Overflow and
@@ -388,8 +380,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
     if bound_id not in T_DEPENDENT_IDS:
         raise ValueError(f"bound {bound_id!r} is not t-dependent")
     check_count("grid_points", grid_points, T_GRID_MIN)
-    if ctx is None:
-        ctx = BoundContext(a)
+    ctx = a if isinstance(a, BoundContext) else BoundContext(a)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     lower = _lower(bound_id, ctx, ts)
     lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
@@ -406,7 +397,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID,
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
     t_star, value = float(ts[best]), float(vals[best])
-    if refine and grid_points > 1:
+    if ctx.refine and grid_points > 1:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
         t_ref, v_ref, _ = golden_min(
@@ -430,15 +421,14 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     disables both the golden t-refinement and the theta refinement inside
     sweeps, for bulk campaigns where grid accuracy suffices.
     """
-    ctx = BoundContext(a, theta_grid=theta_grid, theta_refine=refine)
-    omega = ctx.omega_estimate
+    ctx = BoundContext(a, theta_grid, refine)
+    omega = pruned_sweep(ctx.a, theta_grid, refine)
     bounds = []
     for bound_id in ids:
         try:
             t = None
             if bound_id in T_DEPENDENT_IDS:
-                t, _ = minimize_over_t(bound_id, None, t_grid, refine=refine,
-                                       ctx=ctx)
+                t, _ = minimize_over_t(bound_id, ctx, t_grid)
             bv = _evaluate(bound_id, ctx, t)
         except (NumradError, np.linalg.LinAlgError, FloatingPointError) as exc:
             bv = BoundValue(bound_id, None, math.nan, {"error": str(exc)})

@@ -104,12 +104,11 @@ def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
                   if report.slacks.get(bid, 0.0) < -TOL_SLACK
                   or not np.isfinite(by_id[bid].value)]
     violations += _pointwise_violations(a, rng)
-    finite = [s for s in report.slacks.values() if np.isfinite(s)]
     return TrialRecord(
         index=index, seed=splitmix64(config.seed, index),
         omega=report.omega.value,
         values=tuple(by_id[bid].value for bid in CATALOG_IDS),
-        min_slack=min(finite) if finite else float("nan"),
+        min_slack=min(report.slacks.values(), default=float("nan")),
         violations=tuple(violations))
 
 

@@ -6,9 +6,6 @@ import numpy as np
 
 from .radius import splitmix64
 
-ENSEMBLES = ("ginibre", "hermitian", "unitary-scaled", "nilpotent",
-             "weighted-cyclic-shift")
-
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. standard complex Gaussian entries (unit total variance)."""
@@ -51,6 +48,7 @@ _SAMPLERS = {
     "nilpotent": nilpotent,
     "weighted-cyclic-shift": weighted_cyclic_shift,
 }
+ENSEMBLES = tuple(_SAMPLERS)
 
 
 def sample(ensemble: str, dim: int, rng: np.random.Generator) -> np.ndarray:

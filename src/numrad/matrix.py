@@ -29,10 +29,18 @@ def as_matrix(a) -> np.ndarray:
         raise DomainError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
-    if np.maximum(abs(m.real), abs(m.imag)).max() > NORM_MAX / m.shape[0]:
+    if not fits(m):
         raise DomainError("matrix norm overflows: an entry exceeds "
                           f"{NORM_MAX / m.shape[0]:.3e}")
     return m
+
+
+def fits(m: np.ndarray):
+    """Whether an (n, n) matrix, or each matrix of a stack, is finite and
+    has no real or imaginary part above NORM_MAX / n: a bool, or a bool
+    per matrix."""
+    big = np.maximum(abs(m.real), abs(m.imag)).max(axis=(-2, -1))
+    return big <= NORM_MAX / m.shape[-1]
 
 
 def adjoint(a) -> np.ndarray:

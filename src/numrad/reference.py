@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundContext, kittaneh_square, kittaneh_sum, minimize_over_t
+from .bounds import kittaneh_square, kittaneh_sum, minimize_over_t
 
 SHIFT_234 = np.array([[0, 2, 0],
                       [0, 0, 3],
@@ -48,8 +48,7 @@ def run_reference_checks() -> list[ReferenceCheck]:
     """Evaluate every pinned regression figure."""
     checks = []
 
-    ctx1 = BoundContext(SHIFT_234)
-    _, wp_value = minimize_over_t("weighted-power", None, ctx=ctx1)
+    _, wp_value = minimize_over_t("weighted-power", SHIFT_234)
     wp_inner = wp_value**2
     checks.append(ReferenceCheck("example1.weighted-power.inner",
                                  wp_inner, 12.002, 5e-3))
@@ -63,8 +62,7 @@ def run_reference_checks() -> list[ReferenceCheck]:
                                  3.5 - math.sqrt(wp_inner), 0.0, 0.0,
                                  kind="positive"))
 
-    ctx2 = BoundContext(SHIFT_342)
-    _, fp_value = minimize_over_t("fourth-power", None, ctx=ctx2)
+    _, fp_value = minimize_over_t("fourth-power", SHIFT_342)
     fp_inner = fp_value**2
     # minimum of the diagonal operand at t* ~= 0.4388, certified at high
     # precision in the tests; the printed 9.32 has (9 - 7t)/2 in place of

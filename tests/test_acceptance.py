@@ -120,8 +120,7 @@ def test_ordering_chains():
         km = _evaluate("kitt-mixed", ctx).value
         ok &= _evaluate("aluthge-half", ctx).value <= mid + 1e-9
         ok &= mid <= km + 1e-9
-        _, product_min = minimize_over_t("product", None, grid_points=101,
-                                         ctx=ctx)
+        _, product_min = minimize_over_t("product", ctx, grid_points=101)
         ok &= product_min <= km + 1e-9
         integ = _evaluate("integral", ctx).value
         ok &= _evaluate("integral-refined", ctx).value <= integ + 1e-9

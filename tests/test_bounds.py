@@ -14,6 +14,7 @@ from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
                     weighted_power, yamazaki)
 from numrad import bounds
 from numrad.ensembles import ENSEMBLES, sample
+from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN
@@ -293,11 +294,20 @@ def test_an_overflowing_hermitian_part_is_inf():
     with np.errstate(over="ignore"):
         assert bounds.hnorm(np.full((2, 2), 1e308)) == math.inf
     g = ginibre(np.random.default_rng(4), 4)
-    for bv in compare_all(3e153 * g, t_grid=101, theta_grid=240).bounds:
-        if math.isnan(bv.value):
-            assert "did not converge" not in bv.detail["error"], bv
+    for scale in (3e153, 6e153):
+        for bv in compare_all(scale * g, t_grid=101, theta_grid=240).bounds:
+            if math.isnan(bv.value):
+                assert "did not converge" not in bv.detail["error"], bv
+    # at 6e153 the stack of aluthge-t's transforms is finite but does not
+    # fit: its rows get inf, not a rotation that overflows inside LAPACK
+    with pytest.raises(NonFinite):
+        minimize_over_t("aluthge-t", 6e153 * g, 101)
     bv = aluthge_half(1.2e154 * np.array([[0.6, 0.3], [0.2, -0.5j]]))
     assert bv.value == bv.detail["inner"] == math.inf
+    # an overflowing schwarz-radius row has the detail keys of a finite one
+    bv = schwarz_radius(1e150 * g, weight_params(0.001))
+    finite = schwarz_radius(g, weight_params(0.5))
+    assert bv.value == math.inf and bv.detail.keys() == finite.detail.keys()
 
 
 ENTRY_POINTS = {
@@ -341,9 +351,9 @@ def test_compare_all_rejects_empty_matrix():
 # the pruned t-scan against the full scan it replaces
 
 @np.errstate(over="ignore", invalid="ignore")  # as minimize_over_t's
-def _full_scan(bound_id, ctx, grid_points, refine):
+def _full_scan(bound_id, ctx, grid_points):
     """The unpruned scan: every grid point, first-index argmin, golden
-    refinement around it."""
+    refinement around it if ctx.refine."""
     def f(t):
         return bounds._evaluate(bound_id, ctx, float(t)).value
 
@@ -354,7 +364,7 @@ def _full_scan(bound_id, ctx, grid_points, refine):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
     t_star, value = float(ts[best]), float(vals[best])
-    if refine and grid_points > 1:
+    if ctx.refine and grid_points > 1:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
         t_ref, v_ref, _ = golden_min(f, lo, hi, bounds.REFINE_TOL)
@@ -374,12 +384,9 @@ def _assert_scans_agree(a, grid_points, theta_grid, refine):
     for bound_id in sorted(T_DEPENDENT_IDS):
         # separate contexts, so that no cached value passes between them
         want = _outcome(lambda: _full_scan(
-            bound_id, BoundContext(a, theta_grid=theta_grid,
-                                   theta_refine=refine),
-            grid_points, refine))
+            bound_id, BoundContext(a, theta_grid, refine), grid_points))
         got = _outcome(lambda: minimize_over_t(
-            bound_id, None, grid_points, refine=refine,
-            ctx=BoundContext(a, theta_grid=theta_grid, theta_refine=refine)))
+            bound_id, BoundContext(a, theta_grid, refine), grid_points))
         assert got == want, (bound_id, theta_grid, refine)
 
 
@@ -445,16 +452,15 @@ def test_pruned_scan_overflow_matches_full_scan(monkeypatch):
 
 def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
     calls = _count_scalar_calls(monkeypatch, "aluthge-t")
-    minimize_over_t("aluthge-t", SHIFT_234, 201, refine=False)
+    minimize_over_t("aluthge-t", BoundContext(SHIFT_234, refine=False), 201)
     assert 1 <= len(calls) <= 20
     calls.clear()
-    minimize_over_t("aluthge-t", ginibre(np.random.default_rng(617), 8),
-                    1001, refine=False)
+    g = ginibre(np.random.default_rng(617), 8)
+    minimize_over_t("aluthge-t", BoundContext(g, refine=False), 1001)
     assert 1 <= len(calls) <= 30
     calls.clear()
     # 719 angles is prime, so the probe rows sweep the full grid
-    minimize_over_t("aluthge-t", None, 1001, refine=False,
-                    ctx=BoundContext(SHIFT_234, theta_grid=719))
+    minimize_over_t("aluthge-t", BoundContext(SHIFT_234, 719, False), 1001)
     assert 1 <= len(calls) <= 30
 
 
@@ -489,7 +495,7 @@ BRACKET_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
 def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
     # the bracket as minimize_over_t gets it, before the widening that
     # covers rounding
-    ctx = BoundContext(a, theta_grid=theta_grid, theta_refine=refine)
+    ctx = BoundContext(a, theta_grid, refine)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     assert grid_points > bounds.BRACKET_PROBES  # so some rows are not probes
     with np.errstate(invalid="ignore", over="ignore"):
@@ -550,8 +556,10 @@ def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
         ms = np.stack([np.eye(2)] * rows).astype(complex)
         ms[1::3, 0, 1] = np.inf
         ms[rows // 2, 1, 0] = np.nan
+        ms[-1, 1, 1] = NORM_MAX  # finite, but its norm overflows
         lower = BoundContext(np.eye(2)).sweep(None, ms)
         bad = ~np.isfinite(ms).all(axis=(-2, -1))
+        bad[-1] = True
         assert (lower[bad] == math.inf).all()
         assert lower[~bad] == pytest.approx(np.ones(rows - bad.sum()),
                                             rel=1e-15)

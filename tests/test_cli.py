@@ -244,7 +244,7 @@ def test_campaign_all_ensembles_sound():
 
 def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
     def unsound(ctx, t):
-        return 0.5 * ctx.omega_estimate.value, {}
+        return 0.5 * ctx.sweep("a", ctx.a), {}
 
     monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (unsound, False))
     config = CampaignConfig(ensemble="ginibre", dim=3, trials=4, seed=5)

@@ -1,0 +1,121 @@
+"""Digests of numrad's outputs, to show that a change keeps their bits.
+
+Prints one line per output: a label and the first 8 hex digits of the
+sha256 of the output's text.  The outputs are:
+
+- repr(compare_all(a, t_grid, theta_grid, refine)) on SHIFT_234,
+  SHIFT_342, five ensembles at n = 2, 5 and 8, a 4x4 Ginibre G at extreme
+  scales, and edge inputs, at four settings, each with the number of
+  scalar evaluations of every weighted bound in the report;
+- the CSV of run_campaign (20 trials, seed 7) on each ensemble at dim 3
+  and 6, as `numrad fuzz --output` writes it;
+- numrad bounds in json, table and csv on SHIFT_234, in json on SHIFT_342
+  and on an 8x8 Ginibre, and numrad reproduce-examples.
+
+The digests depend on the numpy and BLAS builds, so none is pinned here.
+Run the script on two checkouts on one host and diff what it prints:
+
+    PYTHONPATH=src python tools/same_bits.py > after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+
+import numpy as np
+from click.testing import CliRunner
+
+from numrad import bounds
+from numrad.campaign import CampaignConfig, run_campaign
+from numrad.cli import main
+from numrad.ensembles import ENSEMBLES, ginibre, sample
+from numrad.matrixio import serialize_matrix
+from numrad.reference import SHIFT_234, SHIFT_342
+
+# (t_grid, theta_grid, refine) of the compare_all reports
+SETTINGS = [(1001, 720, True), (9, 240, False), (101, 360, True),
+            (201, 17, True)]
+SCALES = (1e-200, 1e-150, 1e150, 3e153, 6e153, 1e155)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
+def matrices() -> dict:
+    rng = np.random.default_rng(2026)
+    mats = {"SHIFT_234": SHIFT_234, "SHIFT_342": SHIFT_342}
+    for ens in ENSEMBLES:
+        for n in (2, 5, 8):
+            mats[f"{ens}-{n}"] = sample(ens, n, rng)
+    g = ginibre(np.random.default_rng(4), 4)
+    for scale in SCALES:
+        mats[f"G*{scale:g}"] = scale * g
+    h = ginibre(np.random.default_rng(611), 5)
+    mats["jordan"] = np.array([[0, 1], [0, 0]], dtype=complex)
+    mats["zero"] = np.zeros((3, 3), dtype=complex)
+    mats["1x1"] = np.array([[2 - 1j]])
+    mats["rank-two"] = h[:, :2] @ h[:2, :]
+    return mats
+
+
+def count_scalar_evaluations() -> dict:
+    """Count, per weighted bound, its evaluations at a float t (not the
+    grid's vector of lower ends), by wrapping its catalog entry."""
+    counts = dict.fromkeys(sorted(bounds.T_DEPENDENT_IDS), 0)
+    for bid in counts:
+        fn, t_dependent = bounds._BOUNDS[bid]
+
+        def counted(ctx, t, fn=fn, bid=bid):
+            if not isinstance(t, np.ndarray):
+                counts[bid] += 1
+            return fn(ctx, t)
+        bounds._BOUNDS[bid] = (counted, t_dependent)
+    return counts
+
+
+def reports() -> None:
+    counts = count_scalar_evaluations()
+    for name, a in matrices().items():
+        for t_grid, theta_grid, refine in SETTINGS:
+            for bid in counts:
+                counts[bid] = 0
+            report = bounds.compare_all(a, t_grid, theta_grid, refine)
+            evals = " ".join(f"{bid}={k}" for bid, k in counts.items())
+            on = "on" if refine else "off"
+            print(f"compare_all {name} {t_grid}/{theta_grid}/{on} "
+                  f"{digest(repr(report))} {evals}")
+
+
+def campaigns() -> None:
+    for ens in ENSEMBLES:
+        for dim in (3, 6):
+            lines, _ = run_campaign(CampaignConfig(ens, dim, 20, 7))
+            csv = "".join(line + "\n" for line in lines)
+            print(f"campaign {ens}-{dim} {digest(csv)}")
+
+
+def cli() -> None:
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = [("SHIFT_234", SHIFT_234, ("json", "table", "csv")),
+                  ("SHIFT_342", SHIFT_342, ("json",)),
+                  ("ginibre-8", ginibre(np.random.default_rng(2026), 8),
+                   ("json",))]
+        for name, a, fmts in inputs:
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "wb") as fh:
+                fh.write(serialize_matrix(a))
+            for fmt in fmts:
+                out = runner.invoke(main, ["bounds", path, "--format", fmt])
+                print(f"numrad bounds {name} {fmt} {digest(out.output)}")
+    out = runner.invoke(main, ["reproduce-examples"])
+    print(f"numrad reproduce-examples {digest(out.output)}")
+
+
+if __name__ == "__main__":
+    reports()
+    campaigns()
+    cli()
