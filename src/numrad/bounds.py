@@ -26,18 +26,9 @@ from .errors import NonFinite, NumradError
 from .matrix import fits
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, check_count,
-                     coarse_step, pruned_sweep, quotient_lower, sweep_subgrid)
+from .radius import (BRACKET_CHUNK_BYTES, BRACKET_REL, DEFAULT_GRID,
+                     RadiusEstimate, check_count, pruned_sweep, sweep_lower)
 
-# Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
-# stacks of complex, and apart from those, the (theta, n, n) rotations of
-# the probe rows of a swept stack.  A sizing rule, not a cap: numpy's
-# temporaries come on top.
-BRACKET_CHUNK_BYTES = 1 << 24
-# Largest number of probe rows in one swept stack: the rows where the
-# sweep runs on a subgrid, whose top eigenvectors give the lower ends at
-# the other rows.
-BRACKET_PROBES = 16
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
 T_GRID_MIN = 1
@@ -85,19 +76,9 @@ class BoundContext(_Spectral):
     def sweep(self, key, m):
         """omega(m) by the context's sweep for a matrix m, cached under key;
         inf if m does not fit (matrix.fits: its entries or norm overflow).
-        For a (T, n, n) stack m, a certified lower end of that value for
-        each matrix, clamped at 0 (omega is not below 0), key unused.
-
-        In a stack, the probe rows are every s-th matrix, with
-        s = ceil(T / BRACKET_PROBES) (larger where the probes' rotations
-        would exceed BRACKET_CHUNK_BYTES).  At a probe row the lower end is
-        the sweep's maximum over a subgrid of its angles, every
-        coarse_step(theta_grid)-th one.  At every other row it comes from
-        the probes' top eigenvectors x (rotated Rayleigh quotients): at each
-        angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
-        x*Re(e^{i theta} M)x is at most lambda_max(Re(e^{i theta} M)), and
-        so at most the sweep's value, refined or not.  A matrix that does
-        not fit is swept as zero and gets inf.
+        For a (T, n, n) stack m, radius.sweep_lower's lower end of that
+        value for each matrix, clamped at 0 (omega is not below 0), key
+        unused; a matrix that does not fit is swept as zero and gets inf.
         """
         if m.ndim == 2:
             if key not in self._omega:
@@ -106,17 +87,8 @@ class BoundContext(_Spectral):
                     if fits(m) else math.inf)
             return self._omega[key]
         ok = fits(m)
-        m = np.where(ok[:, None, None], m, 0)
-        step = coarse_step(self.theta_grid)
-        # a probe row holds its (theta, n, n) stack of rotations
-        per_probe = 16 * m.shape[-1] ** 2 * (self.theta_grid // step)
-        probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
-        s = -(-m.shape[0] // probes)
-        g, angles = sweep_subgrid(m[::s], self.theta_grid, step)
-        lower = g
-        if s > 1:
-            lower = quotient_lower(m, m[::s], angles, self.theta_grid)
-            lower[::s] = g
+        lower = sweep_lower(np.where(ok[:, None, None], m, 0),
+                            self.theta_grid)
         return np.where(ok, np.maximum(lower, 0), math.inf)
 
 

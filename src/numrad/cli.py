@@ -52,9 +52,7 @@ def main():
               type=THETA_GRID, help="Angle grid size for the radius sweep.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["json", "csv", "table"]))
-@click.option("--tol-slack", default=TOL_SLACK, show_default=True,
-              help="Slack tolerance used to flag violations.")
-def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
+def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
     """Evaluate upper bounds on the numerical radius of a matrix."""
     a = _load(matrix_path)
     wanted = CATALOG_IDS if bound_id == "all" else (bound_id,)
@@ -86,7 +84,7 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt, tol_slack):
         for bv in rows:
             t = "" if bv.t_used is None else f"{bv.t_used:.4f}"
             slack = report.slacks.get(bv.id)
-            flag = " *" if slack is not None and slack < -tol_slack else ""
+            flag = " *" if slack is not None and slack < -TOL_SLACK else ""
             click.echo(f"{bv.id:<18}{t:>10}{_fmt(bv.value):>16}"
                        f"{'' if slack is None else _fmt(slack):>14}{flag}")
     if not computed:

@@ -71,7 +71,7 @@ def hermitian_eigen(h) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     h = as_matrix(h)
     dev = np.linalg.norm(h - h.conj().T)
-    if dev > TOL_HERM * max(1.0, np.linalg.norm(h)):
+    if dev > TOL_HERM * np.linalg.norm(h):
         raise NotHermitian(f"deviation from Hermitian: {dev:.3e}")
     try:
         w, v = np.linalg.eigh((h + h.conj().T) / 2)

@@ -97,13 +97,11 @@ def _parse_csv(text: str) -> np.ndarray:
     return np.array([row for _, row in rows], dtype=np.complex128)
 
 
-def serialize_matrix(m, name: str | None = None) -> bytes:
+def serialize_matrix(m) -> bytes:
     """Serialize to the canonical JSON document (bit-exact round-trip)."""
     m = np.asarray(m, dtype=np.complex128)
     n = m.shape[0]
     doc = {"n": n,
            "data": [[[m[i, j].real, m[i, j].imag] for j in range(n)]
                     for i in range(n)]}
-    if name is not None:
-        doc["name"] = name
     return json.dumps(doc).encode("utf-8")

@@ -2,7 +2,8 @@
 
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
-same bits, and golden-section refines around the best grid point.
+same bits, and golden-section refines around the best grid point;
+sweep_lower gives lower ends of its value for a stack of matrices.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -26,6 +27,13 @@ COARSE_STEP_MAX = 16
 # Widening, relative to the scale of the values compared, that covers the
 # rounding of stacked against single-matrix arithmetic and of upper ends.
 BRACKET_REL = 1e-9
+# Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
+# stacks of complex, and apart from those, the (theta, n, n) rotations of
+# the probe rows in sweep_lower.  A sizing rule, not a cap: numpy's
+# temporaries come on top.
+BRACKET_CHUNK_BYTES = 1 << 24
+# Largest number of probe rows in one stack that sweep_lower sweeps.
+BRACKET_PROBES = 16
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -75,6 +83,12 @@ def _rotations(a, phases) -> np.ndarray:
             + np.conj(p) * a.conj().swapaxes(-1, -2)[..., None, :, :]) / 2
 
 
+def _top(a, phases) -> np.ndarray:
+    """g(theta) = lambda_max(Re(e^{i theta} A)) over the phases e^{i theta},
+    in one stacked eigvalsh; a may carry leading stack axes."""
+    return np.linalg.eigvalsh(_rotations(a, phases))[..., -1]
+
+
 def radius_sweep(a, grid_points: int = DEFAULT_GRID,
                  refine: bool = True) -> RadiusEstimate:
     """Numerical radius via sup over theta of ||Re(e^{i theta} A)||.
@@ -87,7 +101,9 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
-    return _refined(a, grid_points, refine, *sweep_subgrid(a, grid_points, 1))
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    g = _top(a, np.exp(1j * thetas))
+    return _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
 
 
 def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
@@ -105,13 +121,13 @@ def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
     phases = np.exp(1j * thetas)
     g = np.full(grid_points, -np.inf)
-    g[::step] = sub = np.linalg.eigvalsh(_rotations(a, phases[::step]))[:, -1]
+    g[::step] = sub = _top(a, phases[::step])
     top = sub.max()
     solve = (support_upper(sub, step)
              + BRACKET_REL * (abs(top) + abs(sub).max()) >= top)
     solve[::step] = False
     if solve.any():
-        g[solve] = np.linalg.eigvalsh(_rotations(a, phases[solve]))[:, -1]
+        g[solve] = _top(a, phases[solve])
     return _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
 
 
@@ -151,38 +167,42 @@ def coarse_step(grid_points: int) -> int:
                default=1)
 
 
-def sweep_subgrid(ms, grid_points: int, step: int):
-    """Grid maximum of a sweep over every step-th angle, for the matrix ms
-    or for each matrix of the stack ms (shape (T, n, n)), and the angle
-    where it lies.
+def sweep_lower(ms, grid_points: int) -> np.ndarray:
+    """A lower end of the sweep's value (radius_sweep's, refined or not)
+    for each matrix of the (T, n, n) stack ms.
 
-    The result is the pair (maxima, angles).  The subgrid's angles are
-    exact members of the sweep's grid, so a maximum is at most the sweep's
-    value; with step 1 it is the sweep's grid value.
+    The probe rows are every s-th matrix, s = ceil(T / P), where P is
+    BRACKET_PROBES, or fewer if the probes' (angle, n, n) stacks of
+    rotations would exceed BRACKET_CHUNK_BYTES.  At a probe row the lower
+    end is the maximum of g(theta) = lambda_max(Re(e^{i theta} M)) over
+    the subgrid of every coarse_step(grid_points)-th angle: these are
+    angles of the sweep's grid, so it is at most the sweep's value.  At
+    every other row it is a rotated Rayleigh quotient (Johnson's
+    support-line identity): for the top eigenvector x of each probe's
+    Re(e^{i theta} P) at its best subgrid angle, and the grid angle theta
+    nearest to -arg(x*Mx), Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x <=
+    g(theta).  This holds for any unit x; the probes' vectors are chosen
+    because M is near a probe.  The row's lower end is the largest such
+    quotient.
     """
+    step = coarse_step(grid_points)
     thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
-    top = np.linalg.eigvalsh(_rotations(ms, np.exp(1j * thetas)))[..., -1]
-    return top.max(axis=-1), thetas[top.argmax(axis=-1)]
-
-
-def quotient_lower(ms, probes, angles, grid_points: int) -> np.ndarray:
-    """A lower end of the sweep's value for each matrix of the stack ms,
-    from the top eigenvectors x of Re(e^{i angle} P) over the probe
-    matrices P and their angles.
-
-    At an angle theta of the sweep's grid, Re(e^{i theta} x*Mx) =
-    x*Re(e^{i theta} M)x <= lambda_max(Re(e^{i theta} M)), which the
-    sweep's value is not below, refined or not (Johnson's support-line
-    identity).  This holds for any unit x; the probes' vectors are chosen
-    because M is near a probe.  The result is the largest such quotient
-    over the vectors, each at the grid angle nearest to -arg(x*Mx).
-    """
-    # one phase per probe: the broadcast pairs probe k with angle k
-    rot = _rotations(probes, np.exp(1j * angles)[:, None])[:, 0]
+    per_probe = 16 * ms.shape[-1] ** 2 * thetas.size
+    probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
+    s = -(-ms.shape[0] // probes)
+    top = _top(ms[::s], np.exp(1j * thetas))
+    sub = top.max(axis=-1)
+    if s == 1:
+        return sub
+    # one angle per probe: the broadcast pairs probe k with angle k
+    angles = thetas[top.argmax(axis=-1)]
+    rot = _rotations(ms[::s], np.exp(1j * angles)[:, None])[:, 0]
     x = np.linalg.eigh(rot)[1][..., -1]
     q = np.einsum("pi,tip->tp", x.conj(), ms @ x.T)
     j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
-    return (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(axis=-1)
+    lower = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(axis=-1)
+    lower[::s] = sub
+    return lower
 
 
 def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:

@@ -17,6 +17,22 @@ JORDAN2 = np.array([[0, 1],
                     [0, 0]], dtype=np.complex128)
 
 
+def _hermitian_part(m):
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+# Closed forms of omega for a matrix, or each of a stack, of an ensemble:
+# max |lambda| for a Hermitian (and any normal) matrix, ||A|| for a
+# multiple of a unitary, and lambda_max(Re A) for a nonnegative matrix.
+EXACT_OMEGA = {
+    "hermitian": lambda m: abs(np.linalg.eigvalsh(_hermitian_part(m))).max(
+        axis=-1),
+    "unitary-scaled": lambda m: np.linalg.svd(m, compute_uv=False)[..., 0],
+    "weighted-cyclic-shift": lambda m: np.linalg.eigvalsh(
+        _hermitian_part(m))[..., -1],
+}
+
+
 def ginibre(rng, n):
     return (rng.standard_normal((n, n))
             + 1j * rng.standard_normal((n, n))) / np.sqrt(2)

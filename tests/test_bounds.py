@@ -12,16 +12,17 @@ from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
                     minimize_over_t, product_bound, radius_sweep,
                     schwarz_radius, weight_params, weighted_R,
                     weighted_power, yamazaki)
-from numrad import bounds
+from numrad import bounds, radius
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN
-from numrad.radius import coarse_step, sweep_subgrid
+from numrad.radius import coarse_step, sweep_lower
 from numrad.reference import SHIFT_234, SHIFT_342
 
-from conftest import EXAMPLE1, EXAMPLE2, JORDAN2, ginibre, half_square_sum
+from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2, ginibre,
+                      half_square_sum)
 
 
 def test_classic_envelope_example1():
@@ -484,6 +485,7 @@ def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
 def test_pruned_scan_equals_full_scan_with_a_small_stack_budget(monkeypatch):
     # many chunks, each with fewer probe rows than BRACKET_PROBES
     monkeypatch.setattr(bounds, "BRACKET_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(radius, "BRACKET_CHUNK_BYTES", 1 << 16)
     _assert_scans_agree(SHIFT_234, 101, 720, True)
     _assert_scans_agree(ginibre(np.random.default_rng(618), 4), 101, 720,
                         False)
@@ -497,7 +499,7 @@ def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
     # covers rounding
     ctx = BoundContext(a, theta_grid, refine)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    assert grid_points > bounds.BRACKET_PROBES  # so some rows are not probes
+    assert grid_points > radius.BRACKET_PROBES  # so some rows are not probes
     with np.errstate(invalid="ignore", over="ignore"):
         lower = bounds._lower("aluthge-t", ctx, ts)
         for t, lo in zip(ts, lower):
@@ -526,15 +528,17 @@ def test_aluthge_bracket_holds_the_value_on_edge_inputs():
 
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
 @pytest.mark.parametrize("refine", [True, False])
-def test_subgrid_brackets_the_sweep(theta_grid, refine):
+def test_subgrid_brackets_the_sweep(theta_grid, refine, monkeypatch):
     rng = np.random.default_rng(613)
     step = coarse_step(theta_grid)
     assert theta_grid % step == 0 and theta_grid // step >= 3
     widen = 1 / math.cos(math.pi * step / theta_grid)
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 6)]
     mats += [JORDAN2, np.diag([1.0, -2.0, 1.5j]), np.zeros((3, 3))]
-    lower = sweep_subgrid(np.stack([np.pad(m, (0, 6 - m.shape[0]))
-                                    for m in mats]), theta_grid, step)[0]
+    # every row a probe row: the lower ends are the subgrid's maxima
+    monkeypatch.setattr(radius, "BRACKET_PROBES", len(mats))
+    lower = sweep_lower(np.stack([np.pad(m, (0, 6 - m.shape[0]))
+                                  for m in mats]), theta_grid)
     for m, g_c in zip(mats, lower):
         w = radius_sweep(m, theta_grid, refine=refine).value
         tol = 1e-12 * (1 + abs(w))
@@ -563,3 +567,34 @@ def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
         assert (lower[bad] == math.inf).all()
         assert lower[~bad] == pytest.approx(np.ones(rows - bad.sum()),
                                             rel=1e-15)
+
+
+@pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
+def test_sweep_of_a_stack_is_below_the_exact_radius(ensemble):
+    # on these ensembles A_t, and so A_t^2, is again normal, a multiple of
+    # a unitary, or nonnegative, and has the same closed form for omega
+    exact = EXACT_OMEGA[ensemble]
+    rng = np.random.default_rng(sorted(EXACT_OMEGA).index(ensemble) + 642)
+    ts = np.linspace(T_MIN, 1 - T_MIN, 61)
+    for n in (1, 2, 3, 5, 8, 16):
+        a = sample(ensemble, n, rng)
+        for theta_grid, refine in BRACKET_SETTINGS:
+            ctx = BoundContext(a, theta_grid, refine)
+            for m in (ctx.aluthge(ts), ctx.aluthge(ts) @ ctx.aluthge(ts)):
+                w = exact(m)
+                assert (ctx.sweep(None, m) <= w * (1 + 1e-14)).all()
+
+
+def test_compare_all_minimizes_through_the_module_global(monkeypatch):
+    # perfbench's traced run names its spans from the first argument
+    seen = []
+    minimize = bounds.minimize_over_t
+
+    def traced(*args, **kwargs):
+        seen.append(args[0])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "minimize_over_t", traced)
+    compare_all(SHIFT_234)
+    assert sorted(seen) == sorted(T_DEPENDENT_IDS)
+    assert len(seen) == 6

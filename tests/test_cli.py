@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from numrad import (CATALOG_IDS, DimensionMismatch, ParseError,
-                    bounds, parse_matrix, serialize_matrix)
-from numrad.campaign import CSV_COLUMNS, CampaignConfig, run_campaign
+                    bounds, campaign, parse_matrix, serialize_matrix)
+from numrad.campaign import (CSV_COLUMNS, TOL_SLACK, CampaignConfig,
+                             run_campaign, run_trial)
 from numrad.cli import main
 
 from conftest import EXAMPLE1, ginibre
@@ -109,6 +110,21 @@ def test_cli_bounds_json_detail_keys(runner, example1_path):
     assert {bid: set(d) for bid, d in details.items()} == DETAIL_KEYS
     for detail in details.values():
         assert all(type(v) is float for v in detail.values())
+
+
+def test_cli_bounds_table_flags_a_bound_below_omega(runner, example1_path,
+                                                   monkeypatch):
+    def below(ctx, t):
+        return ctx.sweep("a", ctx.a) - 2 * TOL_SLACK, {}
+
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (below, False))
+    result = runner.invoke(main, ["bounds", example1_path, "--t-grid", "21",
+                                  "--theta-grid", "240"])
+    assert result.exit_code == 0
+    rows = result.output.splitlines()[2:]
+    assert len(rows) == len(CATALOG_IDS)
+    flagged = [row.split()[0] for row in rows if row.endswith(" *")]
+    assert flagged == ["kitt-sum"]
 
 
 def test_cli_bounds_single(runner, example1_path):
@@ -269,6 +285,21 @@ def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
     run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
                                 seed=5))
     assert calls == [(3, 3), (3, 3)]
+
+
+def test_campaign_trial_reaches_compare_all_through_the_module_global(
+        monkeypatch):
+    # perfbench's traced run times a trial's report through this global
+    calls = []
+    compare_all = campaign.compare_all
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return compare_all(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "compare_all", traced)
+    run_trial(CampaignConfig(ensemble="ginibre", dim=3, trials=1, seed=5), 0)
+    assert len(calls) == 1
 
 
 def test_cli_reproduce_examples(runner):

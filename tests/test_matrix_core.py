@@ -52,6 +52,14 @@ def test_hermitian_eigen_2x2():
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigen(JORDAN2)
+    # the check is relative to ||h||, so it holds at a small scale too
+    small = 1e-12 * np.array([[1, 1], [0, 1]])
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(small)
+    with pytest.raises(NotHermitian):
+        frac_power(small, 0.5)
+    assert np.array_equal(hermitian_eigen(np.zeros((2, 2))).eigenvalues,
+                          [0, 0])
 
 
 @settings(deadline=None, max_examples=30)

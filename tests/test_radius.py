@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from numrad import (DomainError, compare_all, power_check, radius_oracle,
-                    radius_sweep, spectral_norm, splitmix64)
+from numrad import (DomainError, compare_all, power_check, radius,
+                    radius_oracle, radius_sweep, spectral_norm, splitmix64)
 from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
                            support_upper)
-from numrad.reference import SHIFT_234
+from numrad.reference import SHIFT_234, SHIFT_342
 
-from conftest import EXAMPLE1, JORDAN2, ginibre, random_unitary
+from conftest import EXACT_OMEGA, EXAMPLE1, JORDAN2, ginibre, random_unitary
 
 
 def test_sweep_jordan_half():
@@ -289,3 +289,40 @@ def test_pruned_sweep_solves_few_angles(monkeypatch):
     solved.clear()
     radius_sweep(a, 720, refine=False)
     assert solved == [720]
+
+
+@pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
+def test_sweeps_equal_the_exact_radius(ensemble):
+    exact = EXACT_OMEGA[ensemble]
+    rng = np.random.default_rng(sorted(EXACT_OMEGA).index(ensemble) + 640)
+    mats = [sample(ensemble, n, rng) for n in range(1, 17)]
+    if ensemble == "weighted-cyclic-shift":
+        mats += [SHIFT_234, SHIFT_342]  # nonnegative too
+    for a in mats:
+        for sweep in (radius_sweep, pruned_sweep):
+            assert sweep(a).value == pytest.approx(exact(a), rel=1e-14)
+
+
+def test_radius_sweep_solves_its_grid_in_one_stack(monkeypatch):
+    # perfbench's traced run finds the grid stage by the stack's shape and
+    # times the refinement through radius.golden_max
+    g = ginibre(np.random.default_rng(641), 5)
+    shapes, refinements = [], []
+    eigvalsh, golden_max = np.linalg.eigvalsh, radius.golden_max
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    def traced(*args):
+        refinements.append(args)
+        return golden_max(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(radius, "golden_max", traced)
+    radius_sweep(g, 720, refine=False)
+    assert shapes == [(720, 5, 5)] and refinements == []
+    shapes.clear()
+    radius_sweep(g, 720)
+    assert [s for s in shapes if len(s) != 2] == [(720, 5, 5)]
+    assert len(refinements) == 1

@@ -7,10 +7,16 @@ sha256 of the output's text.  The outputs are:
   SHIFT_342, five ensembles at n = 2, 5 and 8, a 4x4 Ginibre G at extreme
   scales, and edge inputs, at four settings, each with the number of
   scalar evaluations of every weighted bound in the report;
+- repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
+  same settings, and the lower ends that BoundContext(a, theta_grid,
+  refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
+  on the same matrices;
 - the CSV of run_campaign (20 trials, seed 7) on each ensemble at dim 3
   and 6, as `numrad fuzz --output` writes it;
 - numrad bounds in json, table and csv on SHIFT_234, in json on SHIFT_342
-  and on an 8x8 Ginibre, and numrad reproduce-examples.
+  and on an 8x8 Ginibre, numrad radius --oracle-trials 100 on the same
+  three, and numrad reproduce-examples; a command that fails stops the
+  script with an AssertionError.
 
 The digests depend on the numpy and BLAS builds, so none is pinned here.
 Run the script on two checkouts on one host and diff what it prints:
@@ -28,10 +34,13 @@ import numpy as np
 from click.testing import CliRunner
 
 from numrad import bounds
+from numrad.bounds import BoundContext
 from numrad.campaign import CampaignConfig, run_campaign
 from numrad.cli import main
 from numrad.ensembles import ENSEMBLES, ginibre, sample
 from numrad.matrixio import serialize_matrix
+from numrad.polar import T_MIN
+from numrad.radius import pruned_sweep, radius_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
 # (t_grid, theta_grid, refine) of the compare_all reports
@@ -89,6 +98,22 @@ def reports() -> None:
                   f"{digest(repr(report))} {evals}")
 
 
+def sweeps() -> None:
+    ts = np.linspace(T_MIN, 1 - T_MIN, 101)
+    for name, a in matrices().items():
+        for _, theta_grid, refine in SETTINGS:
+            on = "on" if refine else "off"
+            for sweep in (radius_sweep, pruned_sweep):
+                est = sweep(a, theta_grid, refine)
+                print(f"{sweep.__name__} {name} {theta_grid}/{on} "
+                      f"{digest(repr(est))}")
+            ctx = BoundContext(a, theta_grid, refine)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower = ctx.sweep(None, ctx.aluthge(ts))
+            print(f"BoundContext.sweep {name} {theta_grid}/{on} "
+                  f"{digest(repr(lower.tolist()))}")
+
+
 def campaigns() -> None:
     for ens in ENSEMBLES:
         for dim in (3, 6):
@@ -99,6 +124,13 @@ def campaigns() -> None:
 
 def cli() -> None:
     runner = CliRunner()
+
+    def run(*args) -> str:
+        # a crash of a command fails the script, not only its digest
+        out = runner.invoke(main, args)
+        assert out.exit_code == 0 and out.exception is None, (args, out)
+        return out.output
+
     with tempfile.TemporaryDirectory() as tmp:
         inputs = [("SHIFT_234", SHIFT_234, ("json", "table", "csv")),
                   ("SHIFT_342", SHIFT_342, ("json",)),
@@ -109,13 +141,15 @@ def cli() -> None:
             with open(path, "wb") as fh:
                 fh.write(serialize_matrix(a))
             for fmt in fmts:
-                out = runner.invoke(main, ["bounds", path, "--format", fmt])
-                print(f"numrad bounds {name} {fmt} {digest(out.output)}")
-    out = runner.invoke(main, ["reproduce-examples"])
-    print(f"numrad reproduce-examples {digest(out.output)}")
-
+                out = run("bounds", path, "--format", fmt)
+                print(f"numrad bounds {name} {fmt} {digest(out)}")
+            out = run("radius", path, "--oracle-trials", "100")
+            print(f"numrad radius {name} {digest(out)}")
+    out = run("reproduce-examples")
+    print(f"numrad reproduce-examples {digest(out)}")
 
 if __name__ == "__main__":
     reports()
+    sweeps()
     campaigns()
     cli()
