@@ -7,11 +7,12 @@ whose value is directly comparable to omega(A); bounds stated in the
 squared form record the pre-square-root quantity under detail["inner"].
 
 Every catalog bound is one function of (ctx, t) giving (value, detail),
-registered in one table, _BOUNDS, with whether it is minimised over t.
-A fixed bound ignores t, or is a weighted bound at one weight.  A
-weighted bound takes a float t or a vector of t: at a float it is the
-t-scan's evaluator, and at the grid's vector it gives the lower ends
-that prune the scan.
+registered in one table, _BOUNDS, with the certificate of its t-scan (None
+for a fixed bound).  A fixed bound ignores t, or is a weighted bound at one
+weight.  A weighted bound is evaluated at a float t.  Five of the six are
+quasi-convex in t, and their scan is certified by their own values; the
+function of aluthge-t also takes the grid's vector of t, where it gives
+the lower ends that prune that bound's scan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import NonFinite, NumradError
 from .matrix import fits
-from .optimize import golden_min
+from .optimize import INV_PHI_SQ, golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_CHUNK_BYTES, BRACKET_REL, DEFAULT_GRID,
                      RadiusEstimate, check_count, pruned_sweep, sweep_lower)
@@ -62,9 +63,10 @@ class BoundReport:
 
 
 class BoundContext(_Spectral):
-    """The spectral core of one matrix, with the sweep settings and a cache
-    of pruned_sweep values (radius_sweep's, bit for bit) for its bounds;
-    refine refines both its sweeps in theta and minimize_over_t in t."""
+    """The spectral core of one matrix, with the sweep settings and caches
+    of pruned_sweep values (radius_sweep's, bit for bit) and of the norms
+    ||X^s Y^s|| for its bounds; refine refines both its sweeps in theta
+    and minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -72,6 +74,14 @@ class BoundContext(_Spectral):
         self.theta_grid = theta_grid
         self.refine = refine
         self._omega: dict = {}
+        self._xy_norm: dict = {}
+
+    def xy_norm(self, s: float) -> float:
+        """||X^s Y^s|| for the float s, cached under s: product's t-scan
+        meets 1 - t as a grid point of its own at about half the grid."""
+        if s not in self._xy_norm:
+            self._xy_norm[s] = gnorm(self.xpow(s) @ self.ypow(s))
+        return self._xy_norm[s]
 
     def sweep(self, key, m):
         """omega(m) by the context's sweep for a matrix m, cached under key;
@@ -118,10 +128,9 @@ def hnorm(m: np.ndarray):
     return _finite_norm(norm, (m + _adj(m)) / 2)
 
 
-def gnorm(m: np.ndarray):
-    """Spectral norm of a general operand, or of each of a stack."""
-    return _finite_norm(
-        lambda g: np.linalg.svd(g, compute_uv=False)[..., 0], m)
+def gnorm(m: np.ndarray) -> float:
+    """Spectral norm of a general operand; inf where it is not finite."""
+    return _finite_norm(lambda g: np.linalg.svd(g, compute_uv=False)[0], m)
 
 
 def _square(x: float) -> float:
@@ -137,11 +146,6 @@ def _sqrt_or_inf(inner):
     if isinstance(inner, np.ndarray):
         return np.sqrt(np.where(np.isfinite(inner), inner, math.inf))
     return math.sqrt(inner) if math.isfinite(inner) else math.inf
-
-
-def _coef(t):
-    """t as the coefficient of an operand: itself, or (T, 1, 1) if a vector."""
-    return t[:, None, None] if isinstance(t, np.ndarray) else t
 
 
 def _classic(ctx: BoundContext, t):
@@ -192,6 +196,9 @@ def _aluthge_half(ctx: BoundContext, t):
 
 
 def _aluthge_weighted(ctx: BoundContext, t):
+    """At a float t the bound; at a vector of t a lower end of it at each,
+    from BoundContext.sweep's lower ends of its omega terms (the bound
+    grows with both)."""
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
@@ -207,14 +214,34 @@ def _aluthge_weighted(ctx: BoundContext, t):
 
 
 def _weighted_power(ctx: BoundContext, t):
-    c = _coef(t)
-    m = (1 - c) * ctx.xpow(1 / (1 - t)) + c * ctx.ypow(1 / t)
+    """sqrt ||(1 - t) X^(1/(1-t)) + t Y^(1/t)||, quasi-convex in t.
+
+    For a PSD P = V diag(sigma) V* and a > 0, t P^(a/t) is
+    V diag(t sigma_i^(a/t)) V*, and t sigma^(a/t) = t exp(a ln(sigma) / t)
+    is the perspective of the convex u -> exp(a ln(sigma) u), so convex in
+    t > 0 (and 0 where sigma = 0).  A family diagonal in one basis with
+    convex entries is convex in the Loewner order, and sums keep that, so
+    the PSD operand M(t) is Loewner-convex (its X part in 1 - t).
+    lambda_max, which hnorm gives on a PSD operand, is monotone and convex
+    on Hermitian matrices, so lambda_max(M(t)) is convex in t, and the
+    bound, an increasing function of it, is quasi-convex.
+    """
+    m = (1 - t) * ctx.xpow(1 / (1 - t)) + t * ctx.ypow(1 / t)
     inner = hnorm(m)
     return _sqrt_or_inf(inner), {"inner": inner}
 
 
 def _weighted_r(ctx: BoundContext, t):
-    c = _coef(t * (1 - t) / np.maximum(t, 1 - t))
+    """sqrt(||X^2 + Y^2 - c (X - Y)^2|| / 2) with c = min(t, 1 - t),
+    quasi-convex in t.
+
+    The operand is (1 - 2c)(X^2 + Y^2) + c (X + Y)^2, PSD for c in
+    [0, 1/2], and its derivative in c is -(X - Y)^2, so it is
+    non-increasing in c in the Loewner order, and so is the bound, as
+    lambda_max is monotone.  c rises on (0, 1/2] and falls on [1/2, 1),
+    so the bound falls and then rises: it is quasi-convex in t.
+    """
+    c = t * (1 - t) / max(t, 1 - t)
     d = ctx.xpow(1.0) - ctx.ypow(1.0)
     m = ctx.xpow(2.0) + ctx.ypow(2.0) - c * (d @ d)
     inner = 0.5 * hnorm(m)
@@ -222,49 +249,161 @@ def _weighted_r(ctx: BoundContext, t):
 
 
 def _product(ctx: BoundContext, t):
-    n1 = gnorm(ctx.xpow(t) @ ctx.ypow(t))
-    n2 = gnorm(ctx.xpow(1 - t) @ ctx.ypow(1 - t))
-    value = 0.5 * (ctx.norm_a + np.sqrt(n1 * n2))
+    """(||A|| + sqrt(f(t) f(1 - t))) / 2 with f(s) = ||X^s Y^s||,
+    quasi-convex in t and symmetric about 1/2.
+
+    log f is convex by the three-lines theorem: for unit vectors u, v,
+    z -> <X^z Y^z u, v> is analytic and bounded on a strip a <= Re z <= b,
+    and X^(iy), Y^(iy) are partial isometries, so log f at a point of
+    [a, b] is at most the interpolation of log f(a) and log f(b).  So
+    log f(t) + log f(1 - t) is convex and symmetric about 1/2, and the
+    bound, an increasing function of it, is quasi-convex (f = 0 at one s
+    only if X^s Y^s = 0 at every s, where the bound is constant).
+    """
+    n1, n2 = ctx.xy_norm(t), ctx.xy_norm(1 - t)
+    value = 0.5 * (ctx.norm_a + math.sqrt(n1 * n2))
     return value, {"norm_t": n1, "norm_one_minus_t": n2}
 
 
 def _fourth_power(ctx: BoundContext, t):
-    c = _coef(t)
+    """sqrt ||(X^(4(1-t)) + Y^(4t))/4 + ((1 - t) X^2 + t Y^2)/2||,
+    quasi-convex in t.
+
+    sigma^(4t) = exp(4t ln sigma) is convex in t, and the last term is
+    affine, so the PSD operand is Loewner-convex in t, and the bound is an
+    increasing function of its convex lambda_max, as for weighted-power.
+    """
     m = ((ctx.xpow(4 * (1 - t)) + ctx.ypow(4 * t)) / 4
-         + ((1 - c) * ctx.xpow(2.0) + c * ctx.ypow(2.0)) / 2)
+         + ((1 - t) * ctx.xpow(2.0) + t * ctx.ypow(2.0)) / 2)
     inner = hnorm(m)
     return _sqrt_or_inf(inner), {"inner": inner}
 
 
 def _schwarz_radius(ctx: BoundContext, t):
-    c = _coef(t)
-    m = c * ctx.xpow(2 / t) + (1 - c) * ctx.ypow(2 / (1 - t))
+    """sqrt((sqrt ||t X^(2/t) + (1 - t) Y^(2/(1-t))|| + omega(A^2)) / 2),
+    quasi-convex in t.
+
+    The PSD operand is Loewner-convex in t by the perspective argument of
+    weighted-power, and the bound is an increasing function of its
+    lambda_max, omega(A^2) being fixed.
+    """
+    m = t * ctx.xpow(2 / t) + (1 - t) * ctx.ypow(2 / (1 - t))
     wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
     inner = 0.5 * (_sqrt_or_inf(hnorm(m)) + wa2)
     return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
 
 
-# Every catalog bound in the report's order, with whether it is
-# minimised over t.
+# ---------------------------------------------------------------------------
+# the certified t-scans
+#
+# Each visits the grid points of minimize_over_t through value_at(i), the
+# bound at ts[i] (evaluated once), until the points it has not visited are
+# certified to lie above the smallest value it has: so the grid's
+# first-index minimum, and every tie of it, is among the visited points.
+
+def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    """Lower ends of a weighted bound whose function takes a vector of t,
+    at most its value at each t of ts; in chunks of t in which 16
+    (t, n, n) stacks of complex fill BRACKET_CHUNK_BYTES, so that memory
+    stays bounded."""
+    bound = _BOUNDS[bound_id][0]
+    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
+    return np.concatenate([bound(ctx, ts[i:i + size])[0]
+                           for i in range(0, ts.size, size)])
+
+
+def _lower_scan(bound_id: str, ctx: BoundContext, ts: np.ndarray,
+                value_at: Callable) -> None:
+    """The scan pruned by lower ends, for a bound with no known shape in t.
+
+    _lower's ends are widened by BRACKET_REL to cover the rounding of the
+    stacked against the scalar arithmetic.  The points are visited in
+    order of their lower ends, one that is not finite counting as -inf,
+    up to the first whose lower end exceeds the smallest value so far.
+    """
+    lower = _lower(bound_id, ctx, ts)
+    lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
+    key = np.where(np.isfinite(lower), lower, -math.inf)
+    cap = math.inf
+    for i in np.argsort(key, kind="stable"):
+        if key[i] > cap:
+            break
+        cap = min(cap, value_at(int(i)))
+
+
+def _above(v: float, low: float, norm: float) -> bool:
+    """Whether v lies above low when each is widened by
+    BRACKET_REL * (its magnitude + norm) towards the other; +inf lies
+    above every finite value, and NaN above none."""
+    if v == math.inf:
+        return low < math.inf
+    return (v - BRACKET_REL * (abs(v) + norm)
+            > low + BRACKET_REL * (abs(low) + norm))
+
+
+def _quasi_convex_scan(bound_id: str, ctx: BoundContext, ts: np.ndarray,
+                       value_at: Callable) -> None:
+    """The scan of a bound that is quasi-convex in t: every sublevel set
+    is an interval, so for i < j < k its value at t_j is at most the
+    larger of those at t_i and t_k, up to the rounding that BRACKET_REL
+    covers.
+
+    The middle point and its neighbours pick the downhill side, where a
+    golden section over the grid indices finds a small value v*.  From
+    v* a walk goes outward on each side, keeping the smallest value it
+    meets, up to the first point q whose value lies above it (_above).
+    Every point beyond q is then at least the value at q, so above v*,
+    and can neither hold nor tie the grid minimum.  A flat objective is
+    walked end to end; so is one that is +inf everywhere.
+    """
+    size = ts.size
+    mid = (size - 1) // 2
+    best = min(range(max(mid - 1, 0), min(mid + 2, size)), key=value_at)
+    # a golden section on the downhill side: best is the smallest value
+    # seen, lo < best < hi, and a narrower (lo, hi) holds it
+    lo = -1 if best < mid else best - 1
+    hi = size if best > mid else best + 1
+    while hi - lo > 2:
+        if hi - best >= best - lo:
+            x = best + max(1, round(INV_PHI_SQ * (hi - best)))
+        else:
+            x = best - max(1, round(INV_PHI_SQ * (best - lo)))
+        if value_at(x) < value_at(best):
+            lo, hi = (best, hi) if x > best else (lo, best)
+            best = x
+        elif x > best:
+            hi = x
+        else:
+            lo = x
+    for step in (-1, 1):
+        low, i = value_at(best), best + step
+        while 0 <= i < size and not _above(value_at(i), low, ctx.norm_a):
+            low = min(low, value_at(i))
+            i += step
+
+
+# Every catalog bound in the report's order, with the certified t-scan that
+# minimize_over_t runs for it, or None for a bound that is not minimised
+# over t.
 _BOUNDS = {
-    "classic": (_classic, False),
-    "kitt-sum": (_kitt_sum, False),
-    "kitt-square": (lambda ctx, t: _weighted_power(ctx, 0.5), False),
-    "kitt-mixed": (_kitt_mixed, False),
-    "integral": (_integral, False),
-    "integral-refined": (_integral_refined, False),
-    "yamazaki": (_yamazaki, False),
-    "aluthge-t": (_aluthge_weighted, True),
-    "aluthge-half": (_aluthge_half, False),
-    "weighted-power": (_weighted_power, True),
-    "weighted-r": (_weighted_r, True),
-    "product": (_product, True),
-    "fourth-power": (_fourth_power, True),
-    "schwarz-radius": (_schwarz_radius, True),
+    "classic": (_classic, None),
+    "kitt-sum": (_kitt_sum, None),
+    "kitt-square": (lambda ctx, t: _weighted_power(ctx, 0.5), None),
+    "kitt-mixed": (_kitt_mixed, None),
+    "integral": (_integral, None),
+    "integral-refined": (_integral_refined, None),
+    "yamazaki": (_yamazaki, None),
+    "aluthge-t": (_aluthge_weighted, _lower_scan),
+    "aluthge-half": (_aluthge_half, None),
+    "weighted-power": (_weighted_power, _quasi_convex_scan),
+    "weighted-r": (_weighted_r, _quasi_convex_scan),
+    "product": (_product, _quasi_convex_scan),
+    "fourth-power": (_fourth_power, _quasi_convex_scan),
+    "schwarz-radius": (_schwarz_radius, _quasi_convex_scan),
 }
 CATALOG_IDS = tuple(_BOUNDS)
-T_DEPENDENT_IDS = frozenset(bid for bid, (_, t_dep) in _BOUNDS.items()
-                            if t_dep)
+T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
+                            if scan)
 
 
 def _evaluate(bound_id: str, ctx: BoundContext,
@@ -273,16 +412,6 @@ def _evaluate(bound_id: str, ctx: BoundContext,
     value, detail = _BOUNDS[bound_id][0](ctx, t)
     return BoundValue(bound_id, t, float(value),
                       {k: float(v) for k, v in detail.items()})
-
-
-def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    """Lower ends of a weighted bound at every t of the vector ts, at most
-    its value at each; in chunks of t in which 16 (t, n, n) stacks of
-    complex fill BRACKET_CHUNK_BYTES, so that memory stays bounded."""
-    bound = _BOUNDS[bound_id][0]
-    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
-    return np.concatenate([bound(ctx, ts[i:i + size])[0]
-                           for i in range(0, ts.size, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +465,14 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     invalid-value warnings are off: exponents such as 1/t make the powers
     overflow near the ends of the grid, and the bound is inf there.
 
-    The scan is pruned with certified lower ends.  The bound at the grid's
-    vector of t is a lower end of its value at every grid point, widened
-    here by BRACKET_REL to cover rounding; the omega terms of aluthge-t
-    are lower ends from BoundContext.sweep on the grid's stack.  The
-    scalar evaluator then visits the grid points in order of their lower
-    ends, a lower end that is not finite counting as -inf, and stops at
-    the first whose lower end exceeds the smallest value evaluated so far.
-    Every point whose lower end is at most the grid minimum is visited, so
-    the first-index minimum over the grid, and hence the result, is that
-    of the full scan; if no value is finite, every point is visited.
+    The scan is certified: it visits the grid points until those it has
+    not visited lie above the smallest value it has, so the first-index
+    minimum over the grid, and hence the result, is that of the full scan.
+    The certificate is the one that _BOUNDS names for the bound: its own
+    values for the five bounds that are quasi-convex in t
+    (_quasi_convex_scan), and lower ends from the grid's stacks for
+    aluthge-t (_lower_scan).  If no value is finite, or a value is NaN,
+    which certifies nothing, every point is visited.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
@@ -354,16 +481,19 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     check_count("grid_points", grid_points, T_GRID_MIN)
     ctx = a if isinstance(a, BoundContext) else BoundContext(a)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    lower = _lower(bound_id, ctx, ts)
-    lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
+    seen: dict = {}
+
+    def value_at(i: int) -> float:
+        if i not in seen:
+            seen[i] = _evaluate(bound_id, ctx, float(ts[i])).value
+        return seen[i]
+
+    _BOUNDS[bound_id][1](bound_id, ctx, ts, value_at)
+    if any(math.isnan(v) for v in seen.values()):
+        for i in range(grid_points):
+            value_at(i)
     vals = np.full(grid_points, math.inf)
-    key = np.where(np.isfinite(lower), lower, -math.inf)
-    cap = math.inf
-    for i in np.argsort(key, kind="stable"):
-        if key[i] > cap:
-            break
-        vals[i] = _evaluate(bound_id, ctx, float(ts[i])).value
-        cap = min(cap, vals[i])
+    vals[list(seen)] = list(seen.values())
     best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
@@ -386,13 +516,22 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
                 ids=CATALOG_IDS) -> BoundReport:
     """Evaluate the bounds named by ids, minimizing t-dependent ones.
 
-    ids defaults to the full catalog.  A bound that fails with a
-    NumradError or a numerical error from numpy is recorded as a NaN
-    row with the message in detail["error"]; the report is still
+    ids defaults to the full catalog; a string, or an id that is not in
+    CATALOG_IDS, is a ValueError before any work.  A bound that fails
+    with a NumradError or a numerical error from numpy is recorded as a
+    NaN row with the message in detail["error"]; the report is still
     produced.  Bounds are sorted ascending by value.  refine=False
     disables both the golden t-refinement and the theta refinement inside
     sweeps, for bulk campaigns where grid accuracy suffices.
     """
+    if isinstance(ids, str):
+        raise ValueError(f"ids is the string {ids!r}; pass a sequence of "
+                         f"bound ids, such as ({ids!r},)")
+    ids = tuple(ids)
+    for bound_id in ids:
+        if bound_id not in CATALOG_IDS:
+            raise ValueError(f"unknown bound id {bound_id!r}; the catalog "
+                             f"has {', '.join(CATALOG_IDS)}")
     ctx = BoundContext(a, theta_grid, refine)
     omega = pruned_sweep(ctx.a, theta_grid, refine)
     bounds = []

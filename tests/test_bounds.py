@@ -253,6 +253,15 @@ def test_compare_all_ids_subset(rng):
             assert bv == full[bv.id]
 
 
+@pytest.mark.parametrize("ids", ["classic", ["nope"], ("kitt-sum", "nope")])
+def test_compare_all_rejects_unknown_ids(ids, monkeypatch):
+    # before any work: no context is built
+    monkeypatch.setattr(bounds, "BoundContext", None)
+    bad = ids if isinstance(ids, str) else "nope"
+    with pytest.raises(ValueError, match=f"'{bad}'"):
+        compare_all(EXAMPLE1, ids=ids)
+
+
 def test_compare_all_propagates_programming_errors(monkeypatch):
     def broken(ctx, t):
         raise TypeError("bug in an evaluator")
@@ -465,20 +474,73 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
     assert 1 <= len(calls) <= 30
 
 
+QUASI_CONVEX_IDS = sorted(bid for bid, (_, scan) in bounds._BOUNDS.items()
+                          if scan is bounds._quasi_convex_scan)
+
+
+def test_quasi_convex_scan_visits_few_points(monkeypatch):
+    # every weighted bound but aluthge-t has it
+    assert QUASI_CONVEX_IDS == sorted(T_DEPENDENT_IDS - {"aluthge-t"})
+    g = ginibre(np.random.default_rng(617), 8)
+    for bound_id in QUASI_CONVEX_IDS:
+        calls = _count_scalar_calls(monkeypatch, bound_id)
+        minimize_over_t(bound_id, BoundContext(g, refine=False), 1001)
+        assert 1 <= len(calls) <= 25, (bound_id, len(calls))
+    # product is flat on SHIFT_234: every point ties for the minimum, so
+    # the walk goes end to end, once
+    calls = _count_scalar_calls(monkeypatch, "product")
+    minimize_over_t("product", BoundContext(SHIFT_234, refine=False), 1001)
+    assert sorted(calls) == np.linspace(T_MIN, 1 - T_MIN, 1001).tolist()
+
+
+def test_quasi_convex_bounds_are_quasi_convex_on_the_grid():
+    # the premise of _quasi_convex_scan: at every grid point the value,
+    # widened down by BRACKET_REL, is at most the larger of the smallest
+    # values, widened up, on its two sides (+inf stays +inf)
+    rng = np.random.default_rng(620)
+    mats = [SHIFT_234, SHIFT_342]
+    mats += [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
+    g = ginibre(np.random.default_rng(4), 4)
+    mats += [1e-150 * g, 1e150 * g, 3e153 * g]
+    ts = np.linspace(T_MIN, 1 - T_MIN, 101)
+    for a in mats:
+        ctx = BoundContext(a, 240, False)
+        for bound_id in QUASI_CONVEX_IDS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.array([bounds._evaluate(bound_id, ctx, t).value
+                                 for t in ts.tolist()])
+                widen = radius.BRACKET_REL * (abs(vals) + ctx.norm_a)
+                low = np.where(vals == math.inf, math.inf, vals - widen)
+                high = vals + widen
+            assert not np.isnan(vals).any()
+            left = np.minimum.accumulate(high)[:-2]
+            right = np.minimum.accumulate(high[::-1])[::-1][2:]
+            assert (low[1:-1] <= np.maximum(left, right)).all(), (
+                bound_id, a.shape, ctx.norm_a)
+
+
 def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
     # a grid point whose lower end is NaN or inf certifies nothing, so the
-    # scalar evaluator must run there
-    bound = bounds._BOUNDS["fourth-power"][0]
+    # scalar evaluator must run there; aluthge-t is the one bound whose
+    # scan is pruned by lower ends
+    bound, scan = bounds._BOUNDS["aluthge-t"]
+    calls = []
 
     def holed(ctx, t):
+        if not isinstance(t, np.ndarray):
+            calls.append(t)
+            return bound(ctx, t)
         value, detail = bound(ctx, t)
-        if isinstance(t, np.ndarray):
-            value = value.copy()
-            value[1:-1:2] = math.nan
+        value = value.copy()
+        value[1:-1:2] = math.nan
         return value, detail
 
-    monkeypatch.setitem(bounds._BOUNDS, "fourth-power", (holed, True))
+    monkeypatch.setitem(bounds._BOUNDS, "aluthge-t", (holed, scan))
+    holes = np.linspace(T_MIN, 1 - T_MIN, 41)[1:-1:2].tolist()
     for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
+        calls.clear()
+        minimize_over_t("aluthge-t", BoundContext(a, 240, False), 41)
+        assert set(holes) <= set(calls)
         _assert_scans_agree(a, 41, 240, True)
 
 

@@ -5,8 +5,9 @@ sha256 of the output's text.  The outputs are:
 
 - repr(compare_all(a, t_grid, theta_grid, refine)) on SHIFT_234,
   SHIFT_342, five ensembles at n = 2, 5 and 8, a 4x4 Ginibre G at extreme
-  scales, and edge inputs, at four settings, each with the number of
-  scalar evaluations of every weighted bound in the report;
+  scales, and edge inputs, at four settings; after each digest, on a line
+  of its own that starts with "evaluations", the number of scalar
+  evaluations of every weighted bound in that report;
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, and the lower ends that BoundContext(a, theta_grid,
   refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
@@ -22,6 +23,9 @@ The digests depend on the numpy and BLAS builds, so none is pinned here.
 Run the script on two checkouts on one host and diff what it prints:
 
     PYTHONPATH=src python tools/same_bits.py > after.txt
+
+Moved bits show in the digest lines, moved work in the "evaluations"
+lines; `grep -v ^evaluations` leaves the digests alone.
 """
 
 from __future__ import annotations
@@ -93,9 +97,9 @@ def reports() -> None:
                 counts[bid] = 0
             report = bounds.compare_all(a, t_grid, theta_grid, refine)
             evals = " ".join(f"{bid}={k}" for bid, k in counts.items())
-            on = "on" if refine else "off"
-            print(f"compare_all {name} {t_grid}/{theta_grid}/{on} "
-                  f"{digest(repr(report))} {evals}")
+            label = f"{name} {t_grid}/{theta_grid}/{'on' if refine else 'off'}"
+            print(f"compare_all {label} {digest(repr(report))}")
+            print(f"evaluations compare_all {label} {evals}")
 
 
 def sweeps() -> None:
@@ -147,6 +151,7 @@ def cli() -> None:
             print(f"numrad radius {name} {digest(out)}")
     out = run("reproduce-examples")
     print(f"numrad reproduce-examples {digest(out)}")
+
 
 if __name__ == "__main__":
     reports()
