@@ -41,9 +41,11 @@ REFINE_TOL = 1e-8
 class WeightParams:
     t: float
 
+    def __post_init__(self):
+        _check_weight(self.t)
+
 
 def weight_params(t: float) -> WeightParams:
-    _check_weight(t)
     return WeightParams(t=float(t))
 
 
@@ -184,21 +186,16 @@ def _yamazaki(ctx: BoundContext, t):
     return 0.5 * (ctx.norm_a + wa), {"omega_aluthge": wa}
 
 
-def _aluthge_half(ctx: BoundContext, t):
-    alu = ctx.aluthge(0.5)
-    wa = ctx.sweep(("alu", 0.5), alu)
-    wa2 = ctx.sweep(("alu2", 0.5), alu @ alu)
-    mod = alu.conj().T @ alu + alu @ alu.conj().T
-    inner = (_square(ctx.norm_a) + 0.25 * hnorm(mod) + 0.5 * wa2
-             + 2 * ctx.norm_a * wa)
-    return 0.5 * math.sqrt(inner), {"inner": inner, "omega_aluthge": wa,
-                                    "omega_aluthge_sq": wa2}
-
-
 def _aluthge_weighted(ctx: BoundContext, t):
     """At a float t the bound; at a vector of t a lower end of it at each,
     from BoundContext.sweep's lower ends of its omega terms (the bound
-    grows with both)."""
+    grows with both).
+
+    At t = 1/2, where X^(4t) = X^(4(1-t)) = X^2 and X^(2t) = X^(2(1-t)) =
+    X, term_pow4 = term_norm = ||A||^2/2 and term_cross = 2||A|| omega(A~)
+    for the Aluthge transform A~ = A_(1/2): the bound is aluthge-half,
+    sqrt(||A||^2 + ||A~*A~ + A~A~*||/4 + omega(A~^2)/2 + 2||A|| omega(A~))/2.
+    """
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
@@ -210,7 +207,8 @@ def _aluthge_weighted(ctx: BoundContext, t):
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
     return 0.5 * _sqrt_or_inf(inner), {
         "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
-        "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross}
+        "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross,
+        "omega_aluthge": wa, "omega_aluthge_sq": wa2}
 
 
 def _weighted_power(ctx: BoundContext, t):
@@ -394,7 +392,7 @@ _BOUNDS = {
     "integral-refined": (_integral_refined, None),
     "yamazaki": (_yamazaki, None),
     "aluthge-t": (_aluthge_weighted, _lower_scan),
-    "aluthge-half": (_aluthge_half, None),
+    "aluthge-half": (lambda ctx, t: _aluthge_weighted(ctx, 0.5), None),
     "weighted-power": (_weighted_power, _quasi_convex_scan),
     "weighted-r": (_weighted_r, _quasi_convex_scan),
     "product": (_product, _quasi_convex_scan),

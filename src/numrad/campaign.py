@@ -15,9 +15,9 @@ import numpy as np
 
 from . import pointwise
 from .bounds import CATALOG_IDS, T_GRID_MIN, compare_all
-from .ensembles import sample, trial_rng
+from .ensembles import ENSEMBLES, sample, trial_rng
 from .polar import T_MIN, _Spectral
-from .radius import THETA_GRID_MIN, check_count, splitmix64
+from .radius import THETA_GRID_MIN, check_count, check_integer, splitmix64
 
 TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
 # Amer's lhs is an eigenvalue of the non-normal AB + CD, whose rounding
@@ -38,6 +38,10 @@ class CampaignConfig:
     theta_grid: int = 240
 
     def __post_init__(self):
+        if self.ensemble not in ENSEMBLES:
+            raise ValueError(f"unknown ensemble {self.ensemble!r}; the "
+                             f"ensembles are {', '.join(ENSEMBLES)}")
+        check_integer("seed", self.seed)
         check_count("trials", self.trials, 1)
         check_count("dim", self.dim, 1)
         check_count("t_grid", self.t_grid, T_GRID_MIN)

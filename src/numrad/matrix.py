@@ -22,6 +22,16 @@ NORM_MAX = np.finfo(np.float64).max / 4
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce input to a nonempty square complex matrix whose
     norm does not overflow (see NORM_MAX)."""
+    m = finite_matrix(a)
+    if not fits(m):
+        raise DomainError("matrix norm overflows: an entry exceeds "
+                          f"{NORM_MAX / m.shape[0]:.3e}")
+    return m
+
+
+def finite_matrix(a) -> np.ndarray:
+    """Validate and coerce input to a nonempty square complex matrix with
+    finite entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
@@ -29,9 +39,6 @@ def as_matrix(a) -> np.ndarray:
         raise DomainError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
-    if not fits(m):
-        raise DomainError("matrix norm overflows: an entry exceeds "
-                          f"{NORM_MAX / m.shape[0]:.3e}")
     return m
 
 
@@ -113,6 +120,8 @@ def frac_power(p, r: float) -> np.ndarray:
     more negative raises NotPSD.  r = 0 is rejected: the natural limit
     (support projection vs identity) is ambiguous.
     """
+    if not np.isfinite(r):
+        raise DomainError(f"exponent must be finite, got {r}")
     if r == 0:
         raise DomainError("exponent 0 is not defined for frac_power")
     if r < 0:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
+from .matrix import finite_matrix
 
 
 def parse_matrix(document) -> np.ndarray:
@@ -98,8 +99,11 @@ def _parse_csv(text: str) -> np.ndarray:
 
 
 def serialize_matrix(m) -> bytes:
-    """Serialize to the canonical JSON document (bit-exact round-trip)."""
-    m = np.asarray(m, dtype=np.complex128)
+    """Serialize to the canonical JSON document (bit-exact round-trip).
+
+    m must be a nonempty, square, finite matrix (matrix.finite_matrix),
+    which parse_matrix reads back; anything else is a DomainError."""
+    m = finite_matrix(m)
     n = m.shape[0]
     doc = {"n": n,
            "data": [[[m[i, j].real, m[i, j].imag] for j in range(n)]

@@ -24,10 +24,23 @@ class UnitVector:
     entries: np.ndarray = field()
 
     def __post_init__(self):
+        """Normalize; where the plain norm underflows (its square is below
+        the smallest normal float) or overflows, the vector is first
+        divided by its largest real or imaginary part, so that every other
+        vector keeps its bits."""
         v = np.asarray(self.entries, dtype=np.complex128).ravel()
-        n = np.linalg.norm(v)
-        if n == 0.0:
+        if not np.isfinite(v).all():
+            raise ValueError("cannot normalize a vector with a non-finite "
+                             "entry")
+        big = np.maximum(abs(v.real), abs(v.imag)).max(initial=0.0)
+        if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(v)
+        if not np.sqrt(np.finfo(float).tiny) <= n < np.inf:
+            # by parts: a complex division overflows at a subnormal big
+            v = v.real / big + 1j * (v.imag / big)
+            n = np.linalg.norm(v)
         object.__setattr__(self, "entries", v / n)
 
 

@@ -10,6 +10,7 @@ phase-aligned ascent, providing an independent lower estimate.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 def splitmix64(seed: int, index: int) -> int:
     """Deterministic per-index stream seed derived from a base seed."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
+    z = (int(seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
@@ -61,11 +62,17 @@ class OracleEstimate:
     seed: int
 
 
-def check_count(name: str, value, least: int) -> None:
-    """Reject a count, such as a grid size, that is not an integer (a
-    numpy integer will do, a bool will not) or is below least."""
+def check_integer(name: str, value) -> None:
+    """Reject a value, such as a seed, that is not an integer (a numpy
+    integer will do, a bool will not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject a count, such as a grid size, that is not an integer
+    (check_integer) or is below least."""
+    check_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
 
@@ -216,6 +223,7 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
     times its gains' geometric tail cannot reach the best of all trials.
     """
     check_count("trials", trials, 1)
+    check_integer("seed", seed)
     a = as_matrix(a)
     rng = np.random.default_rng(splitmix64(seed, 0))
     x = rng.standard_normal((trials, 2, a.shape[0])).transpose(1, 2, 0)
@@ -253,9 +261,13 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
 
 
 def power_check(a, k: int):
-    """Return (omega(A^k), omega(A)^k), both via the sweep."""
+    """Return (omega(A^k), omega(A)^k), both via the sweep; omega(A)^k is
+    inf where it overflows."""
     check_count("k", k, 1)
     a = as_matrix(a)
     lhs = pruned_sweep(np.linalg.matrix_power(a, k)).value
-    rhs = pruned_sweep(a).value ** k
+    try:
+        rhs = pruned_sweep(a).value ** k
+    except OverflowError:
+        rhs = math.inf
     return lhs, rhs

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
-                    NonFinite, WeightOutOfRange, aluthge_half,
+                    NonFinite, WeightOutOfRange, WeightParams, aluthge_half,
                     aluthge_weighted, classic_envelope, compare_all,
                     fourth_power, integral_bound, integral_refined,
                     kittaneh_mixed, kittaneh_square, kittaneh_sum,
@@ -63,10 +63,12 @@ def test_jordan_values():
 
 
 def test_aluthge_weighted_at_half_matches_special_case(rng):
+    # aluthge-half is aluthge-t's evaluator at 1/2
     for a in (EXAMPLE1, ginibre(rng, 4)):
-        general = aluthge_weighted(a, weight_params(0.5)).value
-        special = aluthge_half(a).value
-        assert general == pytest.approx(special, rel=1e-10)
+        general = aluthge_weighted(a, weight_params(0.5))
+        special = aluthge_half(a)
+        assert general.value == special.value
+        assert general.detail == special.detail
 
 
 def test_weighted_power_at_half_matches_kittaneh_square():
@@ -90,6 +92,13 @@ def test_weight_params_window():
         weight_params(0.0)
     with pytest.raises(WeightOutOfRange):
         weight_params(1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, 1.5, 0.0])
+def test_weight_params_built_directly_are_checked(t):
+    # weighted_power(a, WeightParams(nan)) gave a row with t_used = nan
+    with pytest.raises(WeightOutOfRange):
+        WeightParams(t)
 
 
 def test_all_bounds_dominate_radius(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from numrad import (CATALOG_IDS, DimensionMismatch, ParseError,
+from numrad import (CATALOG_IDS, DimensionMismatch, DomainError, ParseError,
                     bounds, campaign, parse_matrix, serialize_matrix)
 from numrad.campaign import (CSV_COLUMNS, TOL_SLACK, CampaignConfig,
                              run_campaign, run_trial)
@@ -29,6 +29,22 @@ def example1_path(tmp_path):
 def test_parse_json_round_trip(rng):
     a = ginibre(rng, 5)
     assert np.array_equal(parse_matrix(serialize_matrix(a)), a)
+
+
+def test_serialize_round_trips_every_finite_entry():
+    # parse_matrix accepts entries that matrix.fits would reject
+    a = np.array([[1.7976931348623157e308 - 5e-324j]])
+    assert np.array_equal(parse_matrix(serialize_matrix(a)), a)
+
+
+@pytest.mark.parametrize("m, match", [
+    (np.ones((2, 3)), "square"), (np.ones(3), "square"),
+    (np.zeros((0, 0)), "nonempty"), (np.array([[1, np.nan], [0, 1]]),
+                                     "non-finite"),
+    (np.array([[complex(0, np.inf)]]), "non-finite")])
+def test_serialize_rejects_what_parse_would_not_read_back(m, match):
+    with pytest.raises(DomainError, match=match):
+        serialize_matrix(m)
 
 
 def test_parse_csv():
@@ -91,8 +107,10 @@ DETAIL_KEYS = {
     "integral-refined": {"inner"},
     "yamazaki": {"omega_aluthge"},
     "aluthge-t": {"inner", "term_pow4", "term_norm", "term_mod", "term_sq",
-                  "term_cross"},
-    "aluthge-half": {"inner", "omega_aluthge", "omega_aluthge_sq"},
+                  "term_cross", "omega_aluthge", "omega_aluthge_sq"},
+    "aluthge-half": {"inner", "term_pow4", "term_norm", "term_mod",
+                     "term_sq", "term_cross", "omega_aluthge",
+                     "omega_aluthge_sq"},
     "weighted-power": {"inner"},
     "weighted-r": {"inner"},
     "product": {"norm_t", "norm_one_minus_t"},
@@ -239,6 +257,23 @@ def test_campaign_config_rejects_out_of_range_grids(field, value):
     with pytest.raises(ValueError, match=f"{field} must be {reason}"):
         CampaignConfig(ensemble="ginibre", dim=3, trials=1, seed=0,
                        **{field: value})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", "0", "seed must be an integer"),
+    ("ensemble", "nope", "unknown ensemble 'nope'")])
+def test_campaign_config_rejects_a_bad_seed_or_ensemble(field, value, match):
+    fields = {"ensemble": "ginibre", "dim": 3, "trials": 1, "seed": 0}
+    with pytest.raises(ValueError, match=match):
+        CampaignConfig(**{**fields, field: value})
+
+
+def test_campaign_config_takes_negative_and_numpy_seeds():
+    want, _ = run_campaign(CampaignConfig("ginibre", 3, 1, -5))
+    got, _ = run_campaign(CampaignConfig("ginibre", 3, 1, np.int64(-5)))
+    assert got == want
 
 
 def test_campaign_deterministic_and_parallel_safe():

@@ -190,6 +190,14 @@ def test_frac_power_rejects_zero_exponent(rng):
         frac_power(random_psd(rng, 3), 0)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_frac_power_rejects_a_non_finite_exponent(r):
+    # at r = nan, 2 I would give a NaN matrix and I would give I
+    for p in (np.eye(2), 2 * np.eye(2)):
+        with pytest.raises(DomainError, match="finite"):
+            frac_power(p, r)
+
+
 def test_frac_power_rejects_indefinite():
     with pytest.raises(NotPSD):
         frac_power(np.diag([1.0, -1.0]), 0.5)

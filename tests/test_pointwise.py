@@ -23,12 +23,44 @@ def test_unit_vector_normalizes():
         UnitVector([0.0, 0.0])
 
 
+@pytest.mark.parametrize("entries, want", [
+    ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
+    ([-1.2e308j, 0.9e308], [-0.8j, 0.6]),
+    ([1e-320, 0], [1, 0]),
+    ([1e-160, 1e-160j], [0.5**0.5, 0.5**0.5 * 1j])])
+def test_unit_vector_normalizes_where_the_norm_overflows_or_underflows(
+        entries, want):
+    # the plain norm is inf, 0, or the root of a subnormal square
+    v = UnitVector(entries).entries
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(v, want, rtol=0, atol=1e-15)
+
+
+def test_kato_at_a_vector_whose_norm_overflows():
+    chk = kato(np.eye(2), [1e200, 1e200], [1, 0], 0.5)
+    assert chk.lhs == pytest.approx(0.5, rel=1e-15)
+    assert chk.rhs == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("entries", [
+    [np.nan, 1.0], [np.inf, 0.0], [1.0, complex(0, -np.inf)]])
+def test_unit_vector_rejects_a_non_finite_entry(entries):
+    with pytest.raises(ValueError, match="non-finite"):
+        UnitVector(entries)
+
+
 def test_kato_basis_vectors():
     x = UnitVector([1, 0, 0])
     chk = kato(EXAMPLE1, x, UnitVector([0, 0, 1]), 0.5)
     # <A e1, e3> = 4, |A| = diag(4,2,3), |A*| = diag(2,3,4)
     assert chk.lhs == pytest.approx(16.0, abs=1e-9)
     assert chk.rhs == pytest.approx(16.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_mccarthy_rejects_a_non_finite_exponent(r):
+    with pytest.raises(DomainError, match="finite"):
+        mccarthy(np.eye(2), [1, 0], r)
 
 
 def test_kato_weight_window(rng):

@@ -83,6 +83,12 @@ def test_power_check_rejects_nonpositive():
         power_check(JORDAN2, 2.5)
 
 
+def test_power_check_gives_inf_where_the_power_of_omega_overflows():
+    # omega(A) = 5e199, whose square is beyond the largest float
+    lhs, rhs = power_check([[0, 1e200], [0, 0]], 2)
+    assert lhs == 0.0 and rhs == math.inf
+
+
 def test_oracle_matches_sweep(rng):
     for n in (2, 4, 6):
         a = ginibre(rng, n)
@@ -99,6 +105,7 @@ def test_oracle_deterministic():
     assert first.value == second.value
     negative = radius_oracle(a, trials=10, seed=-1)
     assert negative.value == radius_oracle(a, trials=10, seed=-1).value
+    assert negative.value == radius_oracle(a, 10, np.int64(-1)).value
     assert 0.0 < negative.value <= radius_sweep(a).value + 1e-6
 
 
@@ -107,6 +114,12 @@ def test_oracle_rejects_zero_trials():
         radius_oracle(JORDAN2, trials=0, seed=1)
     with pytest.raises(ValueError, match="trials must be an integer"):
         radius_oracle(JORDAN2, trials=2.5, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", None])
+def test_oracle_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        radius_oracle(JORDAN2, trials=3, seed=seed)
 
 
 def _reference_oracle(a, trials, seed):

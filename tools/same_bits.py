@@ -5,9 +5,11 @@ sha256 of the output's text.  The outputs are:
 
 - repr(compare_all(a, t_grid, theta_grid, refine)) on SHIFT_234,
   SHIFT_342, five ensembles at n = 2, 5 and 8, a 4x4 Ginibre G at extreme
-  scales, and edge inputs, at four settings; after each digest, on a line
-  of its own that starts with "evaluations", the number of scalar
-  evaluations of every weighted bound in that report;
+  scales, and edge inputs, at four settings; after each digest, a line
+  that starts with "values" and digests omega and each bound's (id,
+  t_used, value), details left out, and a line that starts with
+  "evaluations" and gives the number of scalar evaluations of every
+  weighted bound in that report;
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, and the lower ends that BoundContext(a, theta_grid,
   refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
@@ -24,8 +26,10 @@ Run the script on two checkouts on one host and diff what it prints:
 
     PYTHONPATH=src python tools/same_bits.py > after.txt
 
-Moved bits show in the digest lines, moved work in the "evaluations"
-lines; `grep -v ^evaluations` leaves the digests alone.
+Moved bits show in the digest lines, moved values alone in the "values"
+lines, and moved work in the "evaluations" lines: `grep ^values` compares
+values, `grep ^evaluations` compares work, and `grep -v ^evaluations`
+leaves the digests.
 """
 
 from __future__ import annotations
@@ -98,7 +102,11 @@ def reports() -> None:
             report = bounds.compare_all(a, t_grid, theta_grid, refine)
             evals = " ".join(f"{bid}={k}" for bid, k in counts.items())
             label = f"{name} {t_grid}/{theta_grid}/{'on' if refine else 'off'}"
+            values = sorted((bv.id, bv.t_used, bv.value)
+                            for bv in report.bounds)
             print(f"compare_all {label} {digest(repr(report))}")
+            print(f"values compare_all {label} "
+                  f"{digest(repr((report.omega.value, values)))}")
             print(f"evaluations compare_all {label} {evals}")
 
 
