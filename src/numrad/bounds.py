@@ -28,7 +28,8 @@ from .matrix import fits
 from .optimize import INV_PHI_SQ, golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_CHUNK_BYTES, BRACKET_REL, DEFAULT_GRID,
-                     RadiusEstimate, check_count, pruned_sweep, sweep_lower)
+                     RadiusEstimate, check_count, pruned_sweep, sweep_lower,
+                     warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -76,6 +77,8 @@ class BoundContext(_Spectral):
         self.theta_grid = theta_grid
         self.refine = refine
         self._omega: dict = {}
+        # per kind of a (kind, t) key: {t: (matrix, upper ends)}
+        self._swept: dict = {}
         self._xy_norm: dict = {}
 
     def xy_norm(self, s: float) -> float:
@@ -88,20 +91,36 @@ class BoundContext(_Spectral):
     def sweep(self, key, m):
         """omega(m) by the context's sweep for a matrix m, cached under key;
         inf if m does not fit (matrix.fits: its entries or norm overflow).
-        For a (T, n, n) stack m, radius.sweep_lower's lower end of that
-        value for each matrix, clamped at 0 (omega is not below 0), key
-        unused; a matrix that does not fit is swept as zero and gets inf.
+        A key (kind, t), such as ("alu", t), names a matrix of a family in
+        t: its sweep is radius.warm_sweep, warm-started from the matrix of
+        the same kind swept at the nearest t, and its upper ends are kept
+        for the next.  For a (T, n, n) stack m, radius.sweep_lower's lower
+        end of that value for each matrix, clamped at 0 (omega is not
+        below 0), key unused; a matrix that does not fit is swept as zero
+        and gets inf.
         """
         if m.ndim == 2:
             if key not in self._omega:
-                self._omega[key] = (
-                    pruned_sweep(m, self.theta_grid, self.refine).value
-                    if fits(m) else math.inf)
+                self._omega[key] = self._sweep_matrix(key, m)
             return self._omega[key]
         ok = fits(m)
         lower = sweep_lower(np.where(ok[:, None, None], m, 0),
                             self.theta_grid)
         return np.where(ok, np.maximum(lower, 0), math.inf)
+
+    def _sweep_matrix(self, key, m) -> float:
+        """sweep's value for a matrix m, not cached."""
+        if not fits(m):
+            return math.inf
+        if not isinstance(key, tuple):
+            return pruned_sweep(m, self.theta_grid, self.refine).value
+        kind, t = key
+        family = self._swept.setdefault(kind, {})
+        near = min(family, key=lambda s: abs(s - t), default=None)
+        est, upper = warm_sweep(m, self.theta_grid, self.refine,
+                                family.get(near))
+        family[t] = (m, upper)
+        return est.value
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
@@ -189,7 +208,9 @@ def _yamazaki(ctx: BoundContext, t):
 def _aluthge_weighted(ctx: BoundContext, t):
     """At a float t the bound; at a vector of t a lower end of it at each,
     from BoundContext.sweep's lower ends of its omega terms (the bound
-    grows with both).
+    grows with both), with the norms of its two X-only operands in closed
+    form; the BRACKET_REL that widens the lower ends covers their rounding
+    against the scalar branch's hnorm.
 
     At t = 1/2, where X^(4t) = X^(4(1-t)) = X^2 and X^(2t) = X^(2(1-t)) =
     X, term_pow4 = term_norm = ||A||^2/2 and term_cross = 2||A|| omega(A~)
@@ -199,12 +220,26 @@ def _aluthge_weighted(ctx: BoundContext, t):
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
-    term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
+    if isinstance(t, np.ndarray):
+        # X^r = V diag(sigma^r) V*: both X-only operands are PSD and
+        # diagonal in V, so their norms are maxima over sigma
+        s, u = ctx.sigma, t[:, None]
+        term_pow4 = 0.25 * (s ** (4 * u) + s ** (4 * (1 - u))).max(axis=-1)
+        cross = (s ** (2 * u) + s ** (2 * (1 - u))).max(axis=-1)
+    else:
+        term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
+        cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
     term_norm = 0.5 * _square(ctx.norm_a)
     term_mod = 0.25 * hnorm(_adj(alu) @ alu + alu @ _adj(alu))
     term_sq = 0.5 * wa2
-    term_cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t))) * wa
+    term_cross = cross * wa
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
+    if isinstance(t, np.ndarray):
+        # below the normal range the scalar branch's matrix arithmetic
+        # rounds each entry to a multiple of 2^-1074, the smallest
+        # subnormal, which no relative widening covers: lower the ends by
+        # n^2 * 2^-1072 for it
+        inner = np.maximum(inner - ctx.a.shape[0] ** 2 * 2.0**-1072, 0)
     return 0.5 * _sqrt_or_inf(inner), {
         "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
         "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross,

@@ -2,8 +2,9 @@
 
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
-same bits, and golden-section refines around the best grid point;
-sweep_lower gives lower ends of its value for a stack of matrices.
+same bits and warm-started from a nearby matrix's sweep, and
+golden-section refines around the best grid point; sweep_lower gives
+lower ends of its value for a stack of matrices.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import as_matrix
+from .matrix import as_matrix, fits
 from .optimize import golden_max
 
 DEFAULT_GRID = 720
@@ -116,26 +117,77 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
 def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
                  refine: bool = True) -> RadiusEstimate:
     """radius_sweep(a, grid_points, refine), bit for bit, solving only the
-    grid angles where its maximum can lie: the subgrid of every
-    coarse_step(grid_points)-th angle, then in one more stack each angle
-    whose support_upper end, widened by BRACKET_REL, reaches the subgrid
-    maximum (all of them where g is flat).  A skipped angle's value is
-    strictly below the grid maximum: it cannot hold or tie the argmax.
+    grid angles where its maximum can lie: warm_sweep with no warm start.
+    """
+    return warm_sweep(a, grid_points, refine)[0]
+
+
+def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
+               warm=None):
+    """(radius_sweep(a, grid_points, refine), bit for bit, upper ends of g
+    at every grid angle), solving only the grid angles where the maximum
+    of g can lie; a skipped angle's value is strictly below the grid
+    maximum, so it cannot hold or tie the first-index argmax.
+
+    warm is None or (m, upper): a matrix m swept on the same grid and the
+    upper ends that its warm_sweep gave.  By Weyl's inequality,
+    g(theta) <= upper + delta at every angle, with delta the Frobenius
+    norm of a - m, an upper end of ||a - m||.  The angle k0 where upper is
+    largest is solved first, giving v0; then, in one more stack, each
+    angle whose upper + delta, widened by BRACKET_REL * (|v0| +
+    max |upper + delta|), reaches v0.  Where that would solve more angles
+    than the cold subgrid, or with no warm start, the grid stage is cold:
+    the subgrid of every coarse_step(grid_points)-th angle, then in one
+    more stack each angle whose support_upper end, widened by BRACKET_REL,
+    reaches the subgrid maximum (all of them where g is flat).  The upper
+    ends given back are g at the angles solved and, elsewhere, upper +
+    delta or the support_upper ends; like those, they are unwidened.
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
-    step = coarse_step(grid_points)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    phases = np.exp(1j * thetas)
-    g = np.full(grid_points, -np.inf)
+    g, upper = _grid_stage(a, np.exp(1j * thetas), warm)
+    est = _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
+    return est, upper
+
+
+def _grid_stage(a, phases, warm):
+    """warm_sweep's grid stage: g at the phases, -inf at the angles
+    skipped, and the upper ends."""
+    size = phases.size
+    step = coarse_step(size)
+    g = np.full(size, -np.inf)
+    if warm is not None:
+        ends = warm[1] + _frobenius(a - warm[0])
+        k = int(np.argmax(warm[1]))
+        g[k] = top = _top(a, phases[k:k + 1])[0]
+        solve = ends + BRACKET_REL * (abs(top) + abs(ends).max()) >= top
+        solve[k] = False
+        if np.count_nonzero(solve) < size // step:
+            if solve.any():
+                g[solve] = _top(a, phases[solve])
+            solve[k] = True
+            return g, np.where(solve, g, ends)
+        g[k] = -np.inf
     g[::step] = sub = _top(a, phases[::step])
     top = sub.max()
-    solve = (support_upper(sub, step)
-             + BRACKET_REL * (abs(top) + abs(sub).max()) >= top)
+    ends = support_upper(sub, step)
+    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max()) >= top
     solve[::step] = False
     if solve.any():
         g[solve] = _top(a, phases[solve])
-    return _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
+    solve[::step] = True
+    return g, np.where(solve, g, ends)
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """The Frobenius norm of a complex m, computed on its real and
+    imaginary parts scaled by the largest of them, so that the squares
+    neither overflow nor underflow (nor does a complex division by a
+    subnormal scale)."""
+    parts = abs(np.stack([m.real, m.imag]))
+    scale = parts.max()
+    return float(scale * np.linalg.norm(parts / scale)) if scale > 0 else 0.0
 
 
 def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
@@ -261,11 +313,16 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
 
 
 def power_check(a, k: int):
-    """Return (omega(A^k), omega(A)^k), both via the sweep; omega(A)^k is
-    inf where it overflows."""
+    """Return (omega(A^k), omega(A)^k), both via the sweep; each is inf
+    where it overflows.  omega(A^k) is inf where A^k does not fit
+    (matrix.fits), which near the largest float can leave omega(A)^k
+    finite."""
     check_count("k", k, 1)
     a = as_matrix(a)
-    lhs = pruned_sweep(np.linalg.matrix_power(a, k)).value
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(a, k)
+        ok = fits(power)
+    lhs = pruned_sweep(power).value if ok else math.inf
     try:
         rhs = pruned_sweep(a).value ** k
     except OverflowError:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from numrad import radius
 from numrad.bounds import hnorm
 
 EXAMPLE1 = np.array([[0, 2, 0],
@@ -45,6 +46,20 @@ def half_square_sum(ctx):
     independent reference for that identity."""
     inner = 0.5 * hnorm(ctx.xpow(2.0) + ctx.ypow(2.0))
     return math.sqrt(inner), inner
+
+
+def count_top_rows(monkeypatch):
+    """Record the number of theta-grid angles that each radius._top call
+    solves (the rows of its stack of rotations)."""
+    rows = []
+    top = radius._top
+
+    def counted(a, phases):
+        rows.append(int(np.prod(a.shape[:-2])) * phases.size)
+        return top(a, phases)
+
+    monkeypatch.setattr(radius, "_top", counted)
+    return rows
 
 
 def random_unitary(rng, n):

@@ -18,11 +18,11 @@ from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN
-from numrad.radius import coarse_step, sweep_lower
+from numrad.radius import coarse_step, pruned_sweep, sweep_lower
 from numrad.reference import SHIFT_234, SHIFT_342
 
-from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2, ginibre,
-                      half_square_sum)
+from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2,
+                      count_top_rows, ginibre, half_square_sum)
 
 
 def test_classic_envelope_example1():
@@ -483,6 +483,33 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
     assert 1 <= len(calls) <= 30
 
 
+def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
+    # every theta-grid angle solved through radius._top: the grid stages
+    # of the sweeps of A_t and A_t^2 and the stack lower ends (5,112 before
+    # the sweeps were warm-started across t, 1,966 with it)
+    rows = count_top_rows(monkeypatch)
+    minimize_over_t("aluthge-t", ginibre(np.random.default_rng(2026), 8))
+    assert sum(rows) <= 3000, sum(rows)
+
+
+def test_context_sweeps_warm_start_across_t_with_the_same_bits():
+    g = ginibre(np.random.default_rng(618), 6)
+    for theta_grid, refine in ((720, True), (240, False), (17, True)):
+        ctx = BoundContext(g, theta_grid, refine)
+        # the order of a golden t-refinement's evaluations, then far ones
+        for t in (0.5, 0.4, 0.4001, 0.40005, 0.400051, 0.4000505, 0.9, 0.1):
+            alu = ctx.aluthge(t)
+            for key, m in ((("alu", t), alu), (("alu2", t), alu @ alu)):
+                assert ctx.sweep(key, m) == pruned_sweep(
+                    m, theta_grid, refine).value, (key, theta_grid)
+    # a matrix that does not fit is inf and is not kept as a warm start
+    ctx = BoundContext(g)
+    assert ctx.sweep(("alu", 0.3), np.full((6, 6), NORM_MAX)) == math.inf
+    assert ctx._swept.get("alu", {}) == {}
+    alu = ctx.aluthge(0.3001)
+    assert ctx.sweep(("alu", 0.3001), alu) == pruned_sweep(alu).value
+
+
 QUASI_CONVEX_IDS = sorted(bid for bid, (_, scan) in bounds._BOUNDS.items()
                           if scan is bounds._quasi_convex_scan)
 
@@ -592,7 +619,9 @@ def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
 
 def test_aluthge_bracket_holds_the_value_on_edge_inputs():
     g = ginibre(np.random.default_rng(616), 5)
-    for a in (JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g):
+    # at 1e-161 and 1e-162 the squared terms of the bound are subnormal
+    for a in (JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g, 1e-161 * g,
+              1e-162 * g):
         for theta_grid, refine in BRACKET_SETTINGS:
             _assert_aluthge_bracket_holds(a, theta_grid, refine)
 

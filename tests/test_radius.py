@@ -8,11 +8,13 @@ from numrad import (DomainError, compare_all, power_check, radius,
                     radius_oracle, radius_sweep, spectral_norm, splitmix64)
 from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
+from numrad.polar import _Spectral
 from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
-                           support_upper)
+                           support_upper, warm_sweep)
 from numrad.reference import SHIFT_234, SHIFT_342
 
-from conftest import EXACT_OMEGA, EXAMPLE1, JORDAN2, ginibre, random_unitary
+from conftest import (EXACT_OMEGA, EXAMPLE1, JORDAN2, count_top_rows,
+                      ginibre, random_unitary)
 
 
 def test_sweep_jordan_half():
@@ -87,6 +89,16 @@ def test_power_check_gives_inf_where_the_power_of_omega_overflows():
     # omega(A) = 5e199, whose square is beyond the largest float
     lhs, rhs = power_check([[0, 1e200], [0, 0]], 2)
     assert lhs == 0.0 and rhs == math.inf
+
+
+def test_power_check_gives_inf_where_the_power_overflows():
+    # A^2 = diag(1e400, 0) does not fit, so omega(A^2) is inf, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert power_check([[1e200, 0], [0, 0]], 2) == (math.inf, math.inf)
+        # A^3 overflows to inf and NaN entries
+        big = 1e120 * np.array([[1, 1], [-1, 1]])
+        assert power_check(big, 3) == (math.inf, math.inf)
 
 
 def test_oracle_matches_sweep(rng):
@@ -302,6 +314,87 @@ def test_pruned_sweep_solves_few_angles(monkeypatch):
     solved.clear()
     radius_sweep(a, 720, refine=False)
     assert solved == [720]
+
+
+# ---------------------------------------------------------------------------
+# the warm-started grid stage against the cold one and the full grid
+
+WARM_GRIDS = (8, 17, 240, 720)
+# steps of t like the golden t-refinement's, down to its 1e-8 tolerance
+T_STEPS = (1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def _aluthge_chains(a):
+    """The Aluthge transforms A_t, and their squares, along a chain of t
+    that starts at 0.3 and takes T_STEPS, then jumps far, to t = 0.9."""
+    core = _Spectral(a)
+    ts = 0.3 + np.cumsum((0.0,) + T_STEPS)
+    alu = [core.aluthge(t) for t in ts.tolist() + [0.9]]
+    return [alu, [m @ m for m in alu]]
+
+
+def _assert_warm_chain(mats, grids=WARM_GRIDS):
+    """Sweep each matrix warm from the one before it and check the result
+    ==, bit for bit, against the cold pruned_sweep and radius_sweep, and
+    the unwidened upper ends against g at every grid angle."""
+    for grid_points in grids:
+        for refine in (True, False):
+            warm = None
+            for m in mats:
+                est, upper = warm_sweep(m, grid_points, refine, warm)
+                assert est == pruned_sweep(m, grid_points, refine), (
+                    grid_points, refine)
+                assert est == radius_sweep(m, grid_points, refine)
+                if refine:  # the grid stage does not depend on refine
+                    g = _grid_values(m, grid_points)
+                    tol = 1e-12 * max(spectral_norm(m), 1e-300)
+                    assert np.all(upper >= g - tol), grid_points
+                warm = (m, upper)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_warm_sweep_equals_the_cold_sweeps_over_ensembles(ensemble):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 650)
+    for n in (1, 2, 3, 6, 8):
+        for chain in _aluthge_chains(sample(ensemble, n, rng)):
+            _assert_warm_chain(chain)
+
+
+def test_warm_sweep_equals_the_cold_sweeps_on_edge_inputs():
+    g = ginibre(np.random.default_rng(651), 4)
+    rank_two = g[:, :2] @ g[:2, :]
+    for a in (JORDAN2, rank_two, 1e-200 * g, 1e150 * g):
+        for chain in _aluthge_chains(a):
+            _assert_warm_chain(chain)
+    # g flat (zero) or nearly so, and a jump to an unrelated matrix
+    zero, eye, sign = np.zeros((3, 3)), np.eye(3), np.diag([1.0, -1, 1])
+    h = g[:3, :3]
+    _assert_warm_chain([zero, zero, 1e-8 * h, zero, eye, eye * (1 + 1e-8),
+                        sign, sign, -sign, h, 1e-3 * h, -h, 1e150 * h])
+    _assert_warm_chain([JORDAN2, JORDAN2 + 1e-8, JORDAN2, -JORDAN2])
+
+
+def test_warm_sweep_solves_few_angles_near_and_falls_back_far(monkeypatch):
+    rows = count_top_rows(monkeypatch)
+    a = ginibre(np.random.default_rng(652), 8)
+    core = _Spectral(a)
+    _, upper = warm_sweep(core.aluthge(0.3), 720)
+    cold, rows[:] = list(rows), []
+    # near: k0, then a few more in one stack
+    est, _ = warm_sweep(core.aluthge(0.3 + 1e-6), 720, True,
+                        (core.aluthge(0.3), upper))
+    assert rows[0] == 1 and len(rows) <= 2 and sum(rows) < sum(cold) / 4
+    rows.clear()
+    # far: every angle reaches v0, so the cold stage runs after k0
+    warm_sweep(-a, 720, True, (core.aluthge(0.3), upper))
+    assert rows[:2] == [1, 720 // coarse_step(720)]
+    rows.clear()
+    # flat: every upper end reaches v0, and every angle is solved
+    zero = np.zeros((3, 3))
+    _, upper = warm_sweep(zero, 720)
+    rows.clear()
+    _, upper = warm_sweep(zero, 720, True, (zero, upper))
+    assert sum(rows) == 1 + 720 and np.all(upper == 0)
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))

@@ -7,9 +7,11 @@ sha256 of the output's text.  The outputs are:
   SHIFT_342, five ensembles at n = 2, 5 and 8, a 4x4 Ginibre G at extreme
   scales, and edge inputs, at four settings; after each digest, a line
   that starts with "values" and digests omega and each bound's (id,
-  t_used, value), details left out, and a line that starts with
+  t_used, value), details left out, a line that starts with
   "evaluations" and gives the number of scalar evaluations of every
-  weighted bound in that report;
+  weighted bound in that report, and a line that starts with "angles"
+  and gives the number of theta-grid angles that report solved (the rows
+  of every radius._top stack: grid stages and stack lower ends);
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, and the lower ends that BoundContext(a, theta_grid,
   refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
@@ -27,9 +29,9 @@ Run the script on two checkouts on one host and diff what it prints:
     PYTHONPATH=src python tools/same_bits.py > after.txt
 
 Moved bits show in the digest lines, moved values alone in the "values"
-lines, and moved work in the "evaluations" lines: `grep ^values` compares
-values, `grep ^evaluations` compares work, and `grep -v ^evaluations`
-leaves the digests.
+lines, and moved work in the "evaluations" and "angles" lines:
+`grep ^values` compares values, `grep '^evaluations\|^angles'` compares
+work, and `grep -v '^evaluations\|^angles'` leaves the digests.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import tempfile
 import numpy as np
 from click.testing import CliRunner
 
-from numrad import bounds
+from numrad import bounds, radius
 from numrad.bounds import BoundContext
 from numrad.campaign import CampaignConfig, run_campaign
 from numrad.cli import main
@@ -93,12 +95,27 @@ def count_scalar_evaluations() -> dict:
     return counts
 
 
+def count_angles() -> list:
+    """Count the theta-grid angles solved, by wrapping radius._top; the
+    count is the list's one item."""
+    angles = [0]
+    top = radius._top
+
+    def counted(a, phases):
+        angles[0] += int(np.prod(a.shape[:-2])) * phases.size
+        return top(a, phases)
+    radius._top = counted
+    return angles
+
+
 def reports() -> None:
     counts = count_scalar_evaluations()
+    angles = count_angles()
     for name, a in matrices().items():
         for t_grid, theta_grid, refine in SETTINGS:
             for bid in counts:
                 counts[bid] = 0
+            angles[0] = 0
             report = bounds.compare_all(a, t_grid, theta_grid, refine)
             evals = " ".join(f"{bid}={k}" for bid, k in counts.items())
             label = f"{name} {t_grid}/{theta_grid}/{'on' if refine else 'off'}"
@@ -108,6 +125,7 @@ def reports() -> None:
             print(f"values compare_all {label} "
                   f"{digest(repr((report.omega.value, values)))}")
             print(f"evaluations compare_all {label} {evals}")
+            print(f"angles compare_all {label} {angles[0]}")
 
 
 def sweeps() -> None:
