@@ -34,7 +34,7 @@ from .radius import (BRACKET_CHUNK_BYTES, BRACKET_REL, DEFAULT_GRID,
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
 T_GRID_MIN = 1
-# Width in t at which the golden-section refinement of the t-scan stops.
+# Width in t at which the refinement of the t-scan (Brent's method) stops.
 REFINE_TOL = 1e-8
 
 
@@ -150,8 +150,10 @@ def hnorm(m: np.ndarray):
 
 
 def gnorm(m: np.ndarray) -> float:
-    """Spectral norm of a general operand; inf where it is not finite."""
-    return _finite_norm(lambda g: np.linalg.svd(g, compute_uv=False)[0], m)
+    """Spectral norm of a general operand, or of each of a stack; inf
+    where it is not finite."""
+    return _finite_norm(
+        lambda g: np.linalg.svd(g, compute_uv=False)[..., 0], m)
 
 
 def _square(x: float) -> float:
@@ -491,8 +493,8 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     """Minimize a t-dependent bound over the clamped weight window.
 
     a is a matrix or a BoundContext.  Grid scan over [T_MIN, 1 - T_MIN]
-    followed, if the context's refine is on, by golden-section
-    refinement, to REFINE_TOL, around the best grid point.  Evaluations
+    followed, if the context's refine is on, by a refinement with
+    Brent's method, to REFINE_TOL, around the best grid point.  Evaluations
     that overflow (the objective genuinely diverges when sigma_1 > 1 and
     the exponent blows up) are recorded as +inf and skipped.  Overflow and
     invalid-value warnings are off: exponents such as 1/t make the powers
@@ -554,7 +556,7 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     with a NumradError or a numerical error from numpy is recorded as a
     NaN row with the message in detail["error"]; the report is still
     produced.  Bounds are sorted ascending by value.  refine=False
-    disables both the golden t-refinement and the theta refinement inside
+    disables both the t-refinement and the theta refinement inside
     sweeps, for bulk campaigns where grid accuracy suffices.
     """
     if isinstance(ids, str):

@@ -7,7 +7,6 @@ how trials are scheduled.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -123,6 +122,8 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
     order, so output is deterministic for a fixed config.
     """
     if jobs > 1:
+        # imported here, so that importing numrad does not load it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(partial(run_trial, config),
                                     range(config.trials), chunksize=4))

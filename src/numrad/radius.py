@@ -3,7 +3,7 @@
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
 same bits and warm-started from a nearby matrix's sweep, and
-golden-section refines around the best grid point; sweep_lower gives
+refines around the best grid point by Brent's method; sweep_lower gives
 lower ends of its value for a stack of matrices.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
@@ -314,15 +314,17 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
 
 def power_check(a, k: int):
     """Return (omega(A^k), omega(A)^k), both via the sweep; each is inf
-    where it overflows.  omega(A^k) is inf where A^k does not fit
-    (matrix.fits), which near the largest float can leave omega(A)^k
-    finite."""
+    where it overflows.  omega(A^k) is 2^(e k) omega((2^-e A)^k), with
+    2^e the least power of two, at least 1, above the largest part of A's
+    entries, so it is finite wherever it fits in a float (and inf where
+    (2^-e A)^k does not pass matrix.fits)."""
     check_count("k", k, 1)
     a = as_matrix(a)
+    e = max(0, math.frexp(np.maximum(abs(a.real), abs(a.imag)).max())[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(a, k)
-        ok = fits(power)
-    lhs = pruned_sweep(power).value if ok else math.inf
+        power = np.linalg.matrix_power(np.ldexp(1.0, -e) * a, k)
+        lhs = (float(np.ldexp(pruned_sweep(power).value, e * k))
+               if fits(power) else math.inf)
     try:
         rhs = pruned_sweep(a).value ** k
     except OverflowError:

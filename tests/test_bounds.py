@@ -307,6 +307,18 @@ def test_compare_all_at_extreme_scales_raises_nothing(scale):
             assert not math.isnan(bv.value) or bv.detail["error"]
 
 
+def test_gnorm_of_a_stack_is_the_norm_of_each_matrix():
+    rng = np.random.default_rng(619)
+    for size in (3, 5):
+        stack = np.stack([ginibre(rng, 3) for _ in range(size)])
+        stack[1, 2, 0] = np.nan  # a non-finite row of the stack
+        want = [math.inf if k == 1 else bounds.gnorm(m)
+                for k, m in enumerate(stack)]
+        assert bounds.gnorm(stack).tolist() == want
+        assert want[2] == pytest.approx(np.linalg.norm(stack[2], 2),
+                                        rel=1e-15)
+
+
 def test_an_overflowing_hermitian_part_is_inf():
     # (M + M*)/2 of a finite operand can overflow: its norm is inf, not a
     # LAPACK failure or a NaN

@@ -101,6 +101,21 @@ def test_power_check_gives_inf_where_the_power_overflows():
         assert power_check(big, 3) == (math.inf, math.inf)
 
 
+def test_power_check_scales_a_power_that_does_not_fit():
+    # A^3 = diag(2.7e307, 0) does not pass matrix.fits, but omega(A^3) is
+    # a float: the sweep of (2^-e A)^3, scaled by 2^(3e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lhs, rhs = power_check([[3e102, 0], [0, 0]], 3)
+    assert lhs == pytest.approx(2.7e307, rel=1e-15)
+    assert rhs == pytest.approx(2.7e307, rel=1e-15)
+    # the scaling is exact for ordinary matrices
+    g = ginibre(np.random.default_rng(612), 4)
+    for k in (1, 2, 5):
+        lhs, _ = power_check(g, k)
+        assert lhs == pruned_sweep(np.linalg.matrix_power(g, k)).value
+
+
 def test_oracle_matches_sweep(rng):
     for n in (2, 4, 6):
         a = ginibre(rng, n)

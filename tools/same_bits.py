@@ -9,9 +9,11 @@ sha256 of the output's text.  The outputs are:
   that starts with "values" and digests omega and each bound's (id,
   t_used, value), details left out, a line that starts with
   "evaluations" and gives the number of scalar evaluations of every
-  weighted bound in that report, and a line that starts with "angles"
+  weighted bound in that report, a line that starts with "angles"
   and gives the number of theta-grid angles that report solved (the rows
-  of every radius._top stack: grid stages and stack lower ends);
+  of every radius._top stack: grid stages and stack lower ends), and a
+  line that starts with "steps" and gives the number of single-matrix
+  steps of the theta-refinements (radius._lambda_max_rotated calls);
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, and the lower ends that BoundContext(a, theta_grid,
   refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
@@ -29,9 +31,10 @@ Run the script on two checkouts on one host and diff what it prints:
     PYTHONPATH=src python tools/same_bits.py > after.txt
 
 Moved bits show in the digest lines, moved values alone in the "values"
-lines, and moved work in the "evaluations" and "angles" lines:
-`grep ^values` compares values, `grep '^evaluations\|^angles'` compares
-work, and `grep -v '^evaluations\|^angles'` leaves the digests.
+lines, and moved work in the "evaluations", "angles" and "steps" lines:
+`grep ^values` compares values, `grep '^evaluations\|^angles\|^steps'`
+compares work, and `grep -v '^evaluations\|^angles\|^steps'` leaves the
+digests.
 """
 
 from __future__ import annotations
@@ -108,14 +111,28 @@ def count_angles() -> list:
     return angles
 
 
+def count_steps() -> list:
+    """Count the single-matrix steps of the theta-refinements, by wrapping
+    radius._lambda_max_rotated; the count is the list's one item."""
+    steps = [0]
+    step = radius._lambda_max_rotated
+
+    def counted(a, theta):
+        steps[0] += 1
+        return step(a, theta)
+    radius._lambda_max_rotated = counted
+    return steps
+
+
 def reports() -> None:
     counts = count_scalar_evaluations()
     angles = count_angles()
+    steps = count_steps()
     for name, a in matrices().items():
         for t_grid, theta_grid, refine in SETTINGS:
             for bid in counts:
                 counts[bid] = 0
-            angles[0] = 0
+            angles[0] = steps[0] = 0
             report = bounds.compare_all(a, t_grid, theta_grid, refine)
             evals = " ".join(f"{bid}={k}" for bid, k in counts.items())
             label = f"{name} {t_grid}/{theta_grid}/{'on' if refine else 'off'}"
@@ -126,6 +143,7 @@ def reports() -> None:
                   f"{digest(repr((report.omega.value, values)))}")
             print(f"evaluations compare_all {label} {evals}")
             print(f"angles compare_all {label} {angles[0]}")
+            print(f"steps compare_all {label} {steps[0]}")
 
 
 def sweeps() -> None:
