@@ -11,8 +11,8 @@ registered in one table, _BOUNDS, with the certificate of its t-scan (None
 for a fixed bound).  A fixed bound ignores t, or is a weighted bound at one
 weight.  A weighted bound is evaluated at a float t.  Five of the six are
 quasi-convex in t, and their scan is certified by their own values; the
-function of aluthge-t also takes the grid's vector of t, where it gives
-the lower ends that prune that bound's scan.
+scan of aluthge-t is pruned by lower ends at the grid's vector of t, which
+_lower computes from stacks in the singular basis.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .errors import NonFinite, NumradError
 from .matrix import fits
 from .optimize import INV_PHI_SQ, golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (BRACKET_CHUNK_BYTES, BRACKET_REL, DEFAULT_GRID,
-                     RadiusEstimate, check_count, pruned_sweep, sweep_lower,
-                     warm_sweep)
+from .radius import (BRACKET_CHUNK_BYTES, BRACKET_PROBES, BRACKET_REL,
+                     DEFAULT_GRID, RadiusEstimate, check_count, pruned_sweep,
+                     sweep_lower, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -123,37 +123,21 @@ class BoundContext(_Spectral):
         return est.value
 
 
-def _adj(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return m.conj().swapaxes(-1, -2)
+def _finite_norm(norm: Callable, m: np.ndarray) -> float:
+    """norm(m) where the matrix m is finite; inf where it is not."""
+    return float(norm(m)) if np.isfinite(m).all() else math.inf
 
 
-def _finite_norm(norm: Callable, m: np.ndarray):
-    """norm(m) for a matrix, or over each matrix of a stack, where m is
-    finite; inf where it is not.  A matrix gives a float."""
-    ok = np.isfinite(m).all(axis=(-2, -1))
-    if m.ndim == 2:
-        return float(norm(m)) if ok else math.inf
-    out = np.full(m.shape[0], math.inf)
-    if ok.any():
-        out[ok] = norm(m[ok])
-    return out
-
-
-def hnorm(m: np.ndarray):
-    """Spectral norm of the Hermitian part (m + m*)/2 of an operand, or of
-    each of a stack; inf where that part overflows."""
-    def norm(h):
-        w = np.linalg.eigvalsh(h)
-        return np.maximum(abs(w[..., 0]), abs(w[..., -1]))
-    return _finite_norm(norm, (m + _adj(m)) / 2)
+def hnorm(m: np.ndarray) -> float:
+    """Spectral norm of the Hermitian part (m + m*)/2 of an operand; inf
+    where that part overflows."""
+    return _finite_norm(lambda h: abs(np.linalg.eigvalsh(h)[[0, -1]]).max(),
+                        (m + m.conj().T) / 2)
 
 
 def gnorm(m: np.ndarray) -> float:
-    """Spectral norm of a general operand, or of each of a stack; inf
-    where it is not finite."""
-    return _finite_norm(
-        lambda g: np.linalg.svd(g, compute_uv=False)[..., 0], m)
+    """Spectral norm of a general operand; inf where it is not finite."""
+    return _finite_norm(lambda g: np.linalg.svd(g, compute_uv=False)[0], m)
 
 
 def _square(x: float) -> float:
@@ -164,10 +148,8 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _sqrt_or_inf(inner):
+def _sqrt_or_inf(inner: float) -> float:
     """sqrt(inner) where inner is finite, inf where it is not."""
-    if isinstance(inner, np.ndarray):
-        return np.sqrt(np.where(np.isfinite(inner), inner, math.inf))
     return math.sqrt(inner) if math.isfinite(inner) else math.inf
 
 
@@ -208,11 +190,8 @@ def _yamazaki(ctx: BoundContext, t):
 
 
 def _aluthge_weighted(ctx: BoundContext, t):
-    """At a float t the bound; at a vector of t a lower end of it at each,
-    from BoundContext.sweep's lower ends of its omega terms (the bound
-    grows with both), with the norms of its two X-only operands in closed
-    form; the BRACKET_REL that widens the lower ends covers their rounding
-    against the scalar branch's hnorm.
+    """sqrt(||X^4t + X^4(1-t)||/4 + ||A||^2/2 + ||A_t*A_t + A_tA_t*||/4 +
+    omega(A_t^2)/2 + ||X^2t + X^2(1-t)|| omega(A_t))/2, A_t = ctx.aluthge(t).
 
     At t = 1/2, where X^(4t) = X^(4(1-t)) = X^2 and X^(2t) = X^(2(1-t)) =
     X, term_pow4 = term_norm = ||A||^2/2 and term_cross = 2||A|| omega(A~)
@@ -222,26 +201,13 @@ def _aluthge_weighted(ctx: BoundContext, t):
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
-    if isinstance(t, np.ndarray):
-        # X^r = V diag(sigma^r) V*: both X-only operands are PSD and
-        # diagonal in V, so their norms are maxima over sigma
-        s, u = ctx.sigma, t[:, None]
-        term_pow4 = 0.25 * (s ** (4 * u) + s ** (4 * (1 - u))).max(axis=-1)
-        cross = (s ** (2 * u) + s ** (2 * (1 - u))).max(axis=-1)
-    else:
-        term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
-        cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
+    term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
+    cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
     term_norm = 0.5 * _square(ctx.norm_a)
-    term_mod = 0.25 * hnorm(_adj(alu) @ alu + alu @ _adj(alu))
+    term_mod = 0.25 * hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
     term_sq = 0.5 * wa2
     term_cross = cross * wa
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
-    if isinstance(t, np.ndarray):
-        # below the normal range the scalar branch's matrix arithmetic
-        # rounds each entry to a multiple of 2^-1074, the smallest
-        # subnormal, which no relative widening covers: lower the ends by
-        # n^2 * 2^-1072 for it
-        inner = np.maximum(inner - ctx.a.shape[0] ** 2 * 2.0**-1072, 0)
     return 0.5 * _sqrt_or_inf(inner), {
         "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
         "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross,
@@ -337,14 +303,40 @@ def _schwarz_radius(ctx: BoundContext, t):
 # first-index minimum, and every tie of it, is among the visited points.
 
 def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    """Lower ends of a weighted bound whose function takes a vector of t,
-    at most its value at each t of ts; in chunks of t in which 16
-    (t, n, n) stacks of complex fill BRACKET_CHUNK_BYTES, so that memory
-    stays bounded."""
-    bound = _BOUNDS[bound_id][0]
-    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.shape[0] ** 2))
-    return np.concatenate([bound(ctx, ts[i:i + size])[0]
-                           for i in range(0, ts.size, size)])
+    """Lower ends of aluthge-t (bound_id) at each t of ts, up to the rounding
+    BRACKET_REL covers, from its unitarily invariant terms on aluthge_basis's
+    stacks, in chunks of t in which 16 such complex stacks fill
+    BRACKET_CHUNK_BYTES; lowered by n^2 * 2^-1072 for subnormal rounding."""
+    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.size))
+    s, u = ctx.sigma, ts[:, None]
+    term_pow4 = 0.25 * (s ** (4 * u) + s ** (4 * (1 - u))).max(axis=-1)
+    cross = (s ** (2 * u) + s ** (2 * (1 - u))).max(axis=-1)
+    wa, wa2, mod = np.zeros((3, ts.size))
+    for i in range(0, ts.size, size):
+        b, b2 = ctx.aluthge_basis(ts[i:i + size])
+        wa[i:i + size] = ctx.sweep(None, b)
+        wa2[i:i + size] = ctx.sweep(None, b2)
+        mod[i:i + size] = _mod_lower(b)
+    inner = (term_pow4 + 0.5 * _square(ctx.norm_a) + 0.25 * mod + 0.5 * wa2
+             + cross * wa)
+    return 0.5 * np.sqrt(np.maximum(inner - ctx.a.size * 2.0**-1072, 0))
+
+
+def _mod_lower(b: np.ndarray) -> np.ndarray:
+    """A lower end of ||B*B + BB*|| for each B of the (T, n, n) stack b,
+    inf where B is not finite: the largest ||Bx||^2 + ||B*x||^2 over the
+    top eigenvectors x of the operands at every ceil(T / BRACKET_PROBES)-th
+    row (0 if none is finite), so that those rows get their norm."""
+    rows, n = b.shape[:2]
+    probes = b[::-(-rows // BRACKET_PROBES)]
+    op = probes.conj().swapaxes(-1, -2) @ probes
+    op += probes @ probes.conj().swapaxes(-1, -2)
+    ok = np.isfinite(op).all(axis=(-2, -1))
+    x = np.linalg.eigh(np.where(ok[:, None, None], op, 0))[1][..., -1]
+    both = np.concatenate([b, b.conj().swapaxes(1, 2)], axis=1)  # [B; B*]
+    q = (abs(both.reshape(-1, n) @ x.T) ** 2).reshape(rows, 2 * n, -1)
+    q = np.where(ok, q.sum(axis=1), 0).max(axis=-1)
+    return np.where(np.isfinite(b).all(axis=(-2, -1)), q, math.inf)
 
 
 def _lower_scan(bound_id: str, ctx: BoundContext, ts: np.ndarray,

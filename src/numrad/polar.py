@@ -29,11 +29,11 @@ class _Spectral:
 
     Singular directions with sigma <= SIGMA_CUT_REL * sigma_1 are treated
     as kernel and left out of the isometry U.  Each power or transform
-    takes a float exponent (or weight) and gives an (n, n) array, or an
-    ndarray vector of them and gives the (len, n, n) stack.  Exponents such
-    as 1/t overflow near the ends of the weight window, where the bound is
-    inf: overflowing powers propagate as non-finite entries, quietly under
-    the error state that the calling entry point sets.
+    takes a float exponent (or weight) and gives an (n, n) array, but
+    aluthge_basis, which takes a vector of weights.  Exponents such as 1/t
+    overflow near the ends of the weight window, where the bound is inf:
+    overflowing powers propagate as non-finite entries, quietly under the
+    error state that the calling entry point sets.
     """
 
     def __init__(self, a):
@@ -53,16 +53,20 @@ class _Spectral:
         return self._power(self.left, r)
 
     def _power(self, v: np.ndarray, r) -> np.ndarray:
-        if isinstance(r, np.ndarray):
-            d = self.sigma ** r[:, None]
-            m = (v * d[:, None, :]) @ v.conj().T
-        else:
-            m = (v * self.sigma**r) @ v.conj().T
-        return (m + m.conj().swapaxes(-1, -2)) / 2
+        m = (v * self.sigma**r) @ v.conj().T
+        return (m + m.conj().T) / 2
 
     def aluthge(self, t):
         """Weighted Aluthge transform |A|^(1-t) U |A|^t."""
         return self.xpow(1 - t) @ self.isometry @ self.xpow(t)
+
+    def aluthge_basis(self, ts: np.ndarray):
+        """Stacks over ts of V* A_t V = S_(1-t) K S_t and V* A_t^2 V = S_(1-t)
+        K S_1 K S_t, with S_r = diag(sigma^r), K = V* U V; no product per t."""
+        k = self.right.conj().T @ self.isometry @ self.right
+        u = ts[:, None, None]
+        scale = self.sigma[:, None] ** (1 - u) * self.sigma ** u
+        return scale * k, scale * (k @ (self.sigma[:, None] * k))
 
 
 @dataclass(frozen=True)

@@ -146,17 +146,18 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    g, upper = _grid_stage(a, np.exp(1j * thetas), warm)
+    g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
+                           coarse_step(grid_points))
     est = _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
     return est, upper
 
 
-def _grid_stage(a, phases, warm):
-    """warm_sweep's grid stage: g at the phases, -inf at the angles
-    skipped, and the upper ends."""
+def _grid_stage(a, phases, warm, step):
+    """warm_sweep's grid stage, cold from every step-th angle: g at the
+    phases, -inf at the angles skipped, and the upper ends.  Cold, a may be
+    a stack, whose matrices all solve an angle that one of them needs."""
     size = phases.size
-    step = coarse_step(size)
-    g = np.full(size, -np.inf)
+    g = np.full(a.shape[:-2] + phases.shape, -np.inf)
     if warm is not None:
         ends = warm[1] + _frobenius(a - warm[0])
         k = int(np.argmax(warm[1]))
@@ -169,13 +170,14 @@ def _grid_stage(a, phases, warm):
             solve[k] = True
             return g, np.where(solve, g, ends)
         g[k] = -np.inf
-    g[::step] = sub = _top(a, phases[::step])
-    top = sub.max()
-    ends = support_upper(sub, step)
-    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max()) >= top
+    g[..., ::step] = sub = _top(a, phases[::step])
+    top = sub.max(axis=-1, keepdims=True)
+    ends = support_upper(sub, step).reshape(g.shape)
+    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max(-1, keepdims=True))
+    solve = (solve >= top).reshape(-1, size).any(axis=0)
     solve[::step] = False
     if solve.any():
-        g[solve] = _top(a, phases[solve])
+        g[..., solve] = _top(a, phases[solve])
     solve[::step] = True
     return g, np.where(solve, g, ends)
 
@@ -207,21 +209,22 @@ def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
 
 def support_upper(sub: np.ndarray, step: int) -> np.ndarray:
     """Unwidened upper ends of g on a grid from its values sub at every
-    step-th angle.  In a gap Delta < pi from theta_k to theta_{k+1},
-    e^{i theta} = alpha e^{i theta_k} + beta e^{i theta_{k+1}} with
-    alpha = sin(theta_{k+1} - theta) / sin(Delta) and beta =
-    sin(theta - theta_k) / sin(Delta), both >= 0, so g(theta) = max over
-    z in W(M) of Re(e^{i theta} z) <= alpha g_k + beta g_{k+1}."""
-    h = 2 * np.pi / (sub.size * step)  # the grid's spacing
+    step-th angle (flattened, for each row of a stack).  In a gap Delta < pi
+    from theta_k to theta_{k+1}, e^{i theta} = alpha e^{i theta_k} + beta
+    e^{i theta_{k+1}}, alpha = sin(theta_{k+1} - theta) / sin(Delta) and
+    beta = sin(theta - theta_k) / sin(Delta) both >= 0, so g(theta) = max
+    over z in W(M) of Re(e^{i theta} z) <= alpha g_k + beta g_{k+1}."""
+    h = 2 * np.pi / (sub.shape[-1] * step)  # the grid's spacing
     j = np.arange(step)
     alpha, beta = np.sin(h * np.array([step - j, j])) / np.sin(h * step)
-    return (np.outer(sub, alpha) + np.outer(np.roll(sub, -1), beta)).ravel()
+    after = np.roll(sub, -1, axis=-1)  # g at theta_{k+1}
+    return (np.outer(sub, alpha) + np.outer(after, beta)).ravel()
 
 
-def coarse_step(grid_points: int) -> int:
-    """Largest divisor of grid_points that is at most COARSE_STEP_MAX and
-    leaves at least 3 angles in the subgrid; 1 if there is none."""
-    return max((d for d in range(1, COARSE_STEP_MAX + 1)
+def coarse_step(grid_points: int, most: int = COARSE_STEP_MAX) -> int:
+    """Largest divisor of grid_points that is at most most and leaves at
+    least 3 angles in the subgrid; 1 if there is none."""
+    return max((d for d in range(1, most + 1)
                 if grid_points % d == 0 and grid_points // d >= 3),
                default=1)
 
@@ -235,21 +238,22 @@ def sweep_lower(ms, grid_points: int) -> np.ndarray:
     rotations would exceed BRACKET_CHUNK_BYTES.  At a probe row the lower
     end is the maximum of g(theta) = lambda_max(Re(e^{i theta} M)) over
     the subgrid of every coarse_step(grid_points)-th angle: these are
-    angles of the sweep's grid, so it is at most the sweep's value.  At
-    every other row it is a rotated Rayleigh quotient (Johnson's
-    support-line identity): for the top eigenvector x of each probe's
-    Re(e^{i theta} P) at its best subgrid angle, and the grid angle theta
-    nearest to -arg(x*Mx), Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x <=
-    g(theta).  This holds for any unit x; the probes' vectors are chosen
-    because M is near a probe.  The row's lower end is the largest such
-    quotient.
+    angles of the sweep's grid, so it is at most the sweep's value; the
+    probes' cold _grid_stage starts from every third of them.  At every
+    other row it is a rotated Rayleigh quotient (Johnson's support-line
+    identity): for the top eigenvector x of each probe's Re(e^{i theta} P)
+    at its best subgrid angle, and the grid angle theta nearest to
+    -arg(x*Mx), Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x <= g(theta).
+    This holds for any unit x; the probes' vectors are chosen because M is
+    near a probe.  The row's lower end is the largest such quotient.
     """
     step = coarse_step(grid_points)
     thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
     per_probe = 16 * ms.shape[-1] ** 2 * thetas.size
     probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
     s = -(-ms.shape[0] // probes)
-    top = _top(ms[::s], np.exp(1j * thetas))
+    top = _grid_stage(ms[::s], np.exp(1j * thetas), None,
+                      coarse_step(thetas.size, 3))[0]
     sub = top.max(axis=-1)
     if s == 1:
         return sub
@@ -257,7 +261,7 @@ def sweep_lower(ms, grid_points: int) -> np.ndarray:
     angles = thetas[top.argmax(axis=-1)]
     rot = _rotations(ms[::s], np.exp(1j * angles)[:, None])[:, 0]
     x = np.linalg.eigh(rot)[1][..., -1]
-    q = np.einsum("pi,tip->tp", x.conj(), ms @ x.T)
+    q = np.einsum("tij,pi,pj->tp", ms, x.conj(), x, optimize=True)  # GEMM
     j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
     lower = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(axis=-1)
     lower[::s] = sub

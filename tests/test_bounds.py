@@ -307,18 +307,6 @@ def test_compare_all_at_extreme_scales_raises_nothing(scale):
             assert not math.isnan(bv.value) or bv.detail["error"]
 
 
-def test_gnorm_of_a_stack_is_the_norm_of_each_matrix():
-    rng = np.random.default_rng(619)
-    for size in (3, 5):
-        stack = np.stack([ginibre(rng, 3) for _ in range(size)])
-        stack[1, 2, 0] = np.nan  # a non-finite row of the stack
-        want = [math.inf if k == 1 else bounds.gnorm(m)
-                for k, m in enumerate(stack)]
-        assert bounds.gnorm(stack).tolist() == want
-        assert want[2] == pytest.approx(np.linalg.norm(stack[2], 2),
-                                        rel=1e-15)
-
-
 def test_an_overflowing_hermitian_part_is_inf():
     # (M + M*)/2 of a finite operand can overflow: its norm is inf, not a
     # LAPACK failure or a NaN
@@ -451,14 +439,12 @@ def test_pruned_scan_equals_full_scan_on_edge_inputs():
 
 
 def _count_scalar_calls(monkeypatch, bound_id):
-    """Record the float t of every scalar evaluation of a weighted bound;
-    the calls at the grid's vector of t are not counted."""
+    """Record the t of every evaluation of a weighted bound."""
     calls = []
     bound, t_dependent = bounds._BOUNDS[bound_id]
 
     def counted(ctx, t):
-        if not isinstance(t, np.ndarray):
-            calls.append(t)
+        calls.append(t)
         return bound(ctx, t)
 
     monkeypatch.setitem(bounds._BOUNDS, bound_id, (counted, t_dependent))
@@ -500,8 +486,21 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
     # of the sweeps of A_t and A_t^2 and the stack lower ends (5,112 before
     # the sweeps were warm-started across t, 1,966 with it)
     rows = count_top_rows(monkeypatch)
+    calls = _count_scalar_calls(monkeypatch, "aluthge-t")
+    matrices = []  # per np.linalg.eigvalsh call, the matrices it solves
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     minimize_over_t("aluthge-t", ginibre(np.random.default_rng(2026), 8))
     assert sum(rows) <= 3000, sum(rows)
+    # the grid and the t-refinement; the lower ends solve no eigenproblem
+    # per grid point (their term_mod took one stack of 1,001 matrices)
+    assert len(calls) <= 13, len(calls)
+    assert max(matrices) < 1001, max(matrices)
 
 
 def test_context_sweeps_warm_start_across_t_with_the_same_bits():
@@ -571,19 +570,15 @@ def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
     # a grid point whose lower end is NaN or inf certifies nothing, so the
     # scalar evaluator must run there; aluthge-t is the one bound whose
     # scan is pruned by lower ends
-    bound, scan = bounds._BOUNDS["aluthge-t"]
-    calls = []
+    lower = bounds._lower
 
-    def holed(ctx, t):
-        if not isinstance(t, np.ndarray):
-            calls.append(t)
-            return bound(ctx, t)
-        value, detail = bound(ctx, t)
-        value = value.copy()
-        value[1:-1:2] = math.nan
-        return value, detail
+    def holed(bound_id, ctx, ts):
+        ends = lower(bound_id, ctx, ts)
+        ends[1:-1:2] = math.nan
+        return ends
 
-    monkeypatch.setitem(bounds._BOUNDS, "aluthge-t", (holed, scan))
+    monkeypatch.setattr(bounds, "_lower", holed)
+    calls = _count_scalar_calls(monkeypatch, "aluthge-t")
     holes = np.linspace(T_MIN, 1 - T_MIN, 41)[1:-1:2].tolist()
     for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
         calls.clear()
@@ -684,17 +679,47 @@ def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
 def test_sweep_of_a_stack_is_below_the_exact_radius(ensemble):
     # on these ensembles A_t, and so A_t^2, is again normal, a multiple of
-    # a unitary, or nonnegative, and has the same closed form for omega
+    # a unitary, or nonnegative, and has the same closed form for omega;
+    # the singular basis keeps omega but not nonnegativity, so the exact
+    # omega comes from the matrices, and the lower ends from the stacks
     exact = EXACT_OMEGA[ensemble]
     rng = np.random.default_rng(sorted(EXACT_OMEGA).index(ensemble) + 642)
     ts = np.linspace(T_MIN, 1 - T_MIN, 61)
     for n in (1, 2, 3, 5, 8, 16):
         a = sample(ensemble, n, rng)
+        alu = np.stack([BoundContext(a).aluthge(t) for t in ts.tolist()])
         for theta_grid, refine in BRACKET_SETTINGS:
             ctx = BoundContext(a, theta_grid, refine)
-            for m in (ctx.aluthge(ts), ctx.aluthge(ts) @ ctx.aluthge(ts)):
+            for stack, m in zip(ctx.aluthge_basis(ts), (alu, alu @ alu)):
                 w = exact(m)
-                assert (ctx.sweep(None, m) <= w * (1 + 1e-14)).all()
+                assert (ctx.sweep(None, stack) <= w * (1 + 1e-14)).all()
+
+
+def test_aluthge_basis_stacks_are_the_transform_and_its_square():
+    # V B_t V* = A_t and V B_t^2 V* = A_t^2 for the right singular vectors
+    # V, and term_mod's lower end is at most its value, at every t
+    rng = np.random.default_rng(621)
+    g = ginibre(np.random.default_rng(616), 5)
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (1, 2, 3, 6)]
+    mats += [JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g, 1e-161 * g,
+             1e-162 * g]
+    ts = np.linspace(T_MIN, 1 - T_MIN, 61)
+    for a in mats:
+        ctx = BoundContext(a)
+        v = ctx.right
+        # below the normal range, entries round to multiples of 2^-1074
+        floor = a.shape[0] ** 2 * 2.0**-1072
+        b, b2 = ctx.aluthge_basis(ts)
+        mod = bounds._mod_lower(b)
+        for t, bt, bt2, lo in zip(ts.tolist(), b, b2, mod):
+            alu = ctx.aluthge(t)
+            assert abs(v @ bt @ v.conj().T - alu).max() <= (
+                1e-12 * ctx.norm_a + floor), t
+            assert abs(v @ bt2 @ v.conj().T - alu @ alu).max() <= (
+                1e-12 * ctx.norm_a**2 + floor), t
+            term_mod = 0.25 * bounds.hnorm(alu.conj().T @ alu
+                                           + alu @ alu.conj().T)
+            assert 0.25 * lo <= term_mod + 1e-12 * ctx.norm_a**2 + floor, t
 
 
 def test_compare_all_minimizes_through_the_module_global(monkeypatch):

@@ -8,7 +8,7 @@ from numrad import (DomainError, compare_all, power_check, radius,
                     radius_oracle, radius_sweep, spectral_norm, splitmix64)
 from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
-from numrad.polar import _Spectral
+from numrad.polar import T_MIN, _Spectral
 from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
                            support_upper, warm_sweep)
 from numrad.reference import SHIFT_234, SHIFT_342
@@ -312,6 +312,35 @@ def test_support_upper_holds_the_grid_value_at_every_angle(grid_points):
         upper = support_upper(g[::step], step)
         tol = 1e-12 * spectral_norm(m)
         assert np.all(upper >= g - tol), np.max(g - upper) / tol
+    # a stack of rows gives each row's ends, flattened
+    rows = np.stack([_grid_values(m, grid_points)[::step] for m in mats])
+    assert support_upper(rows, step).tolist() == sum(
+        (support_upper(row, step).tolist() for row in rows), [])
+
+
+@pytest.mark.parametrize("grid_points", [8, 11, 16, 240, 360, 720])
+def test_probe_subgrid_keeps_each_maximum_and_its_angle(grid_points):
+    # sweep_lower's probe rows solve their subgrid by a cold _grid_stage
+    # from every third angle: every angle it skips lies strictly below its
+    # matrix's maximum, so each maximum and its first-index angle stay
+    rng = np.random.default_rng(624)
+    mats = [sample(ens, 4, rng) for ens in ENSEMBLES for _ in range(3)]
+    mats += [np.zeros((4, 4)), np.pad(JORDAN2, (0, 2)), 1e-200 * mats[0],
+             1e150 * mats[0]]
+    # and the probe rows of a family in t, which share their best angles
+    family = _Spectral(ginibre(rng, 6)).aluthge_basis(
+        np.linspace(T_MIN, 1 - T_MIN, 16))[0]
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    phases = np.exp(1j * thetas[::coarse_step(grid_points)])
+    step = coarse_step(phases.size, 3)
+    for stack in (np.stack(mats).astype(complex), family):
+        full = radius._top(stack, phases)
+        g, _ = radius._grid_stage(stack, phases, None, step)
+        assert (g.max(axis=-1) == full.max(axis=-1)).all()
+        assert (g.argmax(axis=-1) == full.argmax(axis=-1)).all()
+        assert ((g == full) | (g == -np.inf)).all()
+    if phases.size == 45:
+        assert np.count_nonzero(g > -np.inf) <= 0.5 * g.size
 
 
 def test_pruned_sweep_solves_few_angles(monkeypatch):

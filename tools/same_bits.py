@@ -16,8 +16,9 @@ sha256 of the output's text.  The outputs are:
   steps of the theta-refinements (radius._lambda_max_rotated calls);
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, and the lower ends that BoundContext(a, theta_grid,
-  refine).sweep gives on the stack ctx.aluthge(ts) of the 101-point t-grid,
-  on the same matrices;
+  refine).sweep gives on the stack V* A_t V of the 101-point t-grid in the
+  singular basis (the first stack of ctx.aluthge_basis(ts)), on the same
+  matrices;
 - the CSV of run_campaign (20 trials, seed 7) on each ensemble at dim 3
   and 6, as `numrad fuzz --output` writes it;
 - numrad bounds in json, table and csv on SHIFT_234, in json on SHIFT_342
@@ -84,15 +85,14 @@ def matrices() -> dict:
 
 
 def count_scalar_evaluations() -> dict:
-    """Count, per weighted bound, its evaluations at a float t (not the
-    grid's vector of lower ends), by wrapping its catalog entry."""
+    """Count, per weighted bound, its evaluations, by wrapping its catalog
+    entry."""
     counts = dict.fromkeys(sorted(bounds.T_DEPENDENT_IDS), 0)
     for bid in counts:
         fn, t_dependent = bounds._BOUNDS[bid]
 
         def counted(ctx, t, fn=fn, bid=bid):
-            if not isinstance(t, np.ndarray):
-                counts[bid] += 1
+            counts[bid] += 1
             return fn(ctx, t)
         bounds._BOUNDS[bid] = (counted, t_dependent)
     return counts
@@ -157,7 +157,7 @@ def sweeps() -> None:
                       f"{digest(repr(est))}")
             ctx = BoundContext(a, theta_grid, refine)
             with np.errstate(over="ignore", invalid="ignore"):
-                lower = ctx.sweep(None, ctx.aluthge(ts))
+                lower = ctx.sweep(None, ctx.aluthge_basis(ts)[0])
             print(f"BoundContext.sweep {name} {theta_grid}/{on} "
                   f"{digest(repr(lower.tolist()))}")
 
