@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, NumradError
-from .matrix import fits
-from .optimize import INV_PHI_SQ, golden_min
+from .matrix import fits, float_power
+from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_CHUNK_BYTES, BRACKET_PROBES, BRACKET_REL,
                      DEFAULT_GRID, RadiusEstimate, check_count, pruned_sweep,
@@ -140,14 +140,6 @@ def gnorm(m: np.ndarray) -> float:
     return _finite_norm(lambda g: np.linalg.svd(g, compute_uv=False)[0], m)
 
 
-def _square(x: float) -> float:
-    """x**2, overflowing to inf like the numpy parts of a bound."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def _sqrt_or_inf(inner: float) -> float:
     """sqrt(inner) where inner is finite, inf where it is not."""
     return math.sqrt(inner) if math.isfinite(inner) else math.inf
@@ -203,7 +195,7 @@ def _aluthge_weighted(ctx: BoundContext, t):
     wa2 = ctx.sweep(("alu2", t), alu @ alu)
     term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
     cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
-    term_norm = 0.5 * _square(ctx.norm_a)
+    term_norm = 0.5 * float_power(ctx.norm_a, 2)
     term_mod = 0.25 * hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
     term_sq = 0.5 * wa2
     term_cross = cross * wa
@@ -302,8 +294,8 @@ def _schwarz_radius(ctx: BoundContext, t):
 # certified to lie above the smallest value it has: so the grid's
 # first-index minimum, and every tie of it, is among the visited points.
 
-def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    """Lower ends of aluthge-t (bound_id) at each t of ts, up to the rounding
+def _lower(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
+    """Lower ends of aluthge-t at each t of ts, up to the rounding
     BRACKET_REL covers, from its unitarily invariant terms on aluthge_basis's
     stacks, in chunks of t in which 16 such complex stacks fill
     BRACKET_CHUNK_BYTES; lowered by n^2 * 2^-1072 for subnormal rounding."""
@@ -317,8 +309,8 @@ def _lower(bound_id: str, ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
         wa[i:i + size] = ctx.sweep(None, b)
         wa2[i:i + size] = ctx.sweep(None, b2)
         mod[i:i + size] = _mod_lower(b)
-    inner = (term_pow4 + 0.5 * _square(ctx.norm_a) + 0.25 * mod + 0.5 * wa2
-             + cross * wa)
+    inner = (term_pow4 + 0.5 * float_power(ctx.norm_a, 2) + 0.25 * mod
+             + 0.5 * wa2 + cross * wa)
     return 0.5 * np.sqrt(np.maximum(inner - ctx.a.size * 2.0**-1072, 0))
 
 
@@ -339,16 +331,16 @@ def _mod_lower(b: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(b).all(axis=(-2, -1)), q, math.inf)
 
 
-def _lower_scan(bound_id: str, ctx: BoundContext, ts: np.ndarray,
+def _lower_scan(ctx: BoundContext, ts: np.ndarray,
                 value_at: Callable) -> None:
-    """The scan pruned by lower ends, for a bound with no known shape in t.
+    """aluthge-t's scan, pruned by _lower's ends (no shape in t is known).
 
-    _lower's ends are widened by BRACKET_REL to cover the rounding of the
+    The ends are widened by BRACKET_REL to cover the rounding of the
     stacked against the scalar arithmetic.  The points are visited in
     order of their lower ends, one that is not finite counting as -inf,
     up to the first whose lower end exceeds the smallest value so far.
     """
-    lower = _lower(bound_id, ctx, ts)
+    lower = _lower(ctx, ts)
     lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
     key = np.where(np.isfinite(lower), lower, -math.inf)
     cap = math.inf
@@ -368,40 +360,28 @@ def _above(v: float, low: float, norm: float) -> bool:
             > low + BRACKET_REL * (abs(low) + norm))
 
 
-def _quasi_convex_scan(bound_id: str, ctx: BoundContext, ts: np.ndarray,
+def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray,
                        value_at: Callable) -> None:
     """The scan of a bound that is quasi-convex in t: every sublevel set
     is an interval, so for i < j < k its value at t_j is at most the
     larger of those at t_i and t_k, up to the rounding that BRACKET_REL
     covers.
 
-    The middle point and its neighbours pick the downhill side, where a
-    golden section over the grid indices finds a small value v*.  From
-    v* a walk goes outward on each side, keeping the smallest value it
-    meets, up to the first point q whose value lies above it (_above).
-    Every point beyond q is then at least the value at q, so above v*,
-    and can neither hold nor tie the grid minimum.  A flat objective is
-    walked end to end; so is one that is +inf everywhere.
+    The best of the middle point and its neighbours starts the search, by
+    optimize.golden_min over the rounded indices up to the downhill end,
+    for a small value v* to within 32 indices.  From v* a walk goes
+    outward on each side, keeping the smallest value it meets, up to the
+    first point q whose value lies above it (_above).  Every point beyond
+    q is then at least the value at q, so above v*, and can neither hold
+    nor tie the grid minimum.  A flat objective is walked end to end; so
+    is one that is +inf everywhere.
     """
     size = ts.size
     mid = (size - 1) // 2
     best = min(range(max(mid - 1, 0), min(mid + 2, size)), key=value_at)
-    # a golden section on the downhill side: best is the smallest value
-    # seen, lo < best < hi, and a narrower (lo, hi) holds it
-    lo = -1 if best < mid else best - 1
-    hi = size if best > mid else best + 1
-    while hi - lo > 2:
-        if hi - best >= best - lo:
-            x = best + max(1, round(INV_PHI_SQ * (hi - best)))
-        else:
-            x = best - max(1, round(INV_PHI_SQ * (best - lo)))
-        if value_at(x) < value_at(best):
-            lo, hi = (best, hi) if x > best else (lo, best)
-            best = x
-        elif x > best:
-            hi = x
-        else:
-            lo = x
+    end = 0 if best < mid else size - 1 if best > mid else mid
+    x = golden_min(lambda x: value_at(round(x)), best, end, 32)[0]
+    best = min(best, round(x), key=value_at)
     for step in (-1, 1):
         low, i = value_at(best), best + step
         while 0 <= i < size and not _above(value_at(i), low, ctx.norm_a):
@@ -515,7 +495,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
             seen[i] = _evaluate(bound_id, ctx, float(ts[i])).value
         return seen[i]
 
-    _BOUNDS[bound_id][1](bound_id, ctx, ts, value_at)
+    _BOUNDS[bound_id][1](ctx, ts, value_at)
     if any(math.isnan(v) for v in seen.values()):
         for i in range(grid_points):
             value_at(i)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotHermitian, NotPSD
+from .errors import (DomainError, NoConvergence, NonFinite, NotHermitian,
+                     NotPSD)
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
@@ -74,11 +75,22 @@ class SingularDecomposition:
     right: np.ndarray  # A = left @ diag(sigma) @ right*
 
 
+def frobenius(m: np.ndarray) -> float:
+    """The Frobenius norm of a complex m, computed on its real and
+    imaginary parts scaled by the largest of them, so that the squares
+    neither overflow nor underflow (nor does a complex division by a
+    subnormal scale)."""
+    parts = abs(np.concatenate([m.real, m.imag], axis=None))
+    scale = parts.max()
+    return float(scale * np.linalg.norm(parts / scale)) if scale > 0 else 0.0
+
+
 def hermitian_eigen(h) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; its
+    test for Hermitian, on frobenius norms, is relative at every scale."""
     h = as_matrix(h)
-    dev = np.linalg.norm(h - h.conj().T)
-    if dev > TOL_HERM * np.linalg.norm(h):
+    dev = frobenius(h - h.conj().T)
+    if dev > TOL_HERM * frobenius(h):
         raise NotHermitian(f"deviation from Hermitian: {dev:.3e}")
     try:
         w, v = np.linalg.eigh((h + h.conj().T) / 2)
@@ -113,12 +125,27 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(w)))
 
 
+def float_power(x: float, r: float) -> float:
+    """x**r for a float x >= 0, inf where it overflows (no OverflowError)."""
+    try:
+        return x**r
+    except OverflowError:
+        return np.inf
+
+
+def psd_power(v: np.ndarray, w: np.ndarray, r) -> np.ndarray:
+    """V diag(w^r) V*, made exactly Hermitian, for unitary V and w >= 0."""
+    m = (v * w**r) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
 def frac_power(p, r: float) -> np.ndarray:
     """Fractional power P^r of a PSD matrix, with 0^r = 0.
 
     Eigenvalues in [-TOL_PSD * ||P||, 0) are clamped to zero; anything
     more negative raises NotPSD.  r = 0 is rejected: the natural limit
-    (support projection vs identity) is ambiguous.
+    (support projection vs identity) is ambiguous.  A power whose norm
+    exceeds NORM_MAX / n raises NonFinite.
     """
     if not np.isfinite(r):
         raise DomainError(f"exponent must be finite, got {r}")
@@ -132,5 +159,6 @@ def frac_power(p, r: float) -> np.ndarray:
     if w[0] < -TOL_PSD * scale:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below clamping window")
     w = np.clip(w, 0.0, None)
-    out = (v * w**r) @ v.conj().T
-    return (out + out.conj().T) / 2
+    if float_power(float(w[-1]), r) > NORM_MAX / w.size:
+        raise NonFinite(f"P^{r} overflows: P has eigenvalue {w[-1]:.3e}")
+    return psd_power(v, w, r)

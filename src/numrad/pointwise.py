@@ -7,12 +7,14 @@ which should be nonnegative whenever the inequality holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .matrix import as_matrix, frac_power, spectral_norm, spectral_radius
+from .errors import DomainError, NonFinite
+from .matrix import (as_matrix, float_power, frac_power, spectral_norm,
+                     spectral_radius)
 from .polar import _check_weight, _Spectral
 from .radius import pruned_sweep
 
@@ -46,8 +48,13 @@ class UnitVector:
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """The two sides of a check; NonFinite where one is inf or NaN."""
     lhs: float
     rhs: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise NonFinite(f"a side is not finite: {self}")
 
     @property
     def margin(self) -> float:
@@ -92,7 +99,7 @@ def mccarthy(p, x, r: float) -> InequalityCheck:
     p = as_matrix(p)
     x = _vec(x)
     form_r = _form(frac_power(p, r), x).real
-    form_pow = _form(p, x).real ** r
+    form_pow = float_power(_form(p, x).real, r)
     if r >= 1:
         return InequalityCheck(lhs=float(form_pow), rhs=float(form_r))
     return InequalityCheck(lhs=float(form_r), rhs=float(form_pow))
@@ -139,9 +146,15 @@ def amer_bound(a, b, c, d) -> InequalityCheck:
     lhs = spectral_radius(a @ b + c @ d)
     wba = pruned_sweep(b @ a).value
     wdc = pruned_sweep(d @ c).value
-    cross = spectral_norm(b @ c) * spectral_norm(d @ a)
-    rhs = 0.5 * (wba + wdc + np.sqrt((wba - wdc) ** 2 + 4 * cross))
+    # the root of (wba - wdc)^2 + 4 ||BC|| ||DA||, with no square
+    cross = math.sqrt(spectral_norm(b @ c)) * math.sqrt(spectral_norm(d @ a))
+    rhs = 0.5 * (wba + wdc + math.hypot(wba - wdc, 2 * cross))
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
+
+
+def _pq_norm(p, q, t: float) -> float:
+    """||P^t Q^t|| for PSD P, Q."""
+    return spectral_norm(frac_power(p, t) @ frac_power(q, t))
 
 
 def log_convexity(p, q, t: float) -> InequalityCheck:
@@ -149,7 +162,7 @@ def log_convexity(p, q, t: float) -> InequalityCheck:
     if not 0 < t <= 1:
         raise DomainError("t must lie in (0, 1]")
     p, q = as_matrix(p), as_matrix(q)
-    lhs = spectral_norm(frac_power(p, t) @ frac_power(q, t))
+    lhs = _pq_norm(p, q, t)
     rhs = spectral_norm(p @ q) ** t
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
@@ -159,9 +172,5 @@ def log_convexity_midpoint(p, q, s: float, u: float) -> InequalityCheck:
     if not (0 < s <= 1 and 0 < u <= 1):
         raise DomainError("s, u must lie in (0, 1]")
     p, q = as_matrix(p), as_matrix(q)
-
-    def f(t):
-        return spectral_norm(frac_power(p, t) @ frac_power(q, t))
-
-    return InequalityCheck(lhs=float(f((s + u) / 2) ** 2),
-                           rhs=float(f(s) * f(u)))
+    return InequalityCheck(lhs=float_power(_pq_norm(p, q, (s + u) / 2), 2),
+                           rhs=_pq_norm(p, q, s) * _pq_norm(p, q, u))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightOutOfRange
-from .matrix import as_matrix, svd
+from .matrix import as_matrix, psd_power, svd
 
 SIGMA_CUT_REL = 1e-12
 T_MIN = 1e-3
@@ -46,15 +46,11 @@ class _Spectral:
 
     def xpow(self, r):
         """|A|^r (r > 0)."""
-        return self._power(self.right, r)
+        return psd_power(self.right, self.sigma, r)
 
     def ypow(self, r):
         """|A*|^r (r > 0)."""
-        return self._power(self.left, r)
-
-    def _power(self, v: np.ndarray, r) -> np.ndarray:
-        m = (v * self.sigma**r) @ v.conj().T
-        return (m + m.conj().T) / 2
+        return psd_power(self.left, self.sigma, r)
 
     def aluthge(self, t):
         """Weighted Aluthge transform |A|^(1-t) U |A|^t."""

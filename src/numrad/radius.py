@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import as_matrix, fits
+from .matrix import as_matrix, fits, float_power, frobenius
 from .optimize import golden_max
 
 DEFAULT_GRID = 720
@@ -159,7 +159,7 @@ def _grid_stage(a, phases, warm, step):
     size = phases.size
     g = np.full(a.shape[:-2] + phases.shape, -np.inf)
     if warm is not None:
-        ends = warm[1] + _frobenius(a - warm[0])
+        ends = warm[1] + frobenius(a - warm[0])
         k = int(np.argmax(warm[1]))
         g[k] = top = _top(a, phases[k:k + 1])[0]
         solve = ends + BRACKET_REL * (abs(top) + abs(ends).max()) >= top
@@ -180,16 +180,6 @@ def _grid_stage(a, phases, warm, step):
         g[..., solve] = _top(a, phases[solve])
     solve[::step] = True
     return g, np.where(solve, g, ends)
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """The Frobenius norm of a complex m, computed on its real and
-    imaginary parts scaled by the largest of them, so that the squares
-    neither overflow nor underflow (nor does a complex division by a
-    subnormal scale)."""
-    parts = abs(np.stack([m.real, m.imag]))
-    scale = parts.max()
-    return float(scale * np.linalg.norm(parts / scale)) if scale > 0 else 0.0
 
 
 def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
@@ -329,8 +319,4 @@ def power_check(a, k: int):
         power = np.linalg.matrix_power(np.ldexp(1.0, -e) * a, k)
         lhs = (float(np.ldexp(pruned_sweep(power).value, e * k))
                if fits(power) else math.inf)
-    try:
-        rhs = pruned_sweep(a).value ** k
-    except OverflowError:
-        rhs = math.inf
-    return lhs, rhs
+    return lhs, float_power(pruned_sweep(a).value, k)

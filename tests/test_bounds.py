@@ -86,6 +86,25 @@ def test_weighted_power_at_half_matches_kittaneh_square():
             assert (got.value, got.detail["inner"]) == want, (got.id, a.shape)
 
 
+def test_weighted_r_and_product_take_their_minimum_at_half():
+    # weighted-r's operand at t = 1/2 is (X + Y)^2 / 2, so its minimum is
+    # kitt-sum; product's is (||A|| + ||A~||) / 2, as X^(1/2) Y^(1/2) =
+    # A~ U* for the Aluthge transform A~, so it is never below yamazaki's
+    # (||A|| + omega(A~)) / 2
+    rng = np.random.default_rng(621)
+    mats = [EXAMPLE1, EXAMPLE2] + [sample(ens, n, rng) for ens in ENSEMBLES
+                                   for n in (2, 3, 5) for _ in range(3)]
+    for a in mats:
+        report = compare_all(a, 101, 240, ids=("kitt-sum", "weighted-r",
+                                               "yamazaki", "product"))
+        v = {bv.id: bv.value for bv in report.bounds}
+        ctx = BoundContext(a)
+        half = 0.5 * (ctx.norm_a + bounds.gnorm(ctx.aluthge(0.5)))
+        assert v["weighted-r"] == pytest.approx(v["kitt-sum"], rel=1e-14)
+        assert v["product"] == pytest.approx(half, rel=1e-14)
+        assert v["product"] >= v["yamazaki"] * (1 - 1e-14), a
+
+
 def test_weight_params_window():
     assert weight_params(0.25).t == 0.25
     with pytest.raises(WeightOutOfRange):
@@ -572,8 +591,8 @@ def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
     # scan is pruned by lower ends
     lower = bounds._lower
 
-    def holed(bound_id, ctx, ts):
-        ends = lower(bound_id, ctx, ts)
+    def holed(ctx, ts):
+        ends = lower(ctx, ts)
         ends[1:-1:2] = math.nan
         return ends
 
@@ -606,7 +625,7 @@ def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     assert grid_points > radius.BRACKET_PROBES  # so some rows are not probes
     with np.errstate(invalid="ignore", over="ignore"):
-        lower = bounds._lower("aluthge-t", ctx, ts)
+        lower = bounds._lower(ctx, ts)
         for t, lo in zip(ts, lower):
             v = bounds._evaluate("aluthge-t", ctx, float(t)).value
             tol = 1e-12 * (abs(v) + ctx.norm_a)

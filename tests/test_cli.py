@@ -1,10 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import numrad
 from numrad import (CATALOG_IDS, DimensionMismatch, DomainError, ParseError,
                     bounds, campaign, parse_matrix, serialize_matrix)
 from numrad.campaign import (CSV_COLUMNS, TOL_SLACK, CampaignConfig,
@@ -344,3 +348,16 @@ def test_cli_reproduce_examples(runner):
     assert not any("FAIL" in line for line in lines)
     assert all(line.endswith("PASS") for line in lines)
     assert result.exit_code == 0
+
+
+def test_importing_numrad_loads_neither_the_process_pool_nor_click():
+    # run_campaign imports the pool only for jobs > 1, and only the
+    # console script needs click
+    src = os.path.dirname(os.path.dirname(numrad.__file__))
+    code = ("import sys, numrad; "
+            "print(sorted(m for m in ('concurrent.futures', 'click') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,26 @@ def test_hermitian_eigen_rejects_non_hermitian():
         frac_power(small, 0.5)
     assert np.array_equal(hermitian_eigen(np.zeros((2, 2))).eigenvalues,
                           [0, 0])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-162, 1e154, 1e300])
+def test_hermitian_test_is_relative_at_every_scale(scale):
+    # the squares of an unscaled Frobenius norm overflow at 1e154 and
+    # underflow at 1e-162, where the Jordan block passed as Hermitian
+    jordan = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+    herm = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for routine in (hermitian_eigen, lambda m: frac_power(m, 0.5)):
+            with pytest.raises(NotHermitian):
+                routine(jordan)
+        eig = hermitian_eigen(herm)
+        root = frac_power(herm, 0.5)
+    assert np.allclose(eig.eigenvalues, [scale, 3 * scale], rtol=1e-14,
+                       atol=0)
+    want = scale**0.5 * (np.sqrt([[3.0, 3.0], [3.0, 3.0]])
+                         + [[1.0, -1.0], [-1.0, 1.0]]) / 2
+    assert np.allclose(root, want, rtol=1e-14, atol=0)
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numrad import (DomainError, UnitVector, WeightOutOfRange, amer_bound,
-                    cs_refinement, frac_power, kato, log_convexity, mccarthy,
+from numrad import (DomainError, NonFinite, UnitVector, WeightOutOfRange,
+                    amer_bound, cs_refinement, frac_power, kato,
+                    log_convexity, log_convexity_midpoint, mccarthy,
                     schwarz_covariance, schwarz_self)
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.pointwise import TOL_PT
@@ -181,3 +185,43 @@ def test_log_convexity_rejects_bad_t(rng):
         log_convexity(p, q, 0.0)
     with pytest.raises(DomainError):
         log_convexity(p, q, 1.5)
+
+
+def _homogeneous_checks(a):
+    """Checks on a with the degree in a of both their sides."""
+    core = _Spectral(a)
+    p, q = core.xpow(1.0), core.ypow(1.0)
+    return {
+        "mccarthy-root": (lambda: mccarthy(a.T @ a, [1, 1], 0.5), 1),
+        "mccarthy-cube": (lambda: mccarthy(a.T @ a, [1, 1], 3), 6),
+        "amer": (lambda: amer_bound(a, a, a, a), 2),
+        "log-convexity": (lambda: log_convexity(p, q, 0.3), 0.6),
+        "log-convexity-midpoint": (
+            lambda: log_convexity_midpoint(p, q, 0.2, 0.9), 2.2),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e140, 1e150])
+def test_checks_at_large_scale_give_a_margin_or_non_finite(scale):
+    # the sides of a check at scale * A are scale^degree times those at A:
+    # where both fit in a float, they are those, and NonFinite where one
+    # does not; never a bare OverflowError, a warning, or an rhs of inf
+    # (4 ||BC|| ||DA|| overflowed Amer's root at 1e100, where its sides
+    # are 5.77e201 and 5.84e201)
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    unit = _homogeneous_checks(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (check, degree) in _homogeneous_checks(scale * a).items():
+            ref = unit[name][0]()
+            big = degree * math.log10(scale) + math.log10(max(ref.lhs,
+                                                              ref.rhs))
+            if big > math.log10(np.finfo(float).max):
+                with pytest.raises(NonFinite):
+                    check()
+                continue
+            chk = check()
+            want = np.array([ref.lhs, ref.rhs]) * scale**degree
+            assert np.allclose([chk.lhs, chk.rhs], want, rtol=1e-12,
+                               atol=0), name
+            assert chk.margin >= 0, (name, chk)
