@@ -7,12 +7,12 @@ whose value is directly comparable to omega(A); bounds stated in the
 squared form record the pre-square-root quantity under detail["inner"].
 
 Every catalog bound is one function of (ctx, t) giving (value, detail),
-registered in one table, _BOUNDS, with the certificate of its t-scan (None
-for a fixed bound).  A fixed bound ignores t, or is a weighted bound at one
-weight.  A weighted bound is evaluated at a float t.  Five of the six are
-quasi-convex in t, and their scan is certified by their own values; the
-scan of aluthge-t is pruned by lower ends at the grid's vector of t, which
-_lower computes from stacks in the singular basis.
+registered in one table, _BOUNDS, with its t-scan (None for a fixed bound).
+A fixed bound ignores t, or is a weighted bound at one weight.  A weighted
+bound is evaluated at a float t.  All six are quasi-convex in t, with the
+proofs in their docstrings, and share one scan, certified by their own
+values: aluthge-t's, whose omega terms are sweeps on a grid of N angles,
+within a factor cos(pi/N)^(-1/2) of its exact values.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .errors import NonFinite, NumradError
 from .matrix import fits, float_power
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (BRACKET_CHUNK_BYTES, BRACKET_PROBES, BRACKET_REL,
-                     DEFAULT_GRID, RadiusEstimate, check_count, pruned_sweep,
-                     sweep_lower, warm_sweep)
+from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, _subgrid_max,
+                     check_count, pruned_sweep, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -88,25 +87,17 @@ class BoundContext(_Spectral):
             self._xy_norm[s] = gnorm(self.xpow(s) @ self.ypow(s))
         return self._xy_norm[s]
 
-    def sweep(self, key, m):
+    def sweep(self, key, m) -> float:
         """omega(m) by the context's sweep for a matrix m, cached under key;
         inf if m does not fit (matrix.fits: its entries or norm overflow).
         A key (kind, t), such as ("alu", t), names a matrix of a family in
         t: its sweep is radius.warm_sweep, warm-started from the matrix of
         the same kind swept at the nearest t, and its upper ends are kept
-        for the next.  For a (T, n, n) stack m, radius.sweep_lower's lower
-        end of that value for each matrix, clamped at 0 (omega is not
-        below 0), key unused; a matrix that does not fit is swept as zero
-        and gets inf.
+        for the next.
         """
-        if m.ndim == 2:
-            if key not in self._omega:
-                self._omega[key] = self._sweep_matrix(key, m)
-            return self._omega[key]
-        ok = fits(m)
-        lower = sweep_lower(np.where(ok[:, None, None], m, 0),
-                            self.theta_grid)
-        return np.where(ok, np.maximum(lower, 0), math.inf)
+        if key not in self._omega:
+            self._omega[key] = self._sweep_matrix(key, m)
+        return self._omega[key]
 
     def _sweep_matrix(self, key, m) -> float:
         """sweep's value for a matrix m, not cached."""
@@ -183,12 +174,32 @@ def _yamazaki(ctx: BoundContext, t):
 
 def _aluthge_weighted(ctx: BoundContext, t):
     """sqrt(||X^4t + X^4(1-t)||/4 + ||A||^2/2 + ||A_t*A_t + A_tA_t*||/4 +
-    omega(A_t^2)/2 + ||X^2t + X^2(1-t)|| omega(A_t))/2, A_t = ctx.aluthge(t).
+    omega(A_t^2)/2 + ||X^2t + X^2(1-t)|| omega(A_t))/2, A_t = ctx.aluthge(t),
+    quasi-convex in t.
 
     At t = 1/2, where X^(4t) = X^(4(1-t)) = X^2 and X^(2t) = X^(2(1-t)) =
     X, term_pow4 = term_norm = ||A||^2/2 and term_cross = 2||A|| omega(A~)
     for the Aluthge transform A~ = A_(1/2): the bound is aluthge-half,
     sqrt(||A||^2 + ||A~*A~ + A~A~*||/4 + omega(A~^2)/2 + 2||A|| omega(A~))/2.
+
+    Every term is unitarily invariant.  With A = W S V*, S = diag(sigma),
+    V* A_t V is B(t) = S^(1-t) K S^t for K = V* U V.  B(z) = S^(1-z) K S^z
+    (0^z = 0) is analytic and bounded on 0 <= Re z <= 1, and B(a + iy) =
+    S^(-iy) B(a) S^(iy), where S^(iy) is a partial isometry.  The
+    three-lines theorem bounds an analytic F at t by its suprema on the
+    lines Re z = a, b around t, which gives:
+    - log omega(A_t) convex, from F(z) = <B(z)x, x> for a unit x: on
+      Re z = a, F = <B(a)x', x'> with x' = S^(iy) x.  B(t)^2 =
+      S^(1-t) (K S K) S^t has the same form, so log omega(A_t^2) too.
+    - log lambda_max(A_t*A_t + A_tA_t*) convex, from F(z) = <B(z)x, u> +
+      <B(z)^T conj(x), v>, ||u||^2 + ||v||^2 = 1, whose supremum over u, v
+      is sqrt(||B x||^2 + ||B* x||^2): on Re z = a, B(a + iy)^T conj(x) =
+      S^(iy) B(a)^T conj(x'), and B(a)^T conj(x') = conj(B(a)* x'), so
+      both phases act on x alike.
+    The X-only norms are maxima over sigma of sums of exponentials in t:
+    term_pow4 is convex, and the factor of term_cross log-convex.  So the
+    sum under the root is convex (a log-convex function is convex, and a
+    product of two is log-convex), and the bound is quasi-convex.
     """
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
@@ -287,68 +298,8 @@ def _schwarz_radius(ctx: BoundContext, t):
 
 
 # ---------------------------------------------------------------------------
-# the certified t-scans
-#
-# Each visits the grid points of minimize_over_t through value_at(i), the
-# bound at ts[i] (evaluated once), until the points it has not visited are
-# certified to lie above the smallest value it has: so the grid's
-# first-index minimum, and every tie of it, is among the visited points.
-
-def _lower(ctx: BoundContext, ts: np.ndarray) -> np.ndarray:
-    """Lower ends of aluthge-t at each t of ts, up to the rounding
-    BRACKET_REL covers, from its unitarily invariant terms on aluthge_basis's
-    stacks, in chunks of t in which 16 such complex stacks fill
-    BRACKET_CHUNK_BYTES; lowered by n^2 * 2^-1072 for subnormal rounding."""
-    size = max(1, BRACKET_CHUNK_BYTES // (16 * 16 * ctx.a.size))
-    s, u = ctx.sigma, ts[:, None]
-    term_pow4 = 0.25 * (s ** (4 * u) + s ** (4 * (1 - u))).max(axis=-1)
-    cross = (s ** (2 * u) + s ** (2 * (1 - u))).max(axis=-1)
-    wa, wa2, mod = np.zeros((3, ts.size))
-    for i in range(0, ts.size, size):
-        b, b2 = ctx.aluthge_basis(ts[i:i + size])
-        wa[i:i + size] = ctx.sweep(None, b)
-        wa2[i:i + size] = ctx.sweep(None, b2)
-        mod[i:i + size] = _mod_lower(b)
-    inner = (term_pow4 + 0.5 * float_power(ctx.norm_a, 2) + 0.25 * mod
-             + 0.5 * wa2 + cross * wa)
-    return 0.5 * np.sqrt(np.maximum(inner - ctx.a.size * 2.0**-1072, 0))
-
-
-def _mod_lower(b: np.ndarray) -> np.ndarray:
-    """A lower end of ||B*B + BB*|| for each B of the (T, n, n) stack b,
-    inf where B is not finite: the largest ||Bx||^2 + ||B*x||^2 over the
-    top eigenvectors x of the operands at every ceil(T / BRACKET_PROBES)-th
-    row (0 if none is finite), so that those rows get their norm."""
-    rows, n = b.shape[:2]
-    probes = b[::-(-rows // BRACKET_PROBES)]
-    op = probes.conj().swapaxes(-1, -2) @ probes
-    op += probes @ probes.conj().swapaxes(-1, -2)
-    ok = np.isfinite(op).all(axis=(-2, -1))
-    x = np.linalg.eigh(np.where(ok[:, None, None], op, 0))[1][..., -1]
-    both = np.concatenate([b, b.conj().swapaxes(1, 2)], axis=1)  # [B; B*]
-    q = (abs(both.reshape(-1, n) @ x.T) ** 2).reshape(rows, 2 * n, -1)
-    q = np.where(ok, q.sum(axis=1), 0).max(axis=-1)
-    return np.where(np.isfinite(b).all(axis=(-2, -1)), q, math.inf)
-
-
-def _lower_scan(ctx: BoundContext, ts: np.ndarray,
-                value_at: Callable) -> None:
-    """aluthge-t's scan, pruned by _lower's ends (no shape in t is known).
-
-    The ends are widened by BRACKET_REL to cover the rounding of the
-    stacked against the scalar arithmetic.  The points are visited in
-    order of their lower ends, one that is not finite counting as -inf,
-    up to the first whose lower end exceeds the smallest value so far.
-    """
-    lower = _lower(ctx, ts)
-    lower = lower - BRACKET_REL * (abs(lower) + ctx.norm_a)
-    key = np.where(np.isfinite(lower), lower, -math.inf)
-    cap = math.inf
-    for i in np.argsort(key, kind="stable"):
-        if key[i] > cap:
-            break
-        cap = min(cap, value_at(int(i)))
-
+# the certified t-scan: it visits grid points through value_at(i), the bound
+# at ts[i] (evaluated once), until those not visited lie above a value met
 
 def _above(v: float, low: float, norm: float) -> bool:
     """Whether v lies above low when each is widened by
@@ -360,33 +311,86 @@ def _above(v: float, low: float, norm: float) -> bool:
             > low + BRACKET_REL * (abs(low) + norm))
 
 
-def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray,
-                       value_at: Callable) -> None:
-    """The scan of a bound that is quasi-convex in t: every sublevel set
-    is an interval, so for i < j < k its value at t_j is at most the
-    larger of those at t_i and t_k, up to the rounding that BRACKET_REL
-    covers.
+def _aluthge_lower(ctx: BoundContext, t: float) -> float:
+    """A lower end of aluthge-t's value at t, up to the rounding that
+    BRACKET_REL covers, with no sweep: its X-only norms in closed form
+    (X^r = V diag(sigma^r) V*), its term_mod, and radius._subgrid_max for
+    omega(A_t) and omega(A_t^2), with the sum under the root lowered by
+    n^2 * 2^-1072 for subnormal rounding; -inf, which certifies nothing,
+    where that sum is not finite."""
+    alu, s = ctx.aluthge(t), ctx.sigma
+    inner = (0.25 * (s ** (4 * t) + s ** (4 * (1 - t))).max()
+             + 0.5 * float_power(ctx.norm_a, 2)
+             + 0.25 * hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
+             + 0.5 * _subgrid_max(alu @ alu, ctx.theta_grid)
+             + (s ** (2 * t) + s ** (2 * (1 - t))).max()
+             * _subgrid_max(alu, ctx.theta_grid)
+             - ctx.a.size * 2.0**-1072)
+    if not math.isfinite(inner):
+        return -math.inf
+    return 0.5 * math.sqrt(max(inner, 0.0))
 
-    The best of the middle point and its neighbours starts the search, by
-    optimize.golden_min over the rounded indices up to the downhill end,
-    for a small value v* to within 32 indices.  From v* a walk goes
-    outward on each side, keeping the smallest value it meets, up to the
-    first point q whose value lies above it (_above).  Every point beyond
-    q is then at least the value at q, so above v*, and can neither hold
-    nor tie the grid minimum.  A flat objective is walked end to end; so
-    is one that is +inf everywhere.
+
+def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
+                       kappa: float = 1.0, lower_at: Callable = None) -> None:
+    """The scan of a bound that is quasi-convex in t: for i < j < k, its
+    exact value V at t_j is at most the larger of those at t_i and t_k.
+    Its computed values V_c have V_c <= V <= kappa V_c, up to the rounding
+    that BRACKET_REL covers, so V_c(t_j) / kappa is at most the larger of
+    V_c(t_i) and V_c(t_k).
+
+    The middle point is evaluated; if the lower ends lower_at(i) (the
+    values if None) of its neighbours, divided by kappa, lie above it
+    (_above), the scan stops.  Else, on the lower ends, a gallop goes
+    downhill from it in steps of 1, 2, 4, ... while they fall, and
+    optimize.golden_min searches its last bracket if that is over 4
+    indices wide.  From the best point b met, a walk goes outward on each
+    side, keeping the smallest value v* it meets, up to the first point q
+    that lies above v*: by a lower end taken so far or next to b, or else
+    by its value.  Every point p beyond q has V_c(q) / kappa at most the
+    larger of v* and V_c(p), so V_c(p) > v*: none can hold or tie the grid
+    minimum.  A flat objective is walked end to end; so is one that is
+    +inf everywhere.
     """
-    size = ts.size
-    mid = (size - 1) // 2
-    best = min(range(max(mid - 1, 0), min(mid + 2, size)), key=value_at)
-    end = 0 if best < mid else size - 1 if best > mid else mid
-    x = golden_min(lambda x: value_at(round(x)), best, end, 32)[0]
-    best = min(best, round(x), key=value_at)
+    size, lows = ts.size, {}
+
+    def lower(i: int) -> float:
+        if i not in lows:
+            lows[i] = (lower_at or value_at)(i)
+        return lows[i]
+
+    def above(i: int, v: float) -> bool:
+        return (((i in lows or abs(i - b) == 1)
+                 and _above(lower(i) / kappa, v, ctx.norm_a))
+                or _above(value_at(i) / kappa, v, ctx.norm_a))
+
+    a = b = mid = (size - 1) // 2
+    near = [i for i in (mid - 1, mid + 1) if 0 <= i < size
+            and not _above(lower(i) / kappa, value_at(mid), ctx.norm_a)]
+    if not near:
+        return
+    c = min(near, key=lower)
+    while lower(c) < lower(b):
+        a, b, c = b, c, min(max(c + 2 * (c - b), 0), size - 1)
+    if abs(c - a) > 4:
+        b = min(b, round(golden_min(lambda x: lower(round(x)), a, c, 4)[0]),
+                key=lower)
     for step in (-1, 1):
-        low, i = value_at(best), best + step
-        while 0 <= i < size and not _above(value_at(i), low, ctx.norm_a):
+        low, i = value_at(b), b + step
+        while 0 <= i < size and not above(i, low):
             low = min(low, value_at(i))
             i += step
+
+
+def _aluthge_scan(ctx: BoundContext, ts: np.ndarray,
+                  value_at: Callable) -> None:
+    """aluthge-t's _quasi_convex_scan.  Its omega terms are sweeps on N
+    angles: each an attained g(theta), so at most omega, and the grid's
+    maximum, so at least omega cos(pi/N) (Johnson's outer polygon).  The
+    bound grows with both, so kappa = cos(pi/N)^(-1/2)."""
+    _quasi_convex_scan(ctx, ts, value_at,
+                       math.cos(math.pi / ctx.theta_grid) ** -0.5,
+                       lambda i: _aluthge_lower(ctx, float(ts[i])))
 
 
 # Every catalog bound in the report's order, with the certified t-scan that
@@ -400,7 +404,7 @@ _BOUNDS = {
     "integral": (_integral, None),
     "integral-refined": (_integral_refined, None),
     "yamazaki": (_yamazaki, None),
-    "aluthge-t": (_aluthge_weighted, _lower_scan),
+    "aluthge-t": (_aluthge_weighted, _aluthge_scan),
     "aluthge-half": (lambda ctx, t: _aluthge_weighted(ctx, 0.5), None),
     "weighted-power": (_weighted_power, _quasi_convex_scan),
     "weighted-r": (_weighted_r, _quasi_convex_scan),
@@ -474,12 +478,9 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
 
     The scan is certified: it visits the grid points until those it has
     not visited lie above the smallest value it has, so the first-index
-    minimum over the grid, and hence the result, is that of the full scan.
-    The certificate is the one that _BOUNDS names for the bound: its own
-    values for the five bounds that are quasi-convex in t
-    (_quasi_convex_scan), and lower ends from the grid's stacks for
-    aluthge-t (_lower_scan).  If no value is finite, or a value is NaN,
-    which certifies nothing, every point is visited.
+    minimum over the grid, and hence the result, is that of the full scan
+    (_quasi_convex_scan).  If no value is finite, or a value is NaN, which
+    certifies nothing, every point is visited.
 
     Returns (t_star, value) with value comparable to omega(A).
     """

@@ -43,12 +43,11 @@ def finite_matrix(a) -> np.ndarray:
     return m
 
 
-def fits(m: np.ndarray):
-    """Whether an (n, n) matrix, or each matrix of a stack, is finite and
-    has no real or imaginary part above NORM_MAX / n: a bool, or a bool
-    per matrix."""
-    big = np.maximum(abs(m.real), abs(m.imag)).max(axis=(-2, -1))
-    return big <= NORM_MAX / m.shape[-1]
+def fits(m: np.ndarray) -> bool:
+    """Whether an (n, n) matrix is finite and has no real or imaginary part
+    above NORM_MAX / n."""
+    return bool(np.maximum(abs(m.real), abs(m.imag)).max()
+                <= NORM_MAX / m.shape[0])
 
 
 def adjoint(a) -> np.ndarray:
@@ -140,7 +139,8 @@ def psd_power(v: np.ndarray, w: np.ndarray, r) -> np.ndarray:
 
 
 def frac_power(p, r: float) -> np.ndarray:
-    """Fractional power P^r of a PSD matrix, with 0^r = 0.
+    """Fractional power P^r of a PSD matrix, with 0^r = 0; p is the matrix
+    or its HermitianEigen, so that one decomposition serves many powers.
 
     Eigenvalues in [-TOL_PSD * ||P||, 0) are clamped to zero; anything
     more negative raises NotPSD.  r = 0 is rejected: the natural limit
@@ -153,7 +153,7 @@ def frac_power(p, r: float) -> np.ndarray:
         raise DomainError("exponent 0 is not defined for frac_power")
     if r < 0:
         raise DomainError("exponent must be nonnegative")
-    eig = hermitian_eigen(p)
+    eig = p if isinstance(p, HermitianEigen) else hermitian_eigen(p)
     w, v = eig.eigenvalues, eig.vectors
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -TOL_PSD * scale:

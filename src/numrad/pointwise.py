@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .matrix import (as_matrix, float_power, frac_power, spectral_norm,
-                     spectral_radius)
+from .matrix import (as_matrix, fits, float_power, frac_power,
+                     hermitian_eigen, spectral_norm, spectral_radius)
 from .polar import _check_weight, _Spectral
 from .radius import pruned_sweep
 
@@ -105,6 +105,7 @@ def mccarthy(p, x, r: float) -> InequalityCheck:
     return InequalityCheck(lhs=float(form_r), rhs=float(form_pow))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def schwarz_covariance(a, b, x) -> InequalityCheck:
     """Covariance-form Schwarz refinement for a pair of operators."""
     a, b = as_matrix(a), as_matrix(b)
@@ -119,17 +120,19 @@ def schwarz_covariance(a, b, x) -> InequalityCheck:
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def schwarz_self(a, x) -> InequalityCheck:
     """Special case with B* = A of the covariance refinement."""
     a = as_matrix(a)
     x = _vec(x)
-    qa = _form(a, x)
+    qa = np.complex128(_form(a, x))  # inf, not OverflowError, in powers
     qa2 = _form(a @ a, x)
     lhs = abs(qa) ** 2 + abs(qa2 - qa**2)
     rhs = np.linalg.norm(a @ x) * np.linalg.norm(a.conj().T @ x)
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cs_refinement(a, b, x) -> InequalityCheck:
     """Refined Cauchy-Schwarz for products of quadratic forms."""
     a, b = as_matrix(a), as_matrix(b)
@@ -140,20 +143,24 @@ def cs_refinement(a, b, x) -> InequalityCheck:
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def amer_bound(a, b, c, d) -> InequalityCheck:
-    """Spectral radius of AB + CD against the mixed radius/norm bound."""
+    """Spectral radius of AB + CD against the mixed radius/norm bound;
+    NonFinite where one of the products does not fit (matrix.fits)."""
     a, b, c, d = (as_matrix(m) for m in (a, b, c, d))
-    lhs = spectral_radius(a @ b + c @ d)
-    wba = pruned_sweep(b @ a).value
-    wdc = pruned_sweep(d @ c).value
+    ab_cd, ba, dc, bc, da = a @ b + c @ d, b @ a, d @ c, b @ c, d @ a
+    if not all(fits(m) for m in (ab_cd, ba, dc, bc, da)):
+        raise NonFinite("a product of the matrices does not fit in a float")
+    lhs = spectral_radius(ab_cd)
+    wba, wdc = pruned_sweep(ba).value, pruned_sweep(dc).value
     # the root of (wba - wdc)^2 + 4 ||BC|| ||DA||, with no square
-    cross = math.sqrt(spectral_norm(b @ c)) * math.sqrt(spectral_norm(d @ a))
+    cross = math.sqrt(spectral_norm(bc)) * math.sqrt(spectral_norm(da))
     rhs = 0.5 * (wba + wdc + math.hypot(wba - wdc, 2 * cross))
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
 def _pq_norm(p, q, t: float) -> float:
-    """||P^t Q^t|| for PSD P, Q."""
+    """||P^t Q^t|| for PSD P, Q, each a matrix or its HermitianEigen."""
     return spectral_norm(frac_power(p, t) @ frac_power(q, t))
 
 
@@ -163,7 +170,10 @@ def log_convexity(p, q, t: float) -> InequalityCheck:
         raise DomainError("t must lie in (0, 1]")
     p, q = as_matrix(p), as_matrix(q)
     lhs = _pq_norm(p, q, t)
-    rhs = spectral_norm(p @ q) ** t
+    # ||PQ||^t from P and Q scaled by 2^-e (e = 0 below 2^500), so PQ fits
+    e = max(0, math.frexp(max(abs(p).max(), abs(q).max()))[1] - 500)
+    rhs = (spectral_norm((p * 2.0**-e) @ (q * 2.0**-e)) ** t
+           * float_power(2.0, 2 * e * t))
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs))
 
 
@@ -171,6 +181,6 @@ def log_convexity_midpoint(p, q, s: float, u: float) -> InequalityCheck:
     """Midpoint log-convexity of f(t) = ||P^t Q^t||: f((s+u)/2)^2 <= f(s) f(u)."""
     if not (0 < s <= 1 and 0 < u <= 1):
         raise DomainError("s, u must lie in (0, 1]")
-    p, q = as_matrix(p), as_matrix(q)
+    p, q = hermitian_eigen(p), hermitian_eigen(q)  # each decomposed once
     return InequalityCheck(lhs=float_power(_pq_norm(p, q, (s + u) / 2), 2),
                            rhs=_pq_norm(p, q, s) * _pq_norm(p, q, u))

@@ -28,9 +28,7 @@ class _Spectral:
     """One SVD of A and the operators the weighted bounds build from it.
 
     Singular directions with sigma <= SIGMA_CUT_REL * sigma_1 are treated
-    as kernel and left out of the isometry U.  Each power or transform
-    takes a float exponent (or weight) and gives an (n, n) array, but
-    aluthge_basis, which takes a vector of weights.  Exponents such as 1/t
+    as kernel and left out of the isometry U.  Exponents such as 1/t
     overflow near the ends of the weight window, where the bound is inf:
     overflowing powers propagate as non-finite entries, quietly under the
     error state that the calling entry point sets.
@@ -55,14 +53,6 @@ class _Spectral:
     def aluthge(self, t):
         """Weighted Aluthge transform |A|^(1-t) U |A|^t."""
         return self.xpow(1 - t) @ self.isometry @ self.xpow(t)
-
-    def aluthge_basis(self, ts: np.ndarray):
-        """Stacks over ts of V* A_t V = S_(1-t) K S_t and V* A_t^2 V = S_(1-t)
-        K S_1 K S_t, with S_r = diag(sigma^r), K = V* U V; no product per t."""
-        k = self.right.conj().T @ self.isometry @ self.right
-        u = ts[:, None, None]
-        scale = self.sigma[:, None] ** (1 - u) * self.sigma ** u
-        return scale * k, scale * (k @ (self.sigma[:, None] * k))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
 same bits and warm-started from a nearby matrix's sweep, and
-refines around the best grid point by Brent's method; sweep_lower gives
-lower ends of its value for a stack of matrices.
+refines around the best grid point by Brent's method.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -24,18 +23,11 @@ DEFAULT_GRID = 720
 THETA_GRID_MIN = 8  # the smallest angle grid a sweep accepts
 DEFAULT_THETA_TOL = 1e-10
 DEFAULT_ASCENT_STEPS = 50
-# Largest angle step of the subgrid that gives a lower end of a sweep's value.
+# Largest angle step of the subgrid that a cold sweep solves first.
 COARSE_STEP_MAX = 16
 # Widening, relative to the scale of the values compared, that covers the
 # rounding of stacked against single-matrix arithmetic and of upper ends.
 BRACKET_REL = 1e-9
-# Bytes that a bracket's stacks are sized to, per chunk of t: 16 (t, n, n)
-# stacks of complex, and apart from those, the (theta, n, n) rotations of
-# the probe rows in sweep_lower.  A sizing rule, not a cap: numpy's
-# temporaries come on top.
-BRACKET_CHUNK_BYTES = 1 << 24
-# Largest number of probe rows in one stack that sweep_lower sweeps.
-BRACKET_PROBES = 16
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -83,18 +75,13 @@ def _lambda_max_rotated(a, theta: float) -> float:
     return float(np.linalg.eigvalsh(h)[-1])
 
 
-def _rotations(a, phases) -> np.ndarray:
-    """Re(e^{i theta} A) over the phases e^{i theta}, on a new axis before
-    the matrix axes; a may carry leading stack axes."""
-    p = phases[:, None, None]
-    return (p * a[..., None, :, :]
-            + np.conj(p) * a.conj().swapaxes(-1, -2)[..., None, :, :]) / 2
-
-
 def _top(a, phases) -> np.ndarray:
     """g(theta) = lambda_max(Re(e^{i theta} A)) over the phases e^{i theta},
-    in one stacked eigvalsh; a may carry leading stack axes."""
-    return np.linalg.eigvalsh(_rotations(a, phases))[..., -1]
+    in one stacked eigvalsh of the rotations."""
+    p = phases[:, None, None]
+    rot = (p * a[..., None, :, :]
+           + np.conj(p) * a.conj().swapaxes(-1, -2)[..., None, :, :]) / 2
+    return np.linalg.eigvalsh(rot)[..., -1]
 
 
 def radius_sweep(a, grid_points: int = DEFAULT_GRID,
@@ -126,22 +113,19 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
                warm=None):
     """(radius_sweep(a, grid_points, refine), bit for bit, upper ends of g
     at every grid angle), solving only the grid angles where the maximum
-    of g can lie; a skipped angle's value is strictly below the grid
-    maximum, so it cannot hold or tie the first-index argmax.
+    of g can lie: a skipped angle lies strictly below the grid maximum.
 
     warm is None or (m, upper): a matrix m swept on the same grid and the
-    upper ends that its warm_sweep gave.  By Weyl's inequality,
-    g(theta) <= upper + delta at every angle, with delta the Frobenius
-    norm of a - m, an upper end of ||a - m||.  The angle k0 where upper is
-    largest is solved first, giving v0; then, in one more stack, each
-    angle whose upper + delta, widened by BRACKET_REL * (|v0| +
+    upper ends that its warm_sweep gave.  By Weyl's inequality, g <=
+    upper + delta at every angle, delta = ||a - m||_F.  The angle k0 where
+    upper is largest is solved first, giving v0; then, in one more stack,
+    each angle whose upper + delta, widened by BRACKET_REL * (|v0| +
     max |upper + delta|), reaches v0.  Where that would solve more angles
     than the cold subgrid, or with no warm start, the grid stage is cold:
     the subgrid of every coarse_step(grid_points)-th angle, then in one
     more stack each angle whose support_upper end, widened by BRACKET_REL,
     reaches the subgrid maximum (all of them where g is flat).  The upper
-    ends given back are g at the angles solved and, elsewhere, upper +
-    delta or the support_upper ends; like those, they are unwidened.
+    ends given back, unwidened, are g where solved, else the ends used.
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
@@ -154,10 +138,9 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
 
 def _grid_stage(a, phases, warm, step):
     """warm_sweep's grid stage, cold from every step-th angle: g at the
-    phases, -inf at the angles skipped, and the upper ends.  Cold, a may be
-    a stack, whose matrices all solve an angle that one of them needs."""
+    phases, -inf at the angles skipped, and the upper ends."""
     size = phases.size
-    g = np.full(a.shape[:-2] + phases.shape, -np.inf)
+    g = np.full(size, -np.inf)
     if warm is not None:
         ends = warm[1] + frobenius(a - warm[0])
         k = int(np.argmax(warm[1]))
@@ -170,14 +153,13 @@ def _grid_stage(a, phases, warm, step):
             solve[k] = True
             return g, np.where(solve, g, ends)
         g[k] = -np.inf
-    g[..., ::step] = sub = _top(a, phases[::step])
-    top = sub.max(axis=-1, keepdims=True)
-    ends = support_upper(sub, step).reshape(g.shape)
-    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max(-1, keepdims=True))
-    solve = (solve >= top).reshape(-1, size).any(axis=0)
+    g[::step] = sub = _top(a, phases[::step])
+    top = sub.max()
+    ends = support_upper(sub, step)
+    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max()) >= top
     solve[::step] = False
     if solve.any():
-        g[..., solve] = _top(a, phases[solve])
+        g[solve] = _top(a, phases[solve])
     solve[::step] = True
     return g, np.where(solve, g, ends)
 
@@ -199,63 +181,33 @@ def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
 
 def support_upper(sub: np.ndarray, step: int) -> np.ndarray:
     """Unwidened upper ends of g on a grid from its values sub at every
-    step-th angle (flattened, for each row of a stack).  In a gap Delta < pi
-    from theta_k to theta_{k+1}, e^{i theta} = alpha e^{i theta_k} + beta
-    e^{i theta_{k+1}}, alpha = sin(theta_{k+1} - theta) / sin(Delta) and
-    beta = sin(theta - theta_k) / sin(Delta) both >= 0, so g(theta) = max
-    over z in W(M) of Re(e^{i theta} z) <= alpha g_k + beta g_{k+1}."""
-    h = 2 * np.pi / (sub.shape[-1] * step)  # the grid's spacing
+    step-th angle.  In a gap Delta < pi from theta_k to theta_{k+1},
+    e^{i theta} = alpha e^{i theta_k} + beta e^{i theta_{k+1}}, alpha =
+    sin(theta_{k+1} - theta) / sin(Delta) and beta = sin(theta - theta_k) /
+    sin(Delta) both >= 0, so g(theta) = max over z in W(M) of
+    Re(e^{i theta} z) <= alpha g_k + beta g_{k+1}."""
+    h = 2 * np.pi / (sub.size * step)  # the grid's spacing
     j = np.arange(step)
     alpha, beta = np.sin(h * np.array([step - j, j])) / np.sin(h * step)
-    after = np.roll(sub, -1, axis=-1)  # g at theta_{k+1}
+    after = np.roll(sub, -1)  # g at theta_{k+1}
     return (np.outer(sub, alpha) + np.outer(after, beta)).ravel()
 
 
-def coarse_step(grid_points: int, most: int = COARSE_STEP_MAX) -> int:
-    """Largest divisor of grid_points that is at most most and leaves at
-    least 3 angles in the subgrid; 1 if there is none."""
-    return max((d for d in range(1, most + 1)
+def coarse_step(grid_points: int) -> int:
+    """Largest divisor of grid_points that is at most COARSE_STEP_MAX and
+    leaves at least 3 angles in the subgrid; 1 if there is none."""
+    return max((d for d in range(1, COARSE_STEP_MAX + 1)
                 if grid_points % d == 0 and grid_points // d >= 3),
                default=1)
 
 
-def sweep_lower(ms, grid_points: int) -> np.ndarray:
-    """A lower end of the sweep's value (radius_sweep's, refined or not)
-    for each matrix of the (T, n, n) stack ms.
-
-    The probe rows are every s-th matrix, s = ceil(T / P), where P is
-    BRACKET_PROBES, or fewer if the probes' (angle, n, n) stacks of
-    rotations would exceed BRACKET_CHUNK_BYTES.  At a probe row the lower
-    end is the maximum of g(theta) = lambda_max(Re(e^{i theta} M)) over
-    the subgrid of every coarse_step(grid_points)-th angle: these are
-    angles of the sweep's grid, so it is at most the sweep's value; the
-    probes' cold _grid_stage starts from every third of them.  At every
-    other row it is a rotated Rayleigh quotient (Johnson's support-line
-    identity): for the top eigenvector x of each probe's Re(e^{i theta} P)
-    at its best subgrid angle, and the grid angle theta nearest to
-    -arg(x*Mx), Re(e^{i theta} x*Mx) = x*Re(e^{i theta} M)x <= g(theta).
-    This holds for any unit x; the probes' vectors are chosen because M is
-    near a probe.  The row's lower end is the largest such quotient.
-    """
-    step = coarse_step(grid_points)
-    thetas = (2 * np.pi * np.arange(grid_points) / grid_points)[::step]
-    per_probe = 16 * ms.shape[-1] ** 2 * thetas.size
-    probes = min(BRACKET_PROBES, max(1, BRACKET_CHUNK_BYTES // per_probe))
-    s = -(-ms.shape[0] // probes)
-    top = _grid_stage(ms[::s], np.exp(1j * thetas), None,
-                      coarse_step(thetas.size, 3))[0]
-    sub = top.max(axis=-1)
-    if s == 1:
-        return sub
-    # one angle per probe: the broadcast pairs probe k with angle k
-    angles = thetas[top.argmax(axis=-1)]
-    rot = _rotations(ms[::s], np.exp(1j * angles)[:, None])[:, 0]
-    x = np.linalg.eigh(rot)[1][..., -1]
-    q = np.einsum("tij,pi,pj->tp", ms, x.conj(), x, optimize=True)  # GEMM
-    j = np.rint(-np.angle(q) * grid_points / (2 * np.pi)) % grid_points
-    lower = (np.exp(1j * (2 * np.pi * j / grid_points)) * q).real.max(axis=-1)
-    lower[::s] = sub
-    return lower
+def _subgrid_max(a, grid_points: int) -> float:
+    """Max of g over every coarse_step(grid_points)-th grid angle, by one
+    _top: a lower end of the sweep's value, refined or not, and so of
+    omega(A); 0, a lower end of omega too, where a does not fit."""
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    phases = np.exp(1j * thetas[::coarse_step(grid_points)])
+    return float(_top(a, phases).max()) if fits(a) else 0.0
 
 
 def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:

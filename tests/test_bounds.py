@@ -18,7 +18,7 @@ from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN
-from numrad.radius import coarse_step, pruned_sweep, sweep_lower
+from numrad.radius import _subgrid_max, coarse_step, pruned_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2,
@@ -419,13 +419,16 @@ def _outcome(fn):
 
 
 def _assert_scans_agree(a, grid_points, theta_grid, refine):
-    for bound_id in sorted(T_DEPENDENT_IDS):
+    # and aluthge-t on the coarse theta-grids, where its kappa is largest
+    runs = [(bid, theta_grid, refine) for bid in sorted(T_DEPENDENT_IDS)]
+    runs += [("aluthge-t", coarse, False) for coarse in (8, 17)]
+    for bound_id, theta, on in runs:
         # separate contexts, so that no cached value passes between them
         want = _outcome(lambda: _full_scan(
-            bound_id, BoundContext(a, theta_grid, refine), grid_points))
+            bound_id, BoundContext(a, theta, on), grid_points))
         got = _outcome(lambda: minimize_over_t(
-            bound_id, BoundContext(a, theta_grid, refine), grid_points))
-        assert got == want, (bound_id, theta_grid, refine)
+            bound_id, BoundContext(a, theta, on), grid_points))
+        assert got == want, (bound_id, theta, on)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
@@ -495,9 +498,18 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
     minimize_over_t("aluthge-t", BoundContext(g, refine=False), 1001)
     assert 1 <= len(calls) <= 30
     calls.clear()
-    # 719 angles is prime, so the probe rows sweep the full grid
+    # 719 angles is prime, so the lower ends sweep the full grid
     minimize_over_t("aluthge-t", BoundContext(SHIFT_234, 719, False), 1001)
     assert 1 <= len(calls) <= 30
+    # the campaign's 9-point grid: the middle point's value, and the lower
+    # ends of its neighbours, most often certify it
+    rng = np.random.default_rng(625)
+    calls.clear()
+    for ens in ENSEMBLES:
+        for _ in range(4):
+            minimize_over_t("aluthge-t", BoundContext(sample(ens, 3, rng), 240,
+                                                      False), 9)
+    assert len(calls) <= 30, len(calls)
 
 
 def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
@@ -540,15 +552,14 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
     assert ctx.sweep(("alu", 0.3001), alu) == pruned_sweep(alu).value
 
 
-QUASI_CONVEX_IDS = sorted(bid for bid, (_, scan) in bounds._BOUNDS.items()
-                          if scan is bounds._quasi_convex_scan)
-
-
 def test_quasi_convex_scan_visits_few_points(monkeypatch):
-    # every weighted bound but aluthge-t has it
-    assert QUASI_CONVEX_IDS == sorted(T_DEPENDENT_IDS - {"aluthge-t"})
+    # every weighted bound has it, aluthge-t's widened for its sweeps
+    scans = {bid: scan for bid, (_, scan) in bounds._BOUNDS.items() if scan}
+    assert scans == {bid: bounds._quasi_convex_scan for bid in scans
+                     if bid != "aluthge-t"} | {
+                         "aluthge-t": bounds._aluthge_scan}
     g = ginibre(np.random.default_rng(617), 8)
-    for bound_id in QUASI_CONVEX_IDS:
+    for bound_id in sorted(T_DEPENDENT_IDS):
         calls = _count_scalar_calls(monkeypatch, bound_id)
         minimize_over_t(bound_id, BoundContext(g, refine=False), 1001)
         assert 1 <= len(calls) <= 25, (bound_id, len(calls))
@@ -561,8 +572,10 @@ def test_quasi_convex_scan_visits_few_points(monkeypatch):
 
 def test_quasi_convex_bounds_are_quasi_convex_on_the_grid():
     # the premise of _quasi_convex_scan: at every grid point the value,
-    # widened down by BRACKET_REL, is at most the larger of the smallest
-    # values, widened up, on its two sides (+inf stays +inf)
+    # divided by kappa and widened down by BRACKET_REL, is at most the
+    # larger of the smallest values, widened up, on its two sides (+inf
+    # stays +inf); kappa is cos(pi/N)^(-1/2) for aluthge-t, whose omega
+    # terms are sweeps on N angles, and 1 for the others
     rng = np.random.default_rng(620)
     mats = [SHIFT_234, SHIFT_342]
     mats += [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
@@ -570,67 +583,82 @@ def test_quasi_convex_bounds_are_quasi_convex_on_the_grid():
     mats += [1e-150 * g, 1e150 * g, 3e153 * g]
     ts = np.linspace(T_MIN, 1 - T_MIN, 101)
     for a in mats:
-        ctx = BoundContext(a, 240, False)
-        for bound_id in QUASI_CONVEX_IDS:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.array([bounds._evaluate(bound_id, ctx, t).value
-                                 for t in ts.tolist()])
-                widen = radius.BRACKET_REL * (abs(vals) + ctx.norm_a)
-                low = np.where(vals == math.inf, math.inf, vals - widen)
-                high = vals + widen
-            assert not np.isnan(vals).any()
-            left = np.minimum.accumulate(high)[:-2]
-            right = np.minimum.accumulate(high[::-1])[::-1][2:]
-            assert (low[1:-1] <= np.maximum(left, right)).all(), (
-                bound_id, a.shape, ctx.norm_a)
+        for theta_grid, refine in ((240, False), (720, True)):
+            ctx = BoundContext(a, theta_grid, refine)
+            for bound_id in sorted(T_DEPENDENT_IDS):
+                kappa = (math.cos(math.pi / theta_grid) ** -0.5
+                         if bound_id == "aluthge-t" else 1.0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = np.array([
+                        bounds._evaluate(bound_id, ctx, t).value
+                        for t in ts.tolist()])
+                    widen = radius.BRACKET_REL * (abs(vals) + ctx.norm_a)
+                    low = np.where(vals == math.inf, math.inf,
+                                   vals / kappa - widen)
+                    high = vals + widen
+                assert not np.isnan(vals).any()
+                left = np.minimum.accumulate(high)[:-2]
+                right = np.minimum.accumulate(high[::-1])[::-1][2:]
+                assert (low[1:-1] <= np.maximum(left, right)).all(), (
+                    bound_id, a.shape, ctx.norm_a, theta_grid)
+
+
+def test_aluthge_term_mod_is_log_convex_in_t():
+    # the step of aluthge-t's proof that takes the transpose:
+    # t -> log lambda_max(A_t*A_t + A_tA_t*) is convex, so on a uniform
+    # grid each value squared is at most the product of its neighbours',
+    # to rounding (over 3,000 random matrices with n <= 4, lambda_max's
+    # second differences fell no lower than -4.9e-15 of its largest value,
+    # and -1.1e-13 at scales up to 1e+-100, where sigma^(1-t) sigma^t
+    # rounds with t ln(sigma))
+    rng = np.random.default_rng(626)
+    g = ginibre(rng, 5)
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5)]
+    mats += [JORDAN2, g[:, :2] @ g[:2, :]]
+    ts = np.linspace(T_MIN, 1 - T_MIN, 401).tolist()
+    for a in mats:
+        ctx = BoundContext(a)
+        lam = np.array([bounds.hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
+                        for alu in map(ctx.aluthge, ts)])
+        floor = 1e-13 * lam.max()
+        assert (lam[1:-1] ** 2 <= lam[:-2] * lam[2:] * (1 + 1e-12)
+                + floor**2).all(), a.shape
+        second = lam[:-2] - 2 * lam[1:-1] + lam[2:]
+        assert (second >= -1e-13 * lam.max()).all(), a.shape
 
 
 def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
-    # a grid point whose lower end is NaN or inf certifies nothing, so the
-    # scalar evaluator must run there; aluthge-t is the one bound whose
-    # scan is pruned by lower ends
-    lower = bounds._lower
-
-    def holed(ctx, ts):
-        ends = lower(ctx, ts)
-        ends[1:-1:2] = math.nan
-        return ends
-
-    monkeypatch.setattr(bounds, "_lower", holed)
+    # a lower end that is NaN or inf certifies nothing, so the middle
+    # point's neighbours must be evaluated; aluthge-t is the one bound whose
+    # scan takes lower ends that are not its values
     calls = _count_scalar_calls(monkeypatch, "aluthge-t")
-    holes = np.linspace(T_MIN, 1 - T_MIN, 41)[1:-1:2].tolist()
-    for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
-        calls.clear()
-        minimize_over_t("aluthge-t", BoundContext(a, 240, False), 41)
-        assert set(holes) <= set(calls)
-        _assert_scans_agree(a, 41, 240, True)
-
-
-def test_pruned_scan_equals_full_scan_with_a_small_stack_budget(monkeypatch):
-    # many chunks, each with fewer probe rows than BRACKET_PROBES
-    monkeypatch.setattr(bounds, "BRACKET_CHUNK_BYTES", 1 << 16)
-    monkeypatch.setattr(radius, "BRACKET_CHUNK_BYTES", 1 << 16)
-    _assert_scans_agree(SHIFT_234, 101, 720, True)
-    _assert_scans_agree(ginibre(np.random.default_rng(618), 4), 101, 720,
-                        False)
+    near = np.linspace(T_MIN, 1 - T_MIN, 9)[[3, 5]].tolist()
+    for hole in (math.nan, math.inf):
+        monkeypatch.setattr(bounds, "_subgrid_max", lambda m, n: hole)
+        for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
+            calls.clear()
+            minimize_over_t("aluthge-t", BoundContext(a, 240, False), 9)
+            assert set(near) <= set(calls)
+            _assert_scans_agree(a, 9, 240, True)
 
 
 BRACKET_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
 
 
 def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
-    # the bracket as minimize_over_t gets it, before the widening that
-    # covers rounding
+    # the lower end that the scan takes at the middle point's neighbours,
+    # at every grid t, before the widening that covers rounding; it is
+    # -inf, which certifies nothing, where it is not finite
     ctx = BoundContext(a, theta_grid, refine)
-    ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
-    assert grid_points > radius.BRACKET_PROBES  # so some rows are not probes
+    lower = []
     with np.errstate(invalid="ignore", over="ignore"):
-        lower = bounds._lower(ctx, ts)
-        for t, lo in zip(ts, lower):
-            v = bounds._evaluate("aluthge-t", ctx, float(t)).value
+        for t in np.linspace(T_MIN, 1 - T_MIN, grid_points).tolist():
+            lo = bounds._aluthge_lower(ctx, t)
+            v = bounds._evaluate("aluthge-t", ctx, t).value
             tol = 1e-12 * (abs(v) + ctx.norm_a)
-            assert not math.isfinite(lo) or lo <= v + tol, (t, lo, v)
-    return lower
+            assert -math.inf <= lo < math.inf and lo <= v + tol, (t, lo, v)
+            lower.append(lo)
+    return np.array(lower)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
@@ -646,29 +674,27 @@ def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
 def test_aluthge_bracket_holds_the_value_on_edge_inputs():
     g = ginibre(np.random.default_rng(616), 5)
     # at 1e-161 and 1e-162 the squared terms of the bound are subnormal
-    for a in (JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g, 1e-161 * g,
-              1e-162 * g):
+    scales = (1e-200, 1e-162, 1e-161, 1e-150, 1e150, 3e153, 1e155)
+    for a in [JORDAN2, g[:, :2] @ g[:2, :]] + [s * g for s in scales]:
         for theta_grid, refine in BRACKET_SETTINGS:
             _assert_aluthge_bracket_holds(a, theta_grid, refine)
 
 
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
 @pytest.mark.parametrize("refine", [True, False])
-def test_subgrid_brackets_the_sweep(theta_grid, refine, monkeypatch):
+def test_subgrid_brackets_the_sweep(theta_grid, refine):
+    # the subgrid's maximum is the sweep's own values' there, so at most
+    # its value, and within Johnson's factor of omega
     rng = np.random.default_rng(613)
     step = coarse_step(theta_grid)
     assert theta_grid % step == 0 and theta_grid // step >= 3
     widen = 1 / math.cos(math.pi * step / theta_grid)
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 6)]
     mats += [JORDAN2, np.diag([1.0, -2.0, 1.5j]), np.zeros((3, 3))]
-    # every row a probe row: the lower ends are the subgrid's maxima
-    monkeypatch.setattr(radius, "BRACKET_PROBES", len(mats))
-    lower = sweep_lower(np.stack([np.pad(m, (0, 6 - m.shape[0]))
-                                  for m in mats]), theta_grid)
-    for m, g_c in zip(mats, lower):
+    for m in mats:
+        g_c = _subgrid_max(m, theta_grid)
         w = radius_sweep(m, theta_grid, refine=refine).value
-        tol = 1e-12 * (1 + abs(w))
-        assert g_c - tol <= w <= g_c * widen + tol
+        assert g_c <= w <= g_c * widen + 1e-12 * (1 + abs(w))
 
 
 def test_coarse_step():
@@ -680,19 +706,19 @@ def test_coarse_step():
 
 
 def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
-    # with 2 rows every row is a probe; with 40 the probes are every third
-    # row, a non-finite one among them, and rotated quotients give the rest
-    for rows in (2, 40):
-        ms = np.stack([np.eye(2)] * rows).astype(complex)
-        ms[1::3, 0, 1] = np.inf
-        ms[rows // 2, 1, 0] = np.nan
-        ms[-1, 1, 1] = NORM_MAX  # finite, but its norm overflows
-        lower = BoundContext(np.eye(2)).sweep(None, ms)
-        bad = ~np.isfinite(ms).all(axis=(-2, -1))
-        bad[-1] = True
-        assert (lower[bad] == math.inf).all()
-        assert lower[~bad] == pytest.approx(np.ones(rows - bad.sum()),
-                                            rel=1e-15)
+    # each matrix of the stack swept by the context: inf where it is not
+    # finite or does not fit, where its subgrid lower end is 0
+    ms = np.stack([np.eye(2)] * 8).astype(complex)
+    ms[1::3, 0, 1] = np.inf
+    ms[3, 1, 0] = np.nan
+    ms[-1, 1, 1] = NORM_MAX  # finite, but its norm overflows
+    bad = ~np.isfinite(ms).all(axis=(-2, -1))
+    bad[-1] = True
+    ctx = BoundContext(np.eye(2))
+    for i, m in enumerate(ms):
+        want = (math.inf, 0.0) if bad[i] else (1.0, 1.0)
+        assert (ctx.sweep(i, m), _subgrid_max(m, 720)) == pytest.approx(
+            want, rel=1e-15), i
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
@@ -707,38 +733,10 @@ def test_sweep_of_a_stack_is_below_the_exact_radius(ensemble):
     for n in (1, 2, 3, 5, 8, 16):
         a = sample(ensemble, n, rng)
         alu = np.stack([BoundContext(a).aluthge(t) for t in ts.tolist()])
-        for theta_grid, refine in BRACKET_SETTINGS:
-            ctx = BoundContext(a, theta_grid, refine)
-            for stack, m in zip(ctx.aluthge_basis(ts), (alu, alu @ alu)):
-                w = exact(m)
-                assert (ctx.sweep(None, stack) <= w * (1 + 1e-14)).all()
-
-
-def test_aluthge_basis_stacks_are_the_transform_and_its_square():
-    # V B_t V* = A_t and V B_t^2 V* = A_t^2 for the right singular vectors
-    # V, and term_mod's lower end is at most its value, at every t
-    rng = np.random.default_rng(621)
-    g = ginibre(np.random.default_rng(616), 5)
-    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (1, 2, 3, 6)]
-    mats += [JORDAN2, g[:, :2] @ g[:2, :], 1e150 * g, 1e-161 * g,
-             1e-162 * g]
-    ts = np.linspace(T_MIN, 1 - T_MIN, 61)
-    for a in mats:
-        ctx = BoundContext(a)
-        v = ctx.right
-        # below the normal range, entries round to multiples of 2^-1074
-        floor = a.shape[0] ** 2 * 2.0**-1072
-        b, b2 = ctx.aluthge_basis(ts)
-        mod = bounds._mod_lower(b)
-        for t, bt, bt2, lo in zip(ts.tolist(), b, b2, mod):
-            alu = ctx.aluthge(t)
-            assert abs(v @ bt @ v.conj().T - alu).max() <= (
-                1e-12 * ctx.norm_a + floor), t
-            assert abs(v @ bt2 @ v.conj().T - alu @ alu).max() <= (
-                1e-12 * ctx.norm_a**2 + floor), t
-            term_mod = 0.25 * bounds.hnorm(alu.conj().T @ alu
-                                           + alu @ alu.conj().T)
-            assert 0.25 * lo <= term_mod + 1e-12 * ctx.norm_a**2 + floor, t
+        for theta_grid, _ in BRACKET_SETTINGS:
+            for stack in (alu, alu @ alu):
+                lower = [_subgrid_max(m, theta_grid) for m in stack]
+                assert (lower <= exact(stack) * (1 + 1e-14)).all()
 
 
 def test_compare_all_minimizes_through_the_module_global(monkeypatch):

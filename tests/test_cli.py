@@ -326,6 +326,26 @@ def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
     assert calls == [(3, 3), (3, 3)]
 
 
+def test_campaign_trial_decomposes_each_power_base_once(monkeypatch):
+    # mccarthy's A*A, log_convexity's P and Q, and log_convexity_midpoint's
+    # P and Q, which serve all three of its t (it decomposed each three
+    # times, through frac_power)
+    calls = []
+    modules = [importlib.import_module(f"numrad.{name}")
+               for name in ("matrix", "pointwise")]
+    hermitian_eigen = modules[0].hermitian_eigen
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return hermitian_eigen(h)
+
+    for module in modules:
+        monkeypatch.setattr(module, "hermitian_eigen", counted, raising=False)
+    run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
+                                seed=5))
+    assert calls == [(3, 3)] * 5
+
+
 def test_campaign_trial_reaches_compare_all_through_the_module_global(
         monkeypatch):
     # perfbench's traced run times a trial's report through this global

@@ -187,13 +187,20 @@ def test_log_convexity_rejects_bad_t(rng):
         log_convexity(p, q, 1.5)
 
 
-def _homogeneous_checks(a):
-    """Checks on a with the degree in a of both their sides."""
+def _homogeneous_checks(s):
+    """Checks at the scale s of A = [[1, 2], [3, 4]], with the degree in s
+    of both their sides; every input is s times its value at s = 1, so
+    that building it overflows at no scale."""
+    a0 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    a, b, p2 = s * a0, s * a0.T[::-1], s * (a0.T @ a0)
     core = _Spectral(a)
     p, q = core.xpow(1.0), core.ypow(1.0)
     return {
-        "mccarthy-root": (lambda: mccarthy(a.T @ a, [1, 1], 0.5), 1),
-        "mccarthy-cube": (lambda: mccarthy(a.T @ a, [1, 1], 3), 6),
+        "mccarthy-root": (lambda: mccarthy(p2, [1, 1], 0.5), 0.5),
+        "mccarthy-cube": (lambda: mccarthy(p2, [1, 1], 3), 3),
+        "schwarz-covariance": (lambda: schwarz_covariance(a, b, [1, 1]), 2),
+        "schwarz-self": (lambda: schwarz_self(a, [1, 1]), 2),
+        "cs-refinement": (lambda: cs_refinement(a, b, [1, 1]), 2),
         "amer": (lambda: amer_bound(a, a, a, a), 2),
         "log-convexity": (lambda: log_convexity(p, q, 0.3), 0.6),
         "log-convexity-midpoint": (
@@ -201,18 +208,17 @@ def _homogeneous_checks(a):
     }
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e140, 1e150])
+@pytest.mark.parametrize("scale", [1e100, 1e140, 1e150, 1e155, 1e160])
 def test_checks_at_large_scale_give_a_margin_or_non_finite(scale):
-    # the sides of a check at scale * A are scale^degree times those at A:
+    # the sides of a check at scale s are s^degree times those at s = 1:
     # where both fit in a float, they are those, and NonFinite where one
     # does not; never a bare OverflowError, a warning, or an rhs of inf
     # (4 ||BC|| ||DA|| overflowed Amer's root at 1e100, where its sides
     # are 5.77e201 and 5.84e201)
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    unit = _homogeneous_checks(a)
+    unit = _homogeneous_checks(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, (check, degree) in _homogeneous_checks(scale * a).items():
+        for name, (check, degree) in _homogeneous_checks(scale).items():
             ref = unit[name][0]()
             big = degree * math.log10(scale) + math.log10(max(ref.lhs,
                                                               ref.rhs))

@@ -312,35 +312,31 @@ def test_support_upper_holds_the_grid_value_at_every_angle(grid_points):
         upper = support_upper(g[::step], step)
         tol = 1e-12 * spectral_norm(m)
         assert np.all(upper >= g - tol), np.max(g - upper) / tol
-    # a stack of rows gives each row's ends, flattened
-    rows = np.stack([_grid_values(m, grid_points)[::step] for m in mats])
-    assert support_upper(rows, step).tolist() == sum(
-        (support_upper(row, step).tolist() for row in rows), [])
 
 
 @pytest.mark.parametrize("grid_points", [8, 11, 16, 240, 360, 720])
 def test_probe_subgrid_keeps_each_maximum_and_its_angle(grid_points):
-    # sweep_lower's probe rows solve their subgrid by a cold _grid_stage
-    # from every third angle: every angle it skips lies strictly below its
-    # matrix's maximum, so each maximum and its first-index angle stay
+    # the cold grid stage solves the subgrid of every coarse_step-th angle
+    # first, and _subgrid_max, which aluthge-t's scan takes as a lower end,
+    # probes that subgrid alone: both have the full grid's values there,
+    # bit for bit, and every angle that the stage skips lies strictly
+    # below its maximum, so the maximum and its first-index angle stay
     rng = np.random.default_rng(624)
     mats = [sample(ens, 4, rng) for ens in ENSEMBLES for _ in range(3)]
     mats += [np.zeros((4, 4)), np.pad(JORDAN2, (0, 2)), 1e-200 * mats[0],
              1e150 * mats[0]]
-    # and the probe rows of a family in t, which share their best angles
-    family = _Spectral(ginibre(rng, 6)).aluthge_basis(
-        np.linspace(T_MIN, 1 - T_MIN, 16))[0]
+    # and a family in t, whose maxima lie near one another
+    core = _Spectral(ginibre(rng, 6))
+    mats += [core.aluthge(t) for t in np.linspace(T_MIN, 1 - T_MIN, 16)]
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    phases = np.exp(1j * thetas[::coarse_step(grid_points)])
-    step = coarse_step(phases.size, 3)
-    for stack in (np.stack(mats).astype(complex), family):
-        full = radius._top(stack, phases)
-        g, _ = radius._grid_stage(stack, phases, None, step)
-        assert (g.max(axis=-1) == full.max(axis=-1)).all()
-        assert (g.argmax(axis=-1) == full.argmax(axis=-1)).all()
+    phases = np.exp(1j * thetas)
+    step = coarse_step(grid_points)
+    for m in mats:
+        full = radius._top(m, phases)
+        g, _ = radius._grid_stage(m, phases, None, step)
+        assert g.max() == full.max() and g.argmax() == full.argmax()
         assert ((g == full) | (g == -np.inf)).all()
-    if phases.size == 45:
-        assert np.count_nonzero(g > -np.inf) <= 0.5 * g.size
+        assert radius._subgrid_max(m, grid_points) == full[::step].max()
 
 
 def test_pruned_sweep_solves_few_angles(monkeypatch):

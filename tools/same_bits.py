@@ -11,14 +11,11 @@ sha256 of the output's text.  The outputs are:
   "evaluations" and gives the number of scalar evaluations of every
   weighted bound in that report, a line that starts with "angles"
   and gives the number of theta-grid angles that report solved (the rows
-  of every radius._top stack: grid stages and stack lower ends), and a
+  of every radius._top stack: grid stages and lower ends), and a
   line that starts with "steps" and gives the number of single-matrix
   steps of the theta-refinements (radius._lambda_max_rotated calls);
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
-  same settings, and the lower ends that BoundContext(a, theta_grid,
-  refine).sweep gives on the stack V* A_t V of the 101-point t-grid in the
-  singular basis (the first stack of ctx.aluthge_basis(ts)), on the same
-  matrices;
+  same settings, on the same matrices;
 - the CSV of run_campaign (20 trials, seed 7) on each ensemble at dim 3
   and 6, as `numrad fuzz --output` writes it;
 - numrad bounds in json, table and csv on SHIFT_234, in json on SHIFT_342
@@ -48,12 +45,10 @@ import numpy as np
 from click.testing import CliRunner
 
 from numrad import bounds, radius
-from numrad.bounds import BoundContext
 from numrad.campaign import CampaignConfig, run_campaign
 from numrad.cli import main
 from numrad.ensembles import ENSEMBLES, ginibre, sample
 from numrad.matrixio import serialize_matrix
-from numrad.polar import T_MIN
 from numrad.radius import pruned_sweep, radius_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
@@ -147,7 +142,6 @@ def reports() -> None:
 
 
 def sweeps() -> None:
-    ts = np.linspace(T_MIN, 1 - T_MIN, 101)
     for name, a in matrices().items():
         for _, theta_grid, refine in SETTINGS:
             on = "on" if refine else "off"
@@ -155,11 +149,6 @@ def sweeps() -> None:
                 est = sweep(a, theta_grid, refine)
                 print(f"{sweep.__name__} {name} {theta_grid}/{on} "
                       f"{digest(repr(est))}")
-            ctx = BoundContext(a, theta_grid, refine)
-            with np.errstate(over="ignore", invalid="ignore"):
-                lower = ctx.sweep(None, ctx.aluthge_basis(ts)[0])
-            print(f"BoundContext.sweep {name} {theta_grid}/{on} "
-                  f"{digest(repr(lower.tolist()))}")
 
 
 def campaigns() -> None:
