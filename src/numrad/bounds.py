@@ -365,8 +365,9 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
                 or _above(value_at(i) / kappa, v, ctx.norm_a))
 
     a = b = mid = (size - 1) // 2
+    v_mid = value_at(mid)
     near = [i for i in (mid - 1, mid + 1) if 0 <= i < size
-            and not _above(lower(i) / kappa, value_at(mid), ctx.norm_a)]
+            and not _above(lower(i) / kappa, v_mid, ctx.norm_a)]
     if not near:
         return
     c = min(near, key=lower)

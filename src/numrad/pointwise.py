@@ -26,24 +26,21 @@ class UnitVector:
     entries: np.ndarray = field()
 
     def __post_init__(self):
-        """Normalize; where the plain norm underflows (its square is below
-        the smallest normal float) or overflows, the vector is first
-        divided by its largest real or imaginary part, so that every other
-        vector keeps its bits."""
+        """Normalize after scaling by the power of two 2^-e that puts the
+        largest real or imaginary part in [1/2, 1): the norm then neither
+        overflows nor underflows, also where that of the vector does not
+        fit, and as the scaling is exact v/‖v‖ keeps its bits wherever no
+        scaled part falls below the normal range."""
         v = np.asarray(self.entries, dtype=np.complex128).ravel()
         if not np.isfinite(v).all():
             raise ValueError("cannot normalize a vector with a non-finite "
                              "entry")
-        big = np.maximum(abs(v.real), abs(v.imag)).max(initial=0.0)
+        parts = v.view(np.float64)
+        big = abs(parts).max(initial=0.0)
         if big == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        with np.errstate(over="ignore"):
-            n = np.linalg.norm(v)
-        if not np.sqrt(np.finfo(float).tiny) <= n < np.inf:
-            # by parts: a complex division overflows at a subnormal big
-            v = v.real / big + 1j * (v.imag / big)
-            n = np.linalg.norm(v)
-        object.__setattr__(self, "entries", v / n)
+        v = np.ldexp(parts, -np.frexp(big)[1]).view(np.complex128)
+        object.__setattr__(self, "entries", v / np.linalg.norm(v))
 
 
 @dataclass(frozen=True)

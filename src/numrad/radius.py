@@ -116,16 +116,15 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     of g can lie: a skipped angle lies strictly below the grid maximum.
 
     warm is None or (m, upper): a matrix m swept on the same grid and the
-    upper ends that its warm_sweep gave.  By Weyl's inequality, g <=
-    upper + delta at every angle, delta = ||a - m||_F.  The angle k0 where
-    upper is largest is solved first, giving v0; then, in one more stack,
-    each angle whose upper + delta, widened by BRACKET_REL * (|v0| +
-    max |upper + delta|), reaches v0.  Where that would solve more angles
-    than the cold subgrid, or with no warm start, the grid stage is cold:
-    the subgrid of every coarse_step(grid_points)-th angle, then in one
-    more stack each angle whose support_upper end, widened by BRACKET_REL,
-    reaches the subgrid maximum (all of them where g is flat).  The upper
-    ends given back, unwidened, are g where solved, else the ends used.
+    upper ends that its warm_sweep gave.  By Weyl's inequality, with
+    delta = ||a - m||_F, g <= upper + delta at every angle, and the grid
+    maximum is at least low = max(upper) - delta, as g of m peaks there.
+    Cold, the subgrid of every coarse_step(grid_points)-th angle is solved
+    first: its support_upper ends bound g, and its maximum is low.  Then
+    one stack solves each other angle whose end, widened by BRACKET_REL,
+    reaches low (all of them where g is flat).  A warm start that would
+    solve more angles than the cold subgrid goes cold.  The upper ends
+    given back, unwidened, are g where solved, else the ends used.
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
@@ -142,26 +141,17 @@ def _grid_stage(a, phases, warm, step):
     size = phases.size
     g = np.full(size, -np.inf)
     if warm is not None:
-        ends = warm[1] + frobenius(a - warm[0])
-        k = int(np.argmax(warm[1]))
-        g[k] = top = _top(a, phases[k:k + 1])[0]
-        solve = ends + BRACKET_REL * (abs(top) + abs(ends).max()) >= top
-        solve[k] = False
-        if np.count_nonzero(solve) < size // step:
-            if solve.any():
-                g[solve] = _top(a, phases[solve])
-            solve[k] = True
-            return g, np.where(solve, g, ends)
-        g[k] = -np.inf
-    g[::step] = sub = _top(a, phases[::step])
-    top = sub.max()
-    ends = support_upper(sub, step)
-    solve = ends + BRACKET_REL * (abs(top) + abs(sub).max()) >= top
-    solve[::step] = False
+        delta = frobenius(a - warm[0])
+        ends, low = warm[1] + delta, warm[1].max() - delta
+        solve = ends + BRACKET_REL * (abs(low) + abs(ends).max()) >= low
+    if warm is None or np.count_nonzero(solve) > size // step:
+        g[::step] = sub = _top(a, phases[::step])
+        ends, low = support_upper(sub, step), sub.max()
+        solve = ends + BRACKET_REL * (abs(low) + abs(sub).max()) >= low
+        solve[::step] = False
     if solve.any():
         g[solve] = _top(a, phases[solve])
-    solve[::step] = True
-    return g, np.where(solve, g, ends)
+    return g, np.where(np.isneginf(g), ends, g)
 
 
 def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):

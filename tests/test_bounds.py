@@ -150,6 +150,21 @@ def test_minimize_rejects_an_empty_grid(grid_points):
         minimize_over_t("product", EXAMPLE1, grid_points)
 
 
+def test_minimize_evaluates_a_one_point_grid():
+    # the scan evaluates the middle point, here the only one, before it
+    # looks at its neighbours, which lie off the grid
+    a = 0.2 * SHIFT_234
+    for bound_id in sorted(T_DEPENDENT_IDS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = bounds._evaluate(bound_id, BoundContext(a), T_MIN).value
+        assert minimize_over_t(bound_id, a, 1) == (T_MIN, want)
+    for ens in ENSEMBLES:  # at norm 1/2, no power overflows at t = T_MIN
+        m = sample(ens, 3, np.random.default_rng(618))
+        m = m / (2 * np.linalg.norm(m, 2))
+        report = compare_all(m, t_grid=1, theta_grid=240)
+        assert all(math.isfinite(bv.value) for bv in report.bounds), ens
+
+
 def test_minimize_never_worse_than_midpoint(rng):
     a = ginibre(rng, 4)
     for bound_id in sorted(T_DEPENDENT_IDS):
@@ -627,7 +642,7 @@ def test_aluthge_term_mod_is_log_convex_in_t():
         assert (second >= -1e-13 * lam.max()).all(), a.shape
 
 
-def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
+def test_pruned_scan_evaluates_points_without_a_finite_lower_end(monkeypatch):
     # a lower end that is NaN or inf certifies nothing, so the middle
     # point's neighbours must be evaluated; aluthge-t is the one bound whose
     # scan takes lower ends that are not its values
@@ -642,10 +657,10 @@ def test_pruned_scan_evaluates_points_without_a_finite_bracket(monkeypatch):
             _assert_scans_agree(a, 9, 240, True)
 
 
-BRACKET_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
+SWEEP_SETTINGS = [(240, False), (360, True), (720, False), (17, True)]
 
 
-def _assert_aluthge_bracket_holds(a, theta_grid, refine, grid_points=61):
+def _assert_aluthge_lower_end_holds(a, theta_grid, refine, grid_points=61):
     # the lower end that the scan takes at the middle point's neighbours,
     # at every grid t, before the widening that covers rounding; it is
     # -inf, which certifies nothing, where it is not finite
@@ -666,8 +681,8 @@ def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
     rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 615)
     for n in (1, 2, 3, 6):
         a = sample(ensemble, n, rng)
-        for theta_grid, refine in BRACKET_SETTINGS:
-            lower = _assert_aluthge_bracket_holds(a, theta_grid, refine)
+        for theta_grid, refine in SWEEP_SETTINGS:
+            lower = _assert_aluthge_lower_end_holds(a, theta_grid, refine)
             assert np.isfinite(lower).all()
 
 
@@ -676,8 +691,8 @@ def test_aluthge_bracket_holds_the_value_on_edge_inputs():
     # at 1e-161 and 1e-162 the squared terms of the bound are subnormal
     scales = (1e-200, 1e-162, 1e-161, 1e-150, 1e150, 3e153, 1e155)
     for a in [JORDAN2, g[:, :2] @ g[:2, :]] + [s * g for s in scales]:
-        for theta_grid, refine in BRACKET_SETTINGS:
-            _assert_aluthge_bracket_holds(a, theta_grid, refine)
+        for theta_grid, refine in SWEEP_SETTINGS:
+            _assert_aluthge_lower_end_holds(a, theta_grid, refine)
 
 
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
@@ -733,7 +748,7 @@ def test_sweep_of_a_stack_is_below_the_exact_radius(ensemble):
     for n in (1, 2, 3, 5, 8, 16):
         a = sample(ensemble, n, rng)
         alu = np.stack([BoundContext(a).aluthge(t) for t in ts.tolist()])
-        for theta_grid, _ in BRACKET_SETTINGS:
+        for theta_grid, _ in SWEEP_SETTINGS:
             for stack in (alu, alu @ alu):
                 lower = [_subgrid_max(m, theta_grid) for m in stack]
                 assert (lower <= exact(stack) * (1 + 1e-14)).all()

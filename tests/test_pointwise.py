@@ -31,13 +31,22 @@ def test_unit_vector_normalizes():
     ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
     ([-1.2e308j, 0.9e308], [-0.8j, 0.6]),
     ([1e-320, 0], [1, 0]),
-    ([1e-160, 1e-160j], [0.5**0.5, 0.5**0.5 * 1j])])
+    ([1e-160, 1e-160j], [0.5**0.5, 0.5**0.5 * 1j]),
+    ([1.5e308, 1.5e308], [0.5**0.5, 0.5**0.5]),
+    ([-1.5e308j, 1.5e308], [-0.5**0.5 * 1j, 0.5**0.5])])
 def test_unit_vector_normalizes_where_the_norm_overflows_or_underflows(
         entries, want):
     # the plain norm is inf, 0, or the root of a subnormal square
     v = UnitVector(entries).entries
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(v, want, rtol=0, atol=1e-15)
+
+
+def test_unit_vector_keeps_the_bits_of_the_plain_quotient_in_range():
+    rng = np.random.default_rng(5)
+    for scale in (1e-150, 1e-3, 1.0, 7.0, 1e150):
+        v = scale * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        assert (UnitVector(v).entries == v / np.linalg.norm(v)).all()
 
 
 def test_kato_at_a_vector_whose_norm_overflows():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from numrad import (DomainError, compare_all, power_check, radius,
+from numrad import (DomainError, bounds, compare_all, power_check, radius,
                     radius_oracle, radius_sweep, spectral_norm, splitmix64)
 from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
@@ -420,21 +420,44 @@ def test_warm_sweep_solves_few_angles_near_and_falls_back_far(monkeypatch):
     core = _Spectral(a)
     _, upper = warm_sweep(core.aluthge(0.3), 720)
     cold, rows[:] = list(rows), []
-    # near: k0, then a few more in one stack
+    # near: one stack of a few angles
     est, _ = warm_sweep(core.aluthge(0.3 + 1e-6), 720, True,
                         (core.aluthge(0.3), upper))
-    assert rows[0] == 1 and len(rows) <= 2 and sum(rows) < sum(cold) / 4
+    assert len(rows) == 1 and rows[0] < sum(cold) / 4
     rows.clear()
-    # far: every angle reaches v0, so the cold stage runs after k0
+    # far: more angles reach low than the cold subgrid holds, so the cold
+    # stage runs before any angle is solved
     warm_sweep(-a, 720, True, (core.aluthge(0.3), upper))
-    assert rows[:2] == [1, 720 // coarse_step(720)]
+    assert rows[0] == 720 // coarse_step(720)
     rows.clear()
-    # flat: every upper end reaches v0, and every angle is solved
+    # flat: every upper end reaches low, and every angle is solved once
     zero = np.zeros((3, 3))
     _, upper = warm_sweep(zero, 720)
     rows.clear()
     _, upper = warm_sweep(zero, 720, True, (zero, upper))
-    assert sum(rows) == 1 + 720 and np.all(upper == 0)
+    assert sum(rows) == 720 and np.all(upper == 0)
+
+
+def test_no_sweep_solves_an_angle_twice(monkeypatch):
+    # the grid stage of each warm_sweep, warm or cold, solves each grid
+    # angle at most once
+    rows = count_top_rows(monkeypatch)
+    per_sweep = []
+
+    def counted(a, grid_points=radius.DEFAULT_GRID, refine=True, warm=None):
+        start = len(rows)
+        out = warm_sweep(a, grid_points, refine, warm)
+        per_sweep.append((grid_points, sum(rows[start:])))
+        return out
+
+    monkeypatch.setattr(bounds, "warm_sweep", counted)
+    a = ginibre(np.random.default_rng(653), 6)
+    bounds.minimize_over_t("aluthge-t", bounds.BoundContext(a, 240), 21)
+    assert len(per_sweep) > 2
+    _, upper = counted(a, 240)
+    for m in (np.zeros((6, 6)), -a):
+        counted(m, 240, True, (a, upper))
+    assert all(0 < solved <= grid_points for grid_points, solved in per_sweep)
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
