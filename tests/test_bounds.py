@@ -677,7 +677,7 @@ def _assert_aluthge_lower_end_holds(a, theta_grid, refine, grid_points=61):
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
+def test_aluthge_lower_end_holds_the_value_at_every_t(ensemble):
     rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 615)
     for n in (1, 2, 3, 6):
         a = sample(ensemble, n, rng)
@@ -686,7 +686,7 @@ def test_aluthge_bracket_holds_the_value_at_every_t(ensemble):
             assert np.isfinite(lower).all()
 
 
-def test_aluthge_bracket_holds_the_value_on_edge_inputs():
+def test_aluthge_lower_end_holds_the_value_on_edge_inputs():
     g = ginibre(np.random.default_rng(616), 5)
     # at 1e-161 and 1e-162 the squared terms of the bound are subnormal
     scales = (1e-200, 1e-162, 1e-161, 1e-150, 1e150, 3e153, 1e155)
@@ -720,9 +720,9 @@ def test_coarse_step():
     assert coarse_step(11) == 1
 
 
-def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
-    # each matrix of the stack swept by the context: inf where it is not
-    # finite or does not fit, where its subgrid lower end is 0
+def test_context_sweep_gives_non_finite_matrices_inf():
+    # each matrix swept by the context: inf where it is not finite or does
+    # not fit, where its subgrid lower end is 0
     ms = np.stack([np.eye(2)] * 8).astype(complex)
     ms[1::3, 0, 1] = np.inf
     ms[3, 1, 0] = np.nan
@@ -737,11 +737,10 @@ def test_sweep_of_a_stack_gives_non_finite_matrices_inf():
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
-def test_sweep_of_a_stack_is_below_the_exact_radius(ensemble):
+def test_subgrid_max_is_below_the_exact_radius(ensemble):
     # on these ensembles A_t, and so A_t^2, is again normal, a multiple of
-    # a unitary, or nonnegative, and has the same closed form for omega;
-    # the singular basis keeps omega but not nonnegativity, so the exact
-    # omega comes from the matrices, and the lower ends from the stacks
+    # a unitary, or nonnegative, and has the same closed form for omega,
+    # which the subgrid maximum of each A_t and A_t^2 may not exceed
     exact = EXACT_OMEGA[ensemble]
     rng = np.random.default_rng(sorted(EXACT_OMEGA).index(ensemble) + 642)
     ts = np.linspace(T_MIN, 1 - T_MIN, 61)

@@ -315,10 +315,10 @@ def test_support_upper_holds_the_grid_value_at_every_angle(grid_points):
 
 
 @pytest.mark.parametrize("grid_points", [8, 11, 16, 240, 360, 720])
-def test_probe_subgrid_keeps_each_maximum_and_its_angle(grid_points):
+def test_cold_subgrid_keeps_each_maximum_and_its_angle(grid_points):
     # the cold grid stage solves the subgrid of every coarse_step-th angle
     # first, and _subgrid_max, which aluthge-t's scan takes as a lower end,
-    # probes that subgrid alone: both have the full grid's values there,
+    # solves that subgrid alone: both have the full grid's values there,
     # bit for bit, and every angle that the stage skips lies strictly
     # below its maximum, so the maximum and its first-index angle stay
     rng = np.random.default_rng(624)

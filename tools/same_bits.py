@@ -23,6 +23,10 @@ sha256 of the output's text.  The outputs are:
   three, and numrad reproduce-examples; a command that fails stops the
   script with an AssertionError.
 
+Run as a script, it also stops at a RuntimeWarning from any numrad module
+(an overflow or invalid value that numrad's error state should have
+silenced), which it turns into an error.
+
 The digests depend on the numpy and BLAS builds, so none is pinned here.
 Run the script on two checkouts on one host and diff what it prints:
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from click.testing import CliRunner
@@ -187,6 +192,8 @@ def cli() -> None:
 
 
 if __name__ == "__main__":
+    warnings.filterwarnings("error", category=RuntimeWarning,
+                            module=r"numrad(\.|$)")
     reports()
     sweeps()
     campaigns()
