@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -13,8 +12,8 @@ from .campaign import TOL_SLACK, CampaignConfig, run_campaign
 from .ensembles import ENSEMBLES
 from .errors import NumradError, ParseError
 from .matrixio import parse_matrix
-from .radius import (DEFAULT_GRID, THETA_GRID_MIN, radius_oracle,
-                     radius_sweep)
+from .radius import (DEFAULT_GRID, THETA_GRID_MIN, pruned_sweep,
+                     radius_oracle)
 from .reference import run_reference_checks
 
 
@@ -58,7 +57,6 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
     wanted = CATALOG_IDS if bound_id == "all" else (bound_id,)
     report = compare_all(a, t_grid=t_grid, theta_grid=theta_grid, ids=wanted)
     rows = report.bounds
-    computed = [bv for bv in rows if math.isfinite(bv.value)]
     if fmt == "json":
         doc = {
             "omega": {"value": report.omega.value,
@@ -86,10 +84,11 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
         for bv in rows:
             t = "" if bv.t_used is None else f"{bv.t_used:.4f}"
             slack = report.slacks.get(bv.id)
-            flag = " *" if slack is not None and slack < floor else ""
+            flag = (f" ! {bv.detail['error']}" if "error" in bv.detail
+                    else " *" if slack is not None and slack < floor else "")
             click.echo(f"{bv.id:<18} {t:>10} {_fmt(bv.value):>16} "
                        f"{'' if slack is None else _fmt(slack):>14}{flag}")
-    if not computed:
+    if not report.slacks:  # no bound was computed
         sys.exit(2)
 
 
@@ -104,7 +103,7 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
 def radius(matrix_path, theta_grid, oracle_trials, seed):
     """Compute the numerical radius by angle sweep."""
     a = _load(matrix_path)
-    est = radius_sweep(a, grid_points=theta_grid)
+    est = pruned_sweep(a, grid_points=theta_grid)
     click.echo(f"omega = {_fmt(est.value)}")
     click.echo(f"theta_star = {_fmt(est.theta_star)}")
     click.echo(f"refine_width = {est.refine_width:.3e}")

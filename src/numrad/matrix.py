@@ -98,6 +98,11 @@ def hermitian_eigen(h) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w, vectors=v)
 
 
+def as_eigen(p) -> HermitianEigen:
+    """p if it is a HermitianEigen, else hermitian_eigen(p)."""
+    return p if isinstance(p, HermitianEigen) else hermitian_eigen(p)
+
+
 def svd(a) -> SingularDecomposition:
     """Singular value decomposition A = U diag(sigma) V*."""
     a = as_matrix(a)
@@ -153,7 +158,7 @@ def frac_power(p, r: float) -> np.ndarray:
         raise DomainError("exponent 0 is not defined for frac_power")
     if r < 0:
         raise DomainError("exponent must be nonnegative")
-    eig = p if isinstance(p, HermitianEigen) else hermitian_eigen(p)
+    eig = as_eigen(p)
     w, v = eig.eigenvalues, eig.vectors
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -TOL_PSD * scale:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightOutOfRange
-from .matrix import as_matrix, psd_power, svd
+from .matrix import HermitianEigen, as_matrix, psd_power, svd
 
 SIGMA_CUT_REL = 1e-12
 T_MIN = 1e-3
@@ -49,6 +49,11 @@ class _Spectral:
     def ypow(self, r):
         """|A*|^r (r > 0)."""
         return psd_power(self.left, self.sigma, r)
+
+    def eigen(self, k=1.0, adjoint=False) -> HermitianEigen:
+        """|A|^k (|A*|^k if adjoint): sigma^k ascending, V (W) reversed."""
+        return HermitianEigen(self.sigma[::-1] ** k,
+                              (self.left if adjoint else self.right)[:, ::-1])
 
     def aluthge(self, t):
         """Weighted Aluthge transform |A|^(1-t) U |A|^t."""

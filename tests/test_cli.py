@@ -163,6 +163,21 @@ def test_cli_bounds_table_marks_no_rounding_at_a_large_scale(runner,
     assert _flagged_rows(runner, str(path)) == []
 
 
+def test_cli_bounds_table_shows_why_a_bound_failed(runner, tmp_path):
+    # at 1e150 every evaluation of schwarz-radius overflows: its row reads
+    # nan, and is marked with the error
+    path = tmp_path / "large.json"
+    path.write_bytes(serialize_matrix(1e150 * np.eye(2, dtype=complex)))
+    result = runner.invoke(main, ["bounds", str(path), "--t-grid", "21",
+                                  "--theta-grid", "240"])
+    assert result.exit_code == 0
+    rows = {row.split()[0]: row for row in result.output.splitlines()[2:]}
+    cells = rows.pop("schwarz-radius").split(maxsplit=3)
+    assert cells[1:] == ["nan", "!", "schwarz-radius: all grid evaluations "
+                         "overflowed (e.g. t=0.001)"]
+    assert not any(" ! " in row for row in rows.values())
+
+
 def test_cli_bounds_table_flags_a_bound_below_omega_at_a_small_scale(
         runner, tmp_path, monkeypatch):
     path = tmp_path / "small.json"
@@ -219,6 +234,11 @@ def test_cli_radius(runner, example1_path):
                                   "--oracle-trials", "50"],
                            env={"NUMRAD_SEED": "11"})
     assert result.exit_code == 0
+    # radius_sweep's estimate, which pruned_sweep gives bit for bit
+    est = numrad.radius_sweep(EXAMPLE1)
+    assert result.output.splitlines()[:3] == [
+        f"omega = {est.value:.10g}", f"theta_star = {est.theta_star:.10g}",
+        f"refine_width = {est.refine_width:.3e}"]
     assert "omega = 3.037" in result.output
     assert "seed 11" in result.output
     result = runner.invoke(main, ["radius", example1_path,
@@ -371,10 +391,10 @@ def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
     assert calls == [(3, 3), (3, 3)]
 
 
-def test_campaign_trial_decomposes_each_power_base_once(monkeypatch):
-    # mccarthy's A*A, log_convexity's P and Q, and log_convexity_midpoint's
-    # P and Q, which serve all three of its t (it decomposed each three
-    # times, through frac_power)
+def test_campaign_trial_decomposes_no_power_base(monkeypatch):
+    # mccarthy's A*A, and the P = |A| and Q = |A*| of log_convexity and
+    # log_convexity_midpoint, come as HermitianEigens from the trial's one
+    # SVD (each was decomposed by hermitian_eigen, five calls a trial)
     calls = []
     modules = [importlib.import_module(f"numrad.{name}")
                for name in ("matrix", "pointwise")]
@@ -388,7 +408,7 @@ def test_campaign_trial_decomposes_each_power_base_once(monkeypatch):
         monkeypatch.setattr(module, "hermitian_eigen", counted, raising=False)
     run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
                                 seed=5))
-    assert calls == [(3, 3)] * 5
+    assert calls == []
 
 
 def test_campaign_trial_reaches_compare_all_through_the_module_global(

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numrad import (DomainError, NonFinite, UnitVector, WeightOutOfRange,
-                    amer_bound, cs_refinement, frac_power, kato,
-                    log_convexity, log_convexity_midpoint, mccarthy,
-                    schwarz_covariance, schwarz_self)
+from numrad import (DomainError, InequalityCheck, NonFinite, UnitVector,
+                    WeightOutOfRange, amer_bound, cs_refinement, frac_power,
+                    hermitian_eigen, kato, log_convexity,
+                    log_convexity_midpoint, mccarthy, radius_sweep,
+                    schwarz_covariance, schwarz_self, spectral_norm)
+from numrad.campaign import TOL_AMER
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.pointwise import TOL_PT
 from numrad.polar import T_MIN, _Spectral
+from numrad.radius import DEFAULT_GRID
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_psd
 
@@ -181,11 +184,46 @@ def test_amer_bound_holds(seed):
     assert amer_bound(*mats).margin >= -1e-5
 
 
-def test_amer_bound_commuting_normal_tight():
+def _amer_tight():
     a = np.diag([2.0, 1.0])
-    chk = amer_bound(a, a, np.zeros((2, 2)), np.zeros((2, 2)))
+    return amer_bound(a, a, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_amer_bound_commuting_normal_tight():
+    # the rhs takes omega(A^2) = 4 at its upper end, the grid maximum 4
+    # over cos(pi/N)
+    chk = _amer_tight()
     assert chk.lhs == pytest.approx(4.0, rel=1e-6)
-    assert chk.rhs == pytest.approx(4.0, rel=1e-6)
+    assert chk.rhs == pytest.approx(4 / math.cos(math.pi / DEFAULT_GRID),
+                                    rel=1e-12)
+    assert chk.rhs >= 4
+
+
+def test_amer_bound_upper_ends_hide_no_violation_of_1e4():
+    # a right side 1e-4 too small fails the check, as its upper ends are
+    # loose by 9.5e-6 relative at most
+    chk = _amer_tight()
+    low = InequalityCheck(lhs=chk.lhs, rhs=chk.rhs * (1 - 1e-4))
+    assert low.margin < -TOL_AMER
+
+
+def _amer_rhs_refined(a, b, c, d):
+    """Amer's right side from refined sweeps of BA and DC."""
+    wba, wdc = radius_sweep(b @ a).value, radius_sweep(d @ c).value
+    cross = math.sqrt(spectral_norm(b @ c) * spectral_norm(d @ a))
+    return 0.5 * (wba + wdc + math.hypot(wba - wdc, 2 * cross))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_amer_bound_rhs_is_at_least_the_refined_rhs(n):
+    for ens in ENSEMBLES:
+        for seed in range(4):
+            rng = np.random.default_rng([n, seed])
+            mats = [sample(ens, n, rng)]
+            mats += [sample("ginibre", n, rng) for _ in range(3)]
+            rhs, refined = amer_bound(*mats).rhs, _amer_rhs_refined(*mats)
+            assert refined <= rhs <= refined / math.cos(
+                math.pi / DEFAULT_GRID) * (1 + 1e-12), (ens, seed)
 
 
 def test_log_convexity_rejects_bad_t(rng):
@@ -215,6 +253,19 @@ def _homogeneous_checks(s):
         "log-convexity-midpoint": (
             lambda: log_convexity_midpoint(p, q, 0.2, 0.9), 2.2),
     }
+
+
+def test_psd_checks_near_the_largest_float():
+    # P's eigenvalue 4e307 is above NORM_MAX / 2, so frac_power(P, 1)
+    # raises NonFinite, but both sides of each check fit: neither forms P
+    p = 2e307 * np.ones((2, 2))
+    for pe in (p, hermitian_eigen(p)):
+        chk = mccarthy(pe, [1, 0], 0.5)
+        assert (chk.lhs, chk.rhs) == pytest.approx((1e307**0.5, 2e307**0.5),
+                                                   rel=1e-12)
+        chk = log_convexity(pe, np.eye(2), 0.5)
+        assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
+        assert chk.rhs == pytest.approx(4e307**0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e140, 1e150, 1e155, 1e160])
