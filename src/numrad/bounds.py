@@ -2,9 +2,10 @@
 
 Throughout, X = |A| and Y = |A*|.  Fractional powers of both are cheap
 because they share the singular value decomposition of A, which is
-computed once per context.  All bound evaluators return a BoundValue
-whose value is directly comparable to omega(A); bounds stated in the
-squared form record the pre-square-root quantity under detail["inner"].
+computed once per context, and those of exponent 1/2, 1 and 2 are kept.
+All bound evaluators return a BoundValue whose value is directly
+comparable to omega(A); bounds stated in the squared form record the
+pre-square-root quantity under detail["inner"].
 
 Every catalog bound is one function of (ctx, t) giving (value, detail),
 registered in one table, _BOUNDS, with its t-scan (None for a fixed bound).
@@ -65,16 +66,18 @@ class BoundReport:
 
 
 class BoundContext(_Spectral):
-    """The spectral core of one matrix, with the sweep settings and caches
-    of pruned_sweep values (radius_sweep's, bit for bit) and of the norms
-    ||X^s Y^s|| for its bounds; refine refines both its sweeps in theta
-    and minimize_over_t in t."""
+    """The spectral core of one matrix (with its fixed powers), with the
+    sweep settings and caches of its bounds' values by (id, t) (see
+    _evaluate), of pruned_sweep values (radius_sweep's, bit for bit) and
+    of the norms ||X^s Y^s||; refine refines both its sweeps in theta and
+    minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
         super().__init__(a)
         self.theta_grid = theta_grid
         self.refine = refine
+        self._values: dict = {}
         self._omega: dict = {}
         # per kind of a (kind, t) key: {t: (matrix, upper ends)}
         self._swept: dict = {}
@@ -420,10 +423,16 @@ T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
 
 def _evaluate(bound_id: str, ctx: BoundContext,
               t: float | None = None) -> BoundValue:
-    """The catalog bound bound_id at the weight t (None for a fixed bound)."""
-    value, detail = _BOUNDS[bound_id][0](ctx, t)
-    return BoundValue(bound_id, t, float(value),
-                      {k: float(v) for k, v in detail.items()})
+    """The catalog bound bound_id at the weight t (None for a fixed bound),
+    kept on ctx under (bound_id, t): compare_all's evaluation at the t*
+    that minimize_over_t found, and a refinement step at a t already
+    evaluated, look it up."""
+    key = (bound_id, t)
+    if key not in ctx._values:
+        value, detail = _BOUNDS[bound_id][0](ctx, t)
+        ctx._values[key] = BoundValue(bound_id, t, float(value),
+                                      {k: float(v) for k, v in detail.items()})
+    return ctx._values[key]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +490,10 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     not visited lie above the smallest value it has, so the first-index
     minimum over the grid, and hence the result, is that of the full scan
     (_quasi_convex_scan).  If no value is finite, or a value is NaN, which
-    certifies nothing, every point is visited.
+    certifies nothing, every point is visited.  Where ||A|| = 0, every
+    catalog bound is +0.0 at every t, so the full scan's result is the
+    first grid point and its value, which is returned after that one
+    evaluation, with no scan and no refinement.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
@@ -490,6 +502,8 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     check_count("grid_points", grid_points, T_GRID_MIN)
     ctx = a if isinstance(a, BoundContext) else BoundContext(a)
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
+    if ctx.norm_a == 0:
+        return float(ts[0]), _evaluate(bound_id, ctx, float(ts[0])).value
     seen: dict = {}
 
     def value_at(i: int) -> float:
@@ -553,6 +567,8 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
         except (NumradError, np.linalg.LinAlgError, FloatingPointError) as exc:
             bv = BoundValue(bound_id, None, math.nan, {"error": str(exc)})
         bounds.append(bv)
+        # no other bound looks these up, and a flat t-scan keeps thousands
+        ctx._values.clear()
     slacks = {bv.id: bv.value - omega.value for bv in bounds
               if math.isfinite(bv.value)}
     bounds.sort(key=lambda bv: (math.isnan(bv.value), bv.value))

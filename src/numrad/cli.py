@@ -75,6 +75,8 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
             slack = report.slacks.get(bv.id)
             click.echo(f"{bv.id},{t},{_fmt(bv.value)},"
                        f"{'' if slack is None else _fmt(slack)}")
+            if "error" in bv.detail:  # the CSV's columns have no room
+                click.echo(f"error: {bv.detail['error']}", err=True)
     else:
         click.echo(f"omega = {_fmt(report.omega.value)} "
                    f"(theta* = {_fmt(report.omega.theta_star)})")

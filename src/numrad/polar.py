@@ -16,6 +16,8 @@ from .matrix import HermitianEigen, as_matrix, psd_power, svd
 
 SIGMA_CUT_REL = 1e-12
 T_MIN = 1e-3
+# The exponents, none of them a function of t, whose powers a core keeps.
+FIXED_POWERS = frozenset((0.5, 1.0, 2.0))
 
 
 def _check_weight(t: float) -> None:
@@ -32,6 +34,12 @@ class _Spectral:
     overflow near the ends of the weight window, where the bound is inf:
     overflowing powers propagate as non-finite entries, quietly under the
     error state that the calling entry point sets.
+
+    The powers for r in FIXED_POWERS (X^(1/2), X, X^2 and the same of Y)
+    are computed once and kept, read-only, one dict per basis.  Every
+    other exponent is computed on each call: a t-scan meets thousands of
+    them, each used once or twice, and keeping them all would hold a
+    matrix per exponent.
     """
 
     def __init__(self, a):
@@ -41,14 +49,25 @@ class _Spectral:
         self.norm_a = float(dec.sigma[0])
         keep = dec.sigma > SIGMA_CUT_REL * self.norm_a
         self.isometry = dec.left[:, keep] @ dec.right[:, keep].conj().T
+        self._x_powers: dict = {}
+        self._y_powers: dict = {}
+
+    def _power(self, vectors, kept: dict, r):
+        """vectors diag(sigma^r) vectors*, from kept if r is a fixed power."""
+        if r not in FIXED_POWERS:
+            return psd_power(vectors, self.sigma, r)
+        if r not in kept:
+            kept[r] = psd_power(vectors, self.sigma, r)
+            kept[r].flags.writeable = False
+        return kept[r]
 
     def xpow(self, r):
-        """|A|^r (r > 0)."""
-        return psd_power(self.right, self.sigma, r)
+        """|A|^r (r > 0), read-only for r in FIXED_POWERS."""
+        return self._power(self.right, self._x_powers, r)
 
     def ypow(self, r):
-        """|A*|^r (r > 0)."""
-        return psd_power(self.left, self.sigma, r)
+        """|A*|^r (r > 0), read-only for r in FIXED_POWERS."""
+        return self._power(self.left, self._y_powers, r)
 
     def eigen(self, k=1.0, adjoint=False) -> HermitianEigen:
         """|A|^k (|A*|^k if adjoint): sigma^k ascending, V (W) reversed."""
@@ -74,14 +93,15 @@ class WeightedAluthge:
 
 def abs_value(a) -> np.ndarray:
     """|A| = (A*A)^(1/2), assembled from the SVD right vectors."""
-    return _Spectral(a).xpow(1.0)
+    return _Spectral(a).xpow(1.0).copy()
 
 
 def polar(a) -> PolarDecomposition:
     """Polar decomposition with U vanishing on the kernel of |A|: the
     singular directions with sigma <= SIGMA_CUT_REL * sigma_1."""
     core = _Spectral(a)
-    return PolarDecomposition(isometry=core.isometry, positive=core.xpow(1.0))
+    return PolarDecomposition(isometry=core.isometry,
+                              positive=core.xpow(1.0).copy())
 
 
 def aluthge(a, t: float = 0.5) -> WeightedAluthge:

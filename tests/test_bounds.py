@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -398,6 +399,73 @@ def test_entry_points_set_the_error_state_and_restore_it(name):
 def test_compare_all_rejects_empty_matrix():
     with pytest.raises(DomainError):
         compare_all(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_bound_of_a_zero_matrix_is_positive_zero_at_every_t(n):
+    # what lets minimize_over_t stop at the first grid point where ||A|| = 0:
+    # the full scan's first-index minimum is there
+    ctx = BoundContext(np.zeros((n, n)))
+    ts = np.linspace(T_MIN, 1 - T_MIN, bounds.DEFAULT_T_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bound_id, (fn, scan) in bounds._BOUNDS.items():
+            for t in (ts.tolist() if scan else [None]):
+                value = fn(ctx, t)[0]
+                assert value == 0 and math.copysign(1, value) == 1, (
+                    bound_id, t, value)
+
+
+def test_compare_all_of_a_zero_matrix_evaluates_each_weighted_bound_once(
+        monkeypatch):
+    calls = {bid: _count_scalar_calls(monkeypatch, bid)
+             for bid in T_DEPENDENT_IDS}
+    report = compare_all(np.zeros((3, 3)))
+    assert calls == {bid: [T_MIN] for bid in T_DEPENDENT_IDS}
+    assert all(bv.value == 0 for bv in report.bounds)
+    assert {bv.t_used for bv in report.bounds
+            if bv.id in T_DEPENDENT_IDS} == {T_MIN}
+
+
+# ---------------------------------------------------------------------------
+# what a context keeps: its fixed powers and its bounds' values by (id, t)
+
+def test_context_computes_each_fixed_power_once(monkeypatch):
+    polar = importlib.import_module("numrad.polar")
+    calls = []  # (basis, r) of every fixed power computed
+    psd_power = polar.psd_power
+
+    def counted(v, w, r):
+        if r in polar.FIXED_POWERS:
+            calls.append((id(v), r))
+        return psd_power(v, w, r)
+
+    monkeypatch.setattr(polar, "psd_power", counted)
+    g = ginibre(np.random.default_rng(2026), 4)
+    for settings in ((1001, 720, True), (9, 240, False)):
+        calls.clear()
+        compare_all(g, *settings)
+        # X, Y, X^2 and Y^2, and X^(1/2) for the Aluthge transform at 1/2
+        assert len(calls) == len(set(calls)) >= 5, calls
+
+
+def test_context_keeps_no_power_that_depends_on_t():
+    ctx = BoundContext(ginibre(np.random.default_rng(2026), 4))
+    minimize_over_t("aluthge-t", ctx)
+    assert set(ctx._x_powers) | set(ctx._y_powers) <= {0.5, 1.0, 2.0}
+    for bound_id in sorted(T_DEPENDENT_IDS):
+        minimize_over_t(bound_id, ctx)
+    assert set(ctx._x_powers) | set(ctx._y_powers) <= {0.5, 1.0, 2.0}
+
+
+def test_compare_all_evaluates_each_bound_once_at_its_t_star(monkeypatch):
+    # the report's value at t* is the one minimize_over_t evaluated
+    calls = {bid: _count_scalar_calls(monkeypatch, bid)
+             for bid in T_DEPENDENT_IDS}
+    report = compare_all(ginibre(np.random.default_rng(2026), 4), 101, 360)
+    for bv in report.bounds:
+        if bv.id in T_DEPENDENT_IDS:
+            ts = calls[bv.id]
+            assert ts.count(bv.t_used) == 1 and len(ts) == len(set(ts))
 
 
 # ---------------------------------------------------------------------------

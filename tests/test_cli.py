@@ -178,6 +178,21 @@ def test_cli_bounds_table_shows_why_a_bound_failed(runner, tmp_path):
     assert not any(" ! " in row for row in rows.values())
 
 
+def test_cli_bounds_csv_sends_why_a_bound_failed_to_stderr(runner, tmp_path):
+    # the CSV's columns are fixed: its row stays a bare nan, and the error
+    # goes to stderr
+    path = tmp_path / "large.json"
+    path.write_bytes(serialize_matrix(1e150 * np.eye(2, dtype=complex)))
+    result = runner.invoke(main, ["bounds", str(path), "--format", "csv",
+                                  "--t-grid", "21", "--theta-grid", "240"])
+    assert result.exit_code == 0
+    header, *rows = result.stdout.splitlines()
+    assert header == "id,t,value,slack" and len(rows) == len(CATALOG_IDS)
+    assert rows[-1] == "schwarz-radius,,nan,"
+    assert result.stderr == ("error: schwarz-radius: all grid evaluations "
+                             "overflowed (e.g. t=0.001)\n")
+
+
 def test_cli_bounds_table_flags_a_bound_below_omega_at_a_small_scale(
         runner, tmp_path, monkeypatch):
     path = tmp_path / "small.json"
@@ -389,6 +404,23 @@ def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
     run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
                                 seed=5))
     assert calls == [(3, 3), (3, 3)]
+
+
+def test_campaign_trial_evaluates_each_bound_once_at_each_t(monkeypatch):
+    # the report's evaluation at t* is minimize_over_t's, looked up
+    calls = []
+    for bid, (fn, scan) in bounds._BOUNDS.items():
+        def counted(ctx, t, fn=fn, bid=bid):
+            calls.append((bid, t))
+            return fn(ctx, t)
+        monkeypatch.setitem(bounds._BOUNDS, bid, (counted, scan))
+    for ens in ("ginibre", "nilpotent", "hermitian"):
+        for index in range(3):
+            calls.clear()
+            run_trial(CampaignConfig(ensemble=ens, dim=3, trials=3, seed=5),
+                      index)
+            assert {bid for bid, _ in calls} == set(CATALOG_IDS)
+            assert len(calls) == len(set(calls)), calls
 
 
 def test_campaign_trial_decomposes_no_power_base(monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from numrad import (WeightOutOfRange, abs_value, adjoint, aluthge, polar,
-                    radius_sweep, spectral_norm)
+from numrad import (BoundContext, WeightOutOfRange, abs_value, adjoint,
+                    aluthge, polar, radius_sweep, spectral_norm)
 
 from conftest import EXAMPLE1, JORDAN2, ginibre, random_unitary
 
@@ -18,6 +18,18 @@ def test_abs_value_example1_adjoint():
 
 def test_abs_value_jordan():
     assert np.allclose(abs_value(JORDAN2), np.diag([0, 1]), atol=1e-14)
+
+
+def test_kept_powers_are_read_only_and_public_results_writable():
+    ctx = BoundContext(EXAMPLE1)
+    for power in (ctx.xpow(0.5), ctx.xpow(1.0), ctx.ypow(2.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            power[0, 0] = 0
+    assert ctx.xpow(1.0) is ctx.xpow(1.0)
+    assert ctx.xpow(0.3).flags.writeable
+    for m in (polar(EXAMPLE1).positive, abs_value(EXAMPLE1),
+              aluthge(EXAMPLE1).transform):
+        m[0, 0] = 0
 
 
 def test_polar_jordan():
