@@ -36,6 +36,11 @@ DEFAULT_T_GRID = 1001
 T_GRID_MIN = 1
 # Width in t at which the refinement of the t-scan (Brent's method) stops.
 REFINE_TOL = 1e-8
+# Most points a block of the t-scan's walk fetches.  The stacks of a block
+# grow with it: a default compare_all of a hermitian 32x32, whose product
+# is flat, peaks at 9.6 MB of numpy memory with this cap and 33 MB with
+# none; past it, the time per point hardly falls.
+PREFETCH_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,9 @@ class BoundReport:
 class BoundContext(_Spectral):
     """The spectral core of one matrix (with its fixed powers), with the
     sweep settings and caches of its bounds' values by (id, t) (see
-    _evaluate), of pruned_sweep values (radius_sweep's, bit for bit) and
-    of the norms ||X^s Y^s||; refine refines both its sweeps in theta and
-    minimize_over_t in t."""
+    _evaluate), of pruned_sweep values (radius_sweep's, bit for bit), of
+    the norms ||X^s Y^s|| and of the Aluthge transforms A_t; refine
+    refines both its sweeps in theta and minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -82,6 +87,16 @@ class BoundContext(_Spectral):
         # per kind of a (kind, t) key: {t: (matrix, upper ends)}
         self._swept: dict = {}
         self._xy_norm: dict = {}
+        self._aluthge: dict = {}
+
+    def aluthge(self, t):
+        """The Aluthge transform A_t, built once per float t and kept,
+        read-only: aluthge-t's lower end and value at t share it, and so
+        do yamazaki, aluthge-half and aluthge-t at 1/2."""
+        if t not in self._aluthge:
+            self._aluthge[t] = super().aluthge(t)
+            self._aluthge[t].flags.writeable = False
+        return self._aluthge[t]
 
     def xy_norm(self, s: float) -> float:
         """||X^s Y^s|| for the float s, cached under s: product's t-scan
@@ -89,6 +104,24 @@ class BoundContext(_Spectral):
         if s not in self._xy_norm:
             self._xy_norm[s] = gnorm(self.xpow(s) @ self.ypow(s))
         return self._xy_norm[s]
+
+    def xy_norms(self, ss) -> None:
+        """Cache xy_norm(s), with its bits, for each float s of ss not
+        cached, by one stacked X^s Y^s and one stacked SVD; a slice that
+        is not finite is inf, as gnorm gives it.  If the SVD fails, none
+        is cached, and xy_norm takes each alone."""
+        new = [s for s in dict.fromkeys(ss) if s not in self._xy_norm]
+        if not new:
+            return
+        rs = np.array(new)
+        xy = self.powers(rs) @ self.powers(rs, adjoint=True)
+        finite = np.isfinite(xy).all(axis=(1, 2))
+        norms = np.full(len(new), math.inf)
+        try:
+            norms[finite] = np.linalg.svd(xy[finite], compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError:
+            return
+        self._xy_norm.update(zip(new, norms.tolist()))
 
     def sweep(self, key, m) -> float:
         """omega(m) by the context's sweep for a matrix m, cached under key;
@@ -335,7 +368,8 @@ def _aluthge_lower(ctx: BoundContext, t: float) -> float:
 
 
 def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
-                       kappa: float = 1.0, lower_at: Callable = None) -> None:
+                       kappa: float = 1.0, lower_at: Callable = None,
+                       prefetch: Callable = None) -> None:
     """The scan of a bound that is quasi-convex in t: for i < j < k, its
     exact value V at t_j is at most the larger of those at t_i and t_k.
     Its computed values V_c have V_c <= V <= kappa V_c, up to the rounding
@@ -354,8 +388,19 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
     larger of v* and V_c(p), so V_c(p) > v*: none can hold or tie the grid
     minimum.  A flat objective is walked end to end; so is one that is
     +inf everywhere.
+
+    prefetch, if given, is called with a range of grid indices, so that
+    their values can be computed in one stacked block: first the middle
+    point and its neighbours, then, before the walk visits a point not
+    yet fetched, that point and the next k - 1 in its direction, where k
+    doubles from 1 to PREFETCH_MAX on each side.  It does not change
+    which points the scan evaluates.
     """
-    size, lows = ts.size, {}
+    size, lows, fetched = ts.size, {}, set()
+
+    def fetch(block: range) -> None:
+        fetched.update(block)
+        prefetch(block)
 
     def lower(i: int) -> float:
         if i not in lows:
@@ -368,6 +413,8 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
                 or _above(value_at(i) / kappa, v, ctx.norm_a))
 
     a = b = mid = (size - 1) // 2
+    if prefetch:
+        fetch(range(max(mid - 1, 0), min(mid + 2, size)))
     v_mid = value_at(mid)
     near = [i for i in (mid - 1, mid + 1) if 0 <= i < size
             and not _above(lower(i) / kappa, v_mid, ctx.norm_a)]
@@ -380,10 +427,26 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
         b = min(b, round(golden_min(lambda x: lower(round(x)), a, c, 4)[0]),
                 key=lower)
     for step in (-1, 1):
-        low, i = value_at(b), b + step
-        while 0 <= i < size and not above(i, low):
+        low, i, k = value_at(b), b + step, 1
+        while 0 <= i < size:
+            if prefetch and i not in fetched:
+                fetch(range(i, min(max(i + k * step, -1), size), step))
+                k = min(2 * k, PREFETCH_MAX)
+            if above(i, low):
+                break
             low = min(low, value_at(i))
             i += step
+
+
+def _product_scan(ctx: BoundContext, ts: np.ndarray,
+                  value_at: Callable) -> None:
+    """product's _quasi_convex_scan, which fetches ||X^s Y^s|| at s = t and
+    1 - t for each t of a block in one stack (BoundContext.xy_norms): the
+    walk of its flat objectives visits the whole grid."""
+    def prefetch(block: range) -> None:
+        ctx.xy_norms([s for t in ts[block].tolist() for s in (t, 1 - t)])
+
+    _quasi_convex_scan(ctx, ts, value_at, prefetch=prefetch)
 
 
 def _aluthge_scan(ctx: BoundContext, ts: np.ndarray,
@@ -412,7 +475,7 @@ _BOUNDS = {
     "aluthge-half": (lambda ctx, t: _aluthge_weighted(ctx, 0.5), None),
     "weighted-power": (_weighted_power, _quasi_convex_scan),
     "weighted-r": (_weighted_r, _quasi_convex_scan),
-    "product": (_product, _quasi_convex_scan),
+    "product": (_product, _product_scan),
     "fourth-power": (_fourth_power, _quasi_convex_scan),
     "schwarz-radius": (_schwarz_radius, _quasi_convex_scan),
 }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightOutOfRange
-from .matrix import HermitianEigen, as_matrix, psd_power, svd
+from .matrix import HermitianEigen, as_matrix, psd_power, psd_powers, svd
 
 SIGMA_CUT_REL = 1e-12
 T_MIN = 1e-3
@@ -68,6 +68,18 @@ class _Spectral:
     def ypow(self, r):
         """|A*|^r (r > 0), read-only for r in FIXED_POWERS."""
         return self._power(self.left, self._y_powers, r)
+
+    def powers(self, rs: np.ndarray, adjoint=False) -> np.ndarray:
+        """The (k, n, n) stack of xpow(r) (ypow(r) if adjoint) over the k
+        exponents rs, each slice with its bits: the fixed powers are the
+        kept ones, as psd_powers' sigma ** 0.5 is not sqrt(sigma)."""
+        vectors, kept = ((self.left, self._y_powers) if adjoint
+                         else (self.right, self._x_powers))
+        stack = psd_powers(vectors, self.sigma, rs)
+        for j, r in enumerate(rs.tolist()):
+            if r in FIXED_POWERS:
+                stack[j] = self._power(vectors, kept, r)
+        return stack
 
     def eigen(self, k=1.0, adjoint=False) -> HermitianEigen:
         """|A|^k (|A*|^k if adjoint): sigma^k ascending, V (W) reversed."""

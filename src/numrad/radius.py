@@ -98,7 +98,8 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
     g = _top(a, np.exp(1j * thetas))
-    return _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
+    return _refined(lambda th: _lambda_max_rotated(a, th), grid_points,
+                    refine, g.max(), thetas[g.argmax()])
 
 
 def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
@@ -124,14 +125,21 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     one stack solves each other angle whose end, widened by BRACKET_REL,
     reaches low (all of them where g is flat).  A warm start that would
     solve more angles than the cold subgrid goes cold.  The upper ends
-    given back, unwidened, are g where solved, else the ends used.
+    given back, unwidened, are g where solved, else the ends used.  Of a
+    zero matrix, g is 0 at every angle: no angle is solved, and the
+    refinement searches the constant 0.0.
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
-                           coarse_step(grid_points))
-    est = _refined(a, grid_points, refine, g.max(), thetas[g.argmax()])
+    if a.any():
+        g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
+                               coarse_step(grid_points))
+        est = _refined(lambda th: _lambda_max_rotated(a, th), grid_points,
+                       refine, g.max(), thetas[g.argmax()])
+    else:
+        upper = np.zeros(grid_points)
+        est = _refined(lambda th: 0.0, grid_points, refine, 0.0, 0.0)
     return est, upper
 
 
@@ -154,15 +162,15 @@ def _grid_stage(a, phases, warm, step):
     return g, np.where(np.isneginf(g), ends, g)
 
 
-def _refined(a, grid_points: int, refine: bool, grid_val, grid_theta):
-    """The sweep's result from its grid value and first-index angle."""
+def _refined(g, grid_points: int, refine: bool, grid_val, grid_theta):
+    """The sweep's result from g(theta), its grid value and first-index
+    angle."""
     half = np.pi / grid_points
     if not refine:
         return RadiusEstimate(float(grid_val), float(grid_theta),
                               grid_points, float(4 * half))
     theta, value, width = golden_max(
-        lambda th: _lambda_max_rotated(a, th),
-        grid_theta - 2 * half, grid_theta + 2 * half, DEFAULT_THETA_TOL)
+        g, grid_theta - 2 * half, grid_theta + 2 * half, DEFAULT_THETA_TOL)
     if grid_val > value:
         theta, value = grid_theta, float(grid_val)
     return RadiusEstimate(float(value), float(theta % (2 * np.pi)),

@@ -14,6 +14,7 @@ from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
                     schwarz_radius, weight_params, weighted_R,
                     weighted_power, yamazaki)
 from numrad import bounds, radius
+from numrad.campaign import CampaignConfig, run_trial
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
@@ -457,6 +458,30 @@ def test_context_keeps_no_power_that_depends_on_t():
     assert set(ctx._x_powers) | set(ctx._y_powers) <= {0.5, 1.0, 2.0}
 
 
+def test_a_campaign_trial_builds_each_aluthge_transform_once(monkeypatch):
+    # aluthge-t's lower end and value at t share A_t, and yamazaki,
+    # aluthge-half and aluthge-t share A_(1/2): over these 40 trials the
+    # bounds built A_t 257 times for 146 distinct (context, t) pairs
+    polar = importlib.import_module("numrad.polar")
+    builds = []
+    aluthge = polar._Spectral.aluthge
+
+    def counted(core, t):
+        builds.append((id(core), t))
+        return aluthge(core, t)
+
+    monkeypatch.setattr(polar._Spectral, "aluthge", counted)
+    total = 0
+    for ens in ENSEMBLES:
+        config = CampaignConfig(ens, 3, 8, 0)
+        for index in range(config.trials):
+            builds.clear()
+            run_trial(config, index)
+            assert len(builds) == len(set(builds)), (ens, index)
+            total += len(builds)
+    assert total == 146
+
+
 def test_compare_all_evaluates_each_bound_once_at_its_t_star(monkeypatch):
     # the report's value at t* is the one minimize_over_t evaluated
     calls = {bid: _count_scalar_calls(monkeypatch, bid)
@@ -636,11 +661,13 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
 
 
 def test_quasi_convex_scan_visits_few_points(monkeypatch):
-    # every weighted bound has it, aluthge-t's widened for its sweeps
+    # every weighted bound has it, aluthge-t's widened for its sweeps and
+    # product's fetching its norms in blocks
     scans = {bid: scan for bid, (_, scan) in bounds._BOUNDS.items() if scan}
+    special = {"aluthge-t": bounds._aluthge_scan,
+               "product": bounds._product_scan}
     assert scans == {bid: bounds._quasi_convex_scan for bid in scans
-                     if bid != "aluthge-t"} | {
-                         "aluthge-t": bounds._aluthge_scan}
+                     if bid not in special} | special
     g = ginibre(np.random.default_rng(617), 8)
     for bound_id in sorted(T_DEPENDENT_IDS):
         calls = _count_scalar_calls(monkeypatch, bound_id)
@@ -651,6 +678,83 @@ def test_quasi_convex_scan_visits_few_points(monkeypatch):
     calls = _count_scalar_calls(monkeypatch, "product")
     minimize_over_t("product", BoundContext(SHIFT_234, refine=False), 1001)
     assert sorted(calls) == np.linspace(T_MIN, 1 - T_MIN, 1001).tolist()
+
+
+def _grid_and_mirror(grid_points=bounds.DEFAULT_T_GRID) -> list:
+    """Every s at which product's scan takes ||X^s Y^s||: t and 1 - t."""
+    ts = np.linspace(T_MIN, 1 - T_MIN, grid_points).tolist()
+    return ts + [1 - t for t in ts]
+
+
+def test_stacked_xy_norms_have_the_bits_of_single_ones():
+    ss = _grid_and_mirror()
+    assert 0.5 in ss  # where the stack takes the kept X^(1/2) and Y^(1/2)
+    rng = np.random.default_rng(627)
+    mats = [SHIFT_234, SHIFT_342]
+    mats += [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
+    g = ginibre(np.random.default_rng(4), 4)
+    mats += [1e-200 * g, 1e150 * g, 3e153 * g, 1e155 * g]
+    block = 2 * bounds.PREFETCH_MAX
+    infinite = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in mats:
+            stacked, single = BoundContext(a), BoundContext(a)
+            for j in range(0, len(ss), block):
+                stacked.xy_norms(ss[j:j + block])
+            got = [stacked._xy_norm[s].hex() for s in ss]
+            want = [bounds.gnorm(single.xpow(s) @ single.ypow(s)).hex()
+                    for s in ss]
+            assert got == want, a.shape
+            infinite += got.count(math.inf.hex())
+    assert infinite > 0  # 1e155 * G overflows near s = 1
+
+
+def test_product_scan_fetches_a_flat_walk_in_few_stacks(monkeypatch):
+    # product is flat on SHIFT_234, so the walk visits all 1,001 points:
+    # their norms come from blocks of up to PREFETCH_MAX points, which
+    # double from 1 on each side, and none from a single SVD
+    stacks = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    single = []  # the s whose norm a single SVD gave
+    xy_norm = BoundContext.xy_norm
+
+    def recorded(ctx, s):
+        if s not in ctx._xy_norm:
+            single.append(s)
+        return xy_norm(ctx, s)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(BoundContext, "xy_norm", recorded)
+    minimize_over_t("product", SHIFT_234)
+    cap = bounds.PREFETCH_MAX
+    assert len(stacks) <= 2 * (1001 / cap + math.log2(cap)), len(stacks)
+    assert max(stacks) <= 2 * cap
+    # the refinement's points, off the grid, are taken one at a time
+    assert single and set(single).isdisjoint(_grid_and_mirror())
+
+
+def test_product_scan_fetches_little_beyond_what_it_visits(monkeypatch):
+    fetched = []
+    scan = bounds._quasi_convex_scan
+
+    def recorded(*args, prefetch, **kwargs):
+        def counted(block):
+            fetched.extend(block)
+            prefetch(block)
+        return scan(*args, prefetch=counted, **kwargs)
+
+    monkeypatch.setattr(bounds, "_quasi_convex_scan", recorded)
+    calls = _count_scalar_calls(monkeypatch, "product")
+    g = ginibre(np.random.default_rng(2026), 8)
+    minimize_over_t("product", BoundContext(g, refine=False))
+    assert len(fetched) == len(set(fetched)) <= 4 * len(calls), (
+        len(fetched), len(calls))
 
 
 def test_quasi_convex_bounds_are_quasi_convex_on_the_grid():

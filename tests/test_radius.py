@@ -431,11 +431,44 @@ def test_warm_sweep_solves_few_angles_near_and_falls_back_far(monkeypatch):
     assert rows[0] == 720 // coarse_step(720)
     rows.clear()
     # flat: every upper end reaches low, and every angle is solved once
-    zero = np.zeros((3, 3))
-    _, upper = warm_sweep(zero, 720)
+    # (g is 1/2 at every angle of the Jordan block, to rounding)
+    jordan = np.array([[0, 1], [0, 0]], dtype=complex)
+    _, upper = warm_sweep(jordan, 720)
     rows.clear()
+    _, upper = warm_sweep(jordan, 720, True, (jordan, upper))
+    assert sum(rows) == 720 and np.allclose(upper, 0.5, rtol=1e-15)
+    # a zero matrix solves no angle, warm or cold, and its g is 0
+    zero = np.zeros((3, 3))
+    rows.clear()
+    _, upper = warm_sweep(zero, 720)
     _, upper = warm_sweep(zero, 720, True, (zero, upper))
-    assert sum(rows) == 720 and np.all(upper == 0)
+    assert rows == [] and np.all(upper == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_sweep_of_a_zero_matrix_solves_no_angle(n, monkeypatch):
+    # g is 0 at every angle: pruned_sweep skips the grid stage, and its
+    # refinement searches the constant 0.0, with radius_sweep's bits
+    zero = np.zeros((n, n))
+    for grid_points, refine in ((720, True), (240, False), (360, True),
+                                (17, True)):
+        want = radius_sweep(zero, grid_points, refine)
+        with monkeypatch.context() as m:
+            rows = count_top_rows(m)
+            steps = []
+            m.setattr(radius, "_lambda_max_rotated",
+                      lambda a, theta: steps.append(theta))
+            got = pruned_sweep(zero, grid_points, refine)
+        assert repr(got) == repr(want), (grid_points, refine)
+        assert rows == [] and steps == []
+
+
+def test_compare_all_of_jordan2_solves_few_angles(monkeypatch):
+    # its Aluthge transforms are zero at every t, so the sweeps of the
+    # 1,027 aluthge-t evaluations solve none (1,480,590 angles before)
+    rows = count_top_rows(monkeypatch)
+    compare_all(JORDAN2)
+    assert sum(rows) <= 1000, sum(rows)
 
 
 def test_no_sweep_solves_an_angle_twice(monkeypatch):
@@ -457,6 +490,7 @@ def test_no_sweep_solves_an_angle_twice(monkeypatch):
     _, upper = counted(a, 240)
     for m in (np.zeros((6, 6)), -a):
         counted(m, 240, True, (a, upper))
+    assert per_sweep.pop(-2) == (240, 0)  # the zero matrix solves none
     assert all(0 < solved <= grid_points for grid_points, solved in per_sweep)
 
 
