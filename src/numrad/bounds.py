@@ -13,11 +13,14 @@ A fixed bound ignores t, or is a weighted bound at one weight.  A weighted
 bound is evaluated at a float t.  All six are quasi-convex in t, with the
 proofs in their docstrings, and share one scan, certified by their own
 values: aluthge-t's, whose omega terms are sweeps on a grid of N angles,
-within a factor cos(pi/N)^(-1/2) of its exact values.
+within a factor cos(pi/N)^(-1/2) of its exact values.  Two of them,
+weighted-r and product, have their minimum at t = 1/2, where a refined
+minimisation takes it with no scan.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -84,8 +87,10 @@ class BoundContext(_Spectral):
         self.refine = refine
         self._values: dict = {}
         self._omega: dict = {}
-        # per kind of a (kind, t) key: {t: (matrix, upper ends)}
+        # per kind of a (kind, t) key: {t: (matrix, upper ends)}, and its
+        # t's sorted with their places in the order swept (see _nearest)
         self._swept: dict = {}
+        self._swept_ts: dict = {}
         self._xy_norm: dict = {}
         self._aluthge: dict = {}
 
@@ -143,11 +148,36 @@ class BoundContext(_Spectral):
             return pruned_sweep(m, self.theta_grid, self.refine).value
         kind, t = key
         family = self._swept.setdefault(kind, {})
-        near = min(family, key=lambda s: abs(s - t), default=None)
+        ts, order = self._swept_ts.setdefault(kind, ([], []))
         est, upper = warm_sweep(m, self.theta_grid, self.refine,
-                                family.get(near))
+                                family.get(_nearest(ts, order, t)))
+        i = bisect.bisect_left(ts, t)
+        ts.insert(i, t)
+        order.insert(i, len(family))
         family[t] = (m, upper)
         return est.value
+
+
+def _nearest(ts: list, order: list, t: float):
+    """The t of ts, sorted, nearest to t, and of those at the same rounded
+    distance the first swept (order[i] is the place of ts[i] in the order
+    swept), as min(family, key=lambda s: abs(s - t)) takes it; None if ts
+    is empty.  The rounded distance does not fall as s moves away from t,
+    so the ties are runs on either side of t's place in ts."""
+    lo = hi = bisect.bisect_left(ts, t)
+    if lo > 0 and (hi == len(ts) or t - ts[lo - 1] <= ts[hi] - t):
+        d = t - ts[lo - 1]
+    elif hi < len(ts):
+        d = ts[hi] - t
+    else:
+        return None
+    while lo > 0 and t - ts[lo - 1] == d:
+        lo -= 1
+    while hi < len(ts) and ts[hi] - t == d:
+        hi += 1
+    if hi - lo == 1:
+        return ts[lo]
+    return ts[min(range(lo, hi), key=order.__getitem__)]
 
 
 def _finite_norm(norm: Callable, m: np.ndarray) -> float:
@@ -482,6 +512,10 @@ _BOUNDS = {
 CATALOG_IDS = tuple(_BOUNDS)
 T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
                             if scan)
+# The weighted bounds whose minimiser in t is known in closed form, with
+# that t (their docstrings prove it), which minimize_over_t takes with
+# refine on.
+_T_STAR = {"weighted-r": 0.5, "product": 0.5}
 
 
 def _evaluate(bound_id: str, ctx: BoundContext,
@@ -543,7 +577,12 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
 
     a is a matrix or a BoundContext.  Grid scan over [T_MIN, 1 - T_MIN]
     followed, if the context's refine is on, by a refinement with
-    Brent's method, to REFINE_TOL, around the best grid point.  Evaluations
+    Brent's method, to REFINE_TOL, around the best grid point.  With refine
+    on and more than one grid point, a bound whose minimiser is known in
+    closed form (_T_STAR: weighted-r and product, at 1/2) returns it and
+    its value after that one evaluation, with no scan and no refinement,
+    unless that value is not finite; with refine off, it returns its grid
+    minimum, as every bound does.  Evaluations
     that overflow (the objective genuinely diverges when sigma_1 > 1 and
     the exponent blows up) are recorded as +inf and skipped.  Overflow and
     invalid-value warnings are off: exponents such as 1/t make the powers
@@ -567,6 +606,11 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     if ctx.norm_a == 0:
         return float(ts[0]), _evaluate(bound_id, ctx, float(ts[0])).value
+    if ctx.refine and grid_points > 1 and bound_id in _T_STAR:
+        t_star = _T_STAR[bound_id]
+        value = _evaluate(bound_id, ctx, t_star).value
+        if math.isfinite(value):
+            return t_star, value
     seen: dict = {}
 
     def value_at(i: int) -> float:
@@ -608,7 +652,9 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     NaN row with the message in detail["error"]; the report is still
     produced.  Bounds are sorted ascending by value.  refine=False
     disables both the t-refinement and the theta refinement inside
-    sweeps, for bulk campaigns where grid accuracy suffices.
+    sweeps, for bulk campaigns where grid accuracy suffices; with it on,
+    weighted-r and product are taken at their closed-form minimum, t = 1/2
+    (minimize_over_t).
     """
     if isinstance(ids, str):
         raise ValueError(f"ids is the string {ids!r}; pass a sequence of "

@@ -1,3 +1,4 @@
+import bisect
 import importlib
 import math
 import warnings
@@ -526,6 +527,19 @@ def _outcome(fn):
         return ("NonFinite", str(exc))
 
 
+def _closed_form(bound_id, a, grid_points, theta_grid, refine):
+    """(t*, f(t*)) where minimize_over_t takes bound_id's closed-form
+    minimum, or None where it scans: with refine on, on a grid of more
+    than one point, on a nonzero matrix and where f(t*) is finite."""
+    ctx = BoundContext(a, theta_grid, refine)
+    t_star = bounds._T_STAR.get(bound_id)
+    if not (t_star and refine and grid_points > 1 and ctx.norm_a > 0):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = bounds._evaluate(bound_id, ctx, t_star).value
+    return (t_star, value) if math.isfinite(value) else None
+
+
 def _assert_scans_agree(a, grid_points, theta_grid, refine):
     # and aluthge-t on the coarse theta-grids, where its kappa is largest
     runs = [(bid, theta_grid, refine) for bid in sorted(T_DEPENDENT_IDS)]
@@ -536,7 +550,13 @@ def _assert_scans_agree(a, grid_points, theta_grid, refine):
             bound_id, BoundContext(a, theta, on), grid_points))
         got = _outcome(lambda: minimize_over_t(
             bound_id, BoundContext(a, theta, on), grid_points))
-        assert got == want, (bound_id, theta, on)
+        closed = _closed_form(bound_id, a, grid_points, theta, on)
+        if closed:
+            # the exact minimum, which the refinement only approaches
+            assert got == closed, (bound_id, theta, on)
+            assert got[1] <= want[1] * (1 + 1e-15), (bound_id, got, want)
+        else:
+            assert got == want, (bound_id, theta, on)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
@@ -660,6 +680,50 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
     assert ctx.sweep(("alu", 0.3001), alu) == pruned_sweep(alu).value
 
 
+def test_nearest_swept_t_follows_the_min_rule_on_exact_ties():
+    # the warm start's t, found by bisect on the sorted t's swept, is the
+    # one min(family, key=lambda s: abs(s - t)) gives, the first swept of
+    # those at the same distance: a walk outward from 1/2 on a dyadic grid,
+    # then each midpoint, at exactly the same distance from both of its
+    # neighbours; and t's near 0, whose distances to 0.9 round alike
+    walk = [0.5] + [0.5 + side * k / 32 for k in range(1, 16)
+                    for side in (-1, 1)]
+    mids = [(2 * k + 1) / 64 for k in range(1, 31)]
+    ties = 0
+    for walked in (walk + mids[::2] + mids[::-2], [2e-20, 1e-20, 3e-20, 0.9]):
+        family, ts, order = {}, [], []
+        for t in walked:
+            want = min(family, key=lambda s: abs(s - t), default=None)
+            assert bounds._nearest(ts, order, t) == want, t
+            ties += sum(abs(s - t) == abs(want - t) for s in family) > 1
+            i = bisect.bisect_left(ts, t)
+            ts.insert(i, t)
+            order.insert(i, len(family))
+            family[t] = None
+    assert ties == len(mids) + 1, ties
+
+
+# Scalar evaluations of the whole catalog in a default compare_all: a
+# budget may be tightened, never loosened.  weighted-r and product take
+# their closed-form minimum, at one evaluation each.
+EVALUATION_BUDGETS = {
+    "SHIFT_234": (SHIFT_234, 148),
+    "hermitian-8": (sample("hermitian", 8, np.random.default_rng(2026)), 48),
+    "JORDAN2": (JORDAN2, 1082),
+    "G": (ginibre(np.random.default_rng(4), 4), 83),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATION_BUDGETS)
+def test_a_default_report_keeps_its_evaluation_budget(name, monkeypatch):
+    a, budget = EVALUATION_BUDGETS[name]
+    calls = {bid: _count_scalar_calls(monkeypatch, bid) for bid in CATALOG_IDS}
+    compare_all(a)
+    counts = {bid: len(ts) for bid, ts in calls.items()}
+    assert calls["weighted-r"] == calls["product"] == [0.5], counts
+    assert sum(counts.values()) <= budget, counts
+
+
 def test_quasi_convex_scan_visits_few_points(monkeypatch):
     # every weighted bound has it, aluthge-t's widened for its sweeps and
     # product's fetching its norms in blocks
@@ -710,7 +774,8 @@ def test_stacked_xy_norms_have_the_bits_of_single_ones():
 
 
 def test_product_scan_fetches_a_flat_walk_in_few_stacks(monkeypatch):
-    # product is flat on SHIFT_234, so the walk visits all 1,001 points:
+    # product is flat on SHIFT_234, so the walk with refine off (with it
+    # on, product takes its closed-form minimum) visits all 1,001 points:
     # their norms come from blocks of up to PREFETCH_MAX points, which
     # double from 1 on each side, and none from a single SVD
     stacks = []
@@ -731,12 +796,11 @@ def test_product_scan_fetches_a_flat_walk_in_few_stacks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(BoundContext, "xy_norm", recorded)
-    minimize_over_t("product", SHIFT_234)
+    minimize_over_t("product", BoundContext(SHIFT_234, refine=False))
     cap = bounds.PREFETCH_MAX
     assert len(stacks) <= 2 * (1001 / cap + math.log2(cap)), len(stacks)
     assert max(stacks) <= 2 * cap
-    # the refinement's points, off the grid, are taken one at a time
-    assert single and set(single).isdisjoint(_grid_and_mirror())
+    assert set(single).isdisjoint(_grid_and_mirror()), single
 
 
 def test_product_scan_fetches_little_beyond_what_it_visits(monkeypatch):
