@@ -39,11 +39,6 @@ DEFAULT_T_GRID = 1001
 T_GRID_MIN = 1
 # Width in t at which the refinement of the t-scan (Brent's method) stops.
 REFINE_TOL = 1e-8
-# Most points a block of the t-scan's walk fetches.  The stacks of a block
-# grow with it: a default compare_all of a hermitian 32x32, whose product
-# is flat, peaks at 9.6 MB of numpy memory with this cap and 33 MB with
-# none; past it, the time per point hardly falls.
-PREFETCH_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -77,8 +72,9 @@ class BoundContext(_Spectral):
     """The spectral core of one matrix (with its fixed powers), with the
     sweep settings and caches of its bounds' values by (id, t) (see
     _evaluate), of pruned_sweep values (radius_sweep's, bit for bit), of
-    the norms ||X^s Y^s|| and of the Aluthge transforms A_t; refine
-    refines both its sweeps in theta and minimize_over_t in t."""
+    the nonzero matrices swept in t as warm starts (see sweep), of the
+    norms ||X^s Y^s|| and of the Aluthge transforms A_t; refine refines
+    both its sweeps in theta and minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -88,7 +84,7 @@ class BoundContext(_Spectral):
         self._values: dict = {}
         self._omega: dict = {}
         # per kind of a (kind, t) key: {t: (matrix, upper ends)}, and its
-        # t's sorted with their places in the order swept (see _nearest)
+        # t's sorted (see _nearest)
         self._swept: dict = {}
         self._swept_ts: dict = {}
         self._xy_norm: dict = {}
@@ -110,31 +106,15 @@ class BoundContext(_Spectral):
             self._xy_norm[s] = gnorm(self.xpow(s) @ self.ypow(s))
         return self._xy_norm[s]
 
-    def xy_norms(self, ss) -> None:
-        """Cache xy_norm(s), with its bits, for each float s of ss not
-        cached, by one stacked X^s Y^s and one stacked SVD; a slice that
-        is not finite is inf, as gnorm gives it.  If the SVD fails, none
-        is cached, and xy_norm takes each alone."""
-        new = [s for s in dict.fromkeys(ss) if s not in self._xy_norm]
-        if not new:
-            return
-        rs = np.array(new)
-        xy = self.powers(rs) @ self.powers(rs, adjoint=True)
-        finite = np.isfinite(xy).all(axis=(1, 2))
-        norms = np.full(len(new), math.inf)
-        try:
-            norms[finite] = np.linalg.svd(xy[finite], compute_uv=False)[:, 0]
-        except np.linalg.LinAlgError:
-            return
-        self._xy_norm.update(zip(new, norms.tolist()))
-
     def sweep(self, key, m) -> float:
         """omega(m) by the context's sweep for a matrix m, cached under key;
         inf if m does not fit (matrix.fits: its entries or norm overflow).
         A key (kind, t), such as ("alu", t), names a matrix of a family in
         t: its sweep is radius.warm_sweep, warm-started from the matrix of
         the same kind swept at the nearest t, and its upper ends are kept
-        for the next.
+        for the next unless m is zero: outside underflow A_t =
+        V S^(1-t) K S^t V* is zero at every t or at none, and a zero
+        sweep's upper ends (all 0) would send a nonzero neighbour cold.
         """
         if key not in self._omega:
             self._omega[key] = self._sweep_matrix(key, m)
@@ -148,36 +128,23 @@ class BoundContext(_Spectral):
             return pruned_sweep(m, self.theta_grid, self.refine).value
         kind, t = key
         family = self._swept.setdefault(kind, {})
-        ts, order = self._swept_ts.setdefault(kind, ([], []))
+        ts = self._swept_ts.setdefault(kind, [])
         est, upper = warm_sweep(m, self.theta_grid, self.refine,
-                                family.get(_nearest(ts, order, t)))
-        i = bisect.bisect_left(ts, t)
-        ts.insert(i, t)
-        order.insert(i, len(family))
-        family[t] = (m, upper)
+                                family.get(_nearest(ts, t)))
+        if m.any():
+            bisect.insort(ts, t)
+            family[t] = (m, upper)
         return est.value
 
 
-def _nearest(ts: list, order: list, t: float):
-    """The t of ts, sorted, nearest to t, and of those at the same rounded
-    distance the first swept (order[i] is the place of ts[i] in the order
-    swept), as min(family, key=lambda s: abs(s - t)) takes it; None if ts
-    is empty.  The rounded distance does not fall as s moves away from t,
-    so the ties are runs on either side of t's place in ts."""
-    lo = hi = bisect.bisect_left(ts, t)
-    if lo > 0 and (hi == len(ts) or t - ts[lo - 1] <= ts[hi] - t):
-        d = t - ts[lo - 1]
-    elif hi < len(ts):
-        d = ts[hi] - t
-    else:
-        return None
-    while lo > 0 and t - ts[lo - 1] == d:
-        lo -= 1
-    while hi < len(ts) and ts[hi] - t == d:
-        hi += 1
-    if hi - lo == 1:
-        return ts[lo]
-    return ts[min(range(lo, hi), key=order.__getitem__)]
+def _nearest(ts: list, t: float):
+    """The t of ts, sorted, nearest to t, and the larger of two at the same
+    distance; None if ts is empty.  The rounded distance does not fall as
+    s moves away from t, so the nearest is a neighbour of t's place in
+    ts."""
+    i = bisect.bisect_left(ts, t)
+    return min(reversed(ts[max(i - 1, 0):i + 1]), key=lambda s: abs(s - t),
+               default=None)
 
 
 def _finite_norm(norm: Callable, m: np.ndarray) -> float:
@@ -398,8 +365,7 @@ def _aluthge_lower(ctx: BoundContext, t: float) -> float:
 
 
 def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
-                       kappa: float = 1.0, lower_at: Callable = None,
-                       prefetch: Callable = None) -> None:
+                       kappa: float = 1.0, lower_at: Callable = None) -> None:
     """The scan of a bound that is quasi-convex in t: for i < j < k, its
     exact value V at t_j is at most the larger of those at t_i and t_k.
     Its computed values V_c have V_c <= V <= kappa V_c, up to the rounding
@@ -416,21 +382,10 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
     that lies above v*: by a lower end taken so far or next to b, or else
     by its value.  Every point p beyond q has V_c(q) / kappa at most the
     larger of v* and V_c(p), so V_c(p) > v*: none can hold or tie the grid
-    minimum.  A flat objective is walked end to end; so is one that is
-    +inf everywhere.
-
-    prefetch, if given, is called with a range of grid indices, so that
-    their values can be computed in one stacked block: first the middle
-    point and its neighbours, then, before the walk visits a point not
-    yet fetched, that point and the next k - 1 in its direction, where k
-    doubles from 1 to PREFETCH_MAX on each side.  It does not change
-    which points the scan evaluates.
+    minimum.  A flat objective is walked end to end, one point at a time;
+    so is one that is +inf everywhere.
     """
-    size, lows, fetched = ts.size, {}, set()
-
-    def fetch(block: range) -> None:
-        fetched.update(block)
-        prefetch(block)
+    size, lows = ts.size, {}
 
     def lower(i: int) -> float:
         if i not in lows:
@@ -443,8 +398,6 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
                 or _above(value_at(i) / kappa, v, ctx.norm_a))
 
     a = b = mid = (size - 1) // 2
-    if prefetch:
-        fetch(range(max(mid - 1, 0), min(mid + 2, size)))
     v_mid = value_at(mid)
     near = [i for i in (mid - 1, mid + 1) if 0 <= i < size
             and not _above(lower(i) / kappa, v_mid, ctx.norm_a)]
@@ -457,26 +410,12 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
         b = min(b, round(golden_min(lambda x: lower(round(x)), a, c, 4)[0]),
                 key=lower)
     for step in (-1, 1):
-        low, i, k = value_at(b), b + step, 1
+        low, i = value_at(b), b + step
         while 0 <= i < size:
-            if prefetch and i not in fetched:
-                fetch(range(i, min(max(i + k * step, -1), size), step))
-                k = min(2 * k, PREFETCH_MAX)
             if above(i, low):
                 break
             low = min(low, value_at(i))
             i += step
-
-
-def _product_scan(ctx: BoundContext, ts: np.ndarray,
-                  value_at: Callable) -> None:
-    """product's _quasi_convex_scan, which fetches ||X^s Y^s|| at s = t and
-    1 - t for each t of a block in one stack (BoundContext.xy_norms): the
-    walk of its flat objectives visits the whole grid."""
-    def prefetch(block: range) -> None:
-        ctx.xy_norms([s for t in ts[block].tolist() for s in (t, 1 - t)])
-
-    _quasi_convex_scan(ctx, ts, value_at, prefetch=prefetch)
 
 
 def _aluthge_scan(ctx: BoundContext, ts: np.ndarray,
@@ -505,7 +444,7 @@ _BOUNDS = {
     "aluthge-half": (lambda ctx, t: _aluthge_weighted(ctx, 0.5), None),
     "weighted-power": (_weighted_power, _quasi_convex_scan),
     "weighted-r": (_weighted_r, _quasi_convex_scan),
-    "product": (_product, _product_scan),
+    "product": (_product, _quasi_convex_scan),
     "fourth-power": (_fourth_power, _quasi_convex_scan),
     "schwarz-radius": (_schwarz_radius, _quasi_convex_scan),
 }

@@ -143,15 +143,6 @@ def psd_power(v: np.ndarray, w: np.ndarray, r) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def psd_powers(v: np.ndarray, w: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """The (k, n, n) stack of psd_power(v, w, r) over the k exponents rs,
-    in one stacked product, each slice with the bits of its own call where
-    numpy's w ** r takes no fast path (w ** 0.5 is sqrt(w), and the
-    broadcast power is not)."""
-    m = (v * (w ** rs[:, None])[:, None, :]) @ v.conj().T
-    return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
 def frac_power(p, r: float) -> np.ndarray:
     """Fractional power P^r of a PSD matrix, with 0^r = 0; p is the matrix
     or its HermitianEigen, so that one decomposition serves many powers.
