@@ -69,12 +69,12 @@ class BoundReport:
 
 
 class BoundContext(_Spectral):
-    """The spectral core of one matrix (with its fixed powers), with the
+    """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
     _evaluate), of pruned_sweep values (radius_sweep's, bit for bit), of
-    the nonzero matrices swept in t as warm starts (see sweep), of the
-    norms ||X^s Y^s|| and of the Aluthge transforms A_t; refine refines
-    both its sweeps in theta and minimize_over_t in t."""
+    the nonzero matrices swept in t as warm starts (see sweep) and of the
+    norms ||X^s Y^s||; refine refines both its sweeps in theta and
+    minimize_over_t in t."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -88,16 +88,6 @@ class BoundContext(_Spectral):
         self._swept: dict = {}
         self._swept_ts: dict = {}
         self._xy_norm: dict = {}
-        self._aluthge: dict = {}
-
-    def aluthge(self, t):
-        """The Aluthge transform A_t, built once per float t and kept,
-        read-only: aluthge-t's lower end and value at t share it, and so
-        do yamazaki, aluthge-half and aluthge-t at 1/2."""
-        if t not in self._aluthge:
-            self._aluthge[t] = super().aluthge(t)
-            self._aluthge[t].flags.writeable = False
-        return self._aluthge[t]
 
     def xy_norm(self, s: float) -> float:
         """||X^s Y^s|| for the float s, cached under s: product's t-scan
@@ -488,7 +478,7 @@ def _on_matrix(bound_id: str) -> Callable:
     else:
         def bound(a) -> BoundValue:
             return _evaluate(bound_id, BoundContext(a))
-    bound.__doc__ = f"The catalog bound {bound_id!r} on the matrix a."
+    bound.__doc__ = f"The catalog bound {bound_id!r} on a matrix or its core."
     return np.errstate(over="ignore", invalid="ignore")(bound)
 
 
@@ -514,27 +504,29 @@ schwarz_radius = _on_matrix("schwarz-radius")
 def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     """Minimize a t-dependent bound over the clamped weight window.
 
-    a is a matrix or a BoundContext.  Grid scan over [T_MIN, 1 - T_MIN]
-    followed, if the context's refine is on, by a refinement with
-    Brent's method, to REFINE_TOL, around the best grid point.  With refine
-    on and more than one grid point, a bound whose minimiser is known in
-    closed form (_T_STAR: weighted-r and product, at 1/2) returns it and
-    its value after that one evaluation, with no scan and no refinement,
-    unless that value is not finite; with refine off, it returns its grid
-    minimum, as every bound does.  Evaluations
-    that overflow (the objective genuinely diverges when sigma_1 > 1 and
-    the exponent blows up) are recorded as +inf and skipped.  Overflow and
-    invalid-value warnings are off: exponents such as 1/t make the powers
-    overflow near the ends of the grid, and the bound is inf there.
+    a is a matrix, its core (polar._Spectral) or a BoundContext.  Grid
+    scan over [T_MIN, 1 - T_MIN] followed, if the context's refine is on,
+    by a refinement with Brent's method, to REFINE_TOL, around the best
+    grid point.  With refine on and more than one grid point, a bound
+    whose minimiser is known in closed form (_T_STAR: weighted-r and
+    product, at 1/2) returns it and its value after that one evaluation,
+    with no scan and no refinement, unless that value is not finite; with
+    refine off, it returns its grid minimum, as every bound does.
+    Evaluations that overflow (the objective genuinely diverges when
+    sigma_1 > 1 and the exponent blows up) are recorded as +inf and
+    skipped.  Overflow and invalid-value warnings are off: exponents such
+    as 1/t make the powers overflow near the ends of the grid, and the
+    bound is inf there.
 
     The scan is certified: it visits the grid points until those it has
     not visited lie above the smallest value it has, so the first-index
-    minimum over the grid, and hence the result, is that of the full scan
-    (_quasi_convex_scan).  If no value is finite, or a value is NaN, which
-    certifies nothing, every point is visited.  Where ||A|| = 0, every
-    catalog bound is +0.0 at every t, so the full scan's result is the
-    first grid point and its value, which is returned after that one
-    evaluation, with no scan and no refinement.
+    minimum over the points it visited, and hence the result, is that of
+    the full scan (_quasi_convex_scan).  If no value is finite, every
+    point is visited.  A NaN, which certifies nothing, raises NonFinite
+    as soon as the scan meets it.  Where ||A|| = 0, every catalog bound
+    is +0.0 at every t, so the full scan's result is the first grid point
+    and its value, which is returned after that one evaluation, with no
+    scan and no refinement.
 
     Returns (t_star, value) with value comparable to omega(A).
     """
@@ -555,20 +547,17 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     def value_at(i: int) -> float:
         if i not in seen:
             seen[i] = _evaluate(bound_id, ctx, float(ts[i])).value
+            if math.isnan(seen[i]):
+                raise NonFinite(f"{bound_id}: NaN at t={ts[i]}")
         return seen[i]
 
     _BOUNDS[bound_id][1](ctx, ts, value_at)
-    if any(math.isnan(v) for v in seen.values()):
-        for i in range(grid_points):
-            value_at(i)
-    vals = np.full(grid_points, math.inf)
-    vals[list(seen)] = list(seen.values())
-    best = int(np.argmin(vals))
-    if not math.isfinite(vals[best]):
+    best = min(sorted(seen), key=seen.get)
+    t_star, value = float(ts[best]), seen[best]
+    if not math.isfinite(value):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
-    t_star, value = float(ts[best]), float(vals[best])
-    if ctx.refine and grid_points > 1:
+    if ctx.refine:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
         t_ref, v_ref, _ = golden_min(
@@ -585,13 +574,14 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
                 ids=CATALOG_IDS) -> BoundReport:
     """Evaluate the bounds named by ids, minimizing t-dependent ones.
 
-    ids defaults to the full catalog; a string, or an id that is not in
-    CATALOG_IDS, is a ValueError before any work.  A bound that fails
-    with a NumradError or a numerical error from numpy is recorded as a
-    NaN row with the message in detail["error"]; the report is still
-    produced.  Bounds are sorted ascending by value.  refine=False
-    disables both the t-refinement and the theta refinement inside
-    sweeps, for bulk campaigns where grid accuracy suffices; with it on,
+    a is a matrix or its core (polar._Spectral).  ids defaults to the full
+    catalog; a string, or an id that is not in CATALOG_IDS, is a
+    ValueError before any work.  A bound that fails with a NumradError or
+    a numerical error from numpy is recorded as a NaN row with the message
+    in detail["error"]; the report is still produced.  Bounds are sorted
+    ascending by value.  refine=False disables both the t-refinement and
+    the theta refinement inside sweeps, for bulk campaigns where grid
+    accuracy suffices; with it on,
     weighted-r and product are taken at their closed-form minimum, t = 1/2
     (minimize_over_t).
     """

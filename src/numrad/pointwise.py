@@ -72,7 +72,7 @@ def _form(m, x) -> complex:
 def kato(a, x, y, t: float) -> InequalityCheck:
     """|<Ax,y>|^2 against <|A|^{2(1-t)}x,x><|A*|^{2t}y,y>."""
     _check_weight(t)
-    core = a if isinstance(a, _Spectral) else _Spectral(a)
+    core = _Spectral(a)
     x, y = _vec(x), _vec(y)
     lhs = abs(np.vdot(y, core.a @ x)) ** 2
     rhs = (_form(core.xpow(2 * (1 - t)), x).real

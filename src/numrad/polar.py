@@ -36,13 +36,17 @@ class _Spectral:
     error state that the calling entry point sets.
 
     The powers for r in FIXED_POWERS (X^(1/2), X, X^2 and the same of Y)
-    are computed once and kept, read-only, one dict per basis.  Every
-    other exponent is computed on each call: a t-scan meets thousands of
-    them, each used once or twice, and keeping them all would hold a
-    matrix per exponent.
+    are computed once and kept, read-only, one dict per basis, as is each
+    A_t by float t.  Every other exponent is computed on each call: a
+    t-scan meets thousands of them, each used once or twice, and keeping
+    them all would hold a matrix per exponent.  A core built on a core
+    shares its SVD, isometry and kept matrices.
     """
 
     def __init__(self, a):
+        if isinstance(a, _Spectral):  # a subclass sets its own fields anew
+            self.__dict__.update(vars(a))
+            return
         self.a = as_matrix(a)
         dec = svd(self.a)
         self.sigma, self.left, self.right = dec.sigma, dec.left, dec.right
@@ -51,6 +55,7 @@ class _Spectral:
         self.isometry = dec.left[:, keep] @ dec.right[:, keep].conj().T
         self._x_powers: dict = {}
         self._y_powers: dict = {}
+        self._aluthge: dict = {}
 
     def _power(self, vectors, kept: dict, r):
         """vectors diag(sigma^r) vectors*, from kept if r is a fixed power."""
@@ -75,8 +80,11 @@ class _Spectral:
                               (self.left if adjoint else self.right)[:, ::-1])
 
     def aluthge(self, t):
-        """Weighted Aluthge transform |A|^(1-t) U |A|^t."""
-        return self.xpow(1 - t) @ self.isometry @ self.xpow(t)
+        """Weighted Aluthge transform |A|^(1-t) U |A|^t, kept read-only."""
+        if t not in self._aluthge:
+            self._aluthge[t] = self.xpow(1 - t) @ self.isometry @ self.xpow(t)
+            self._aluthge[t].flags.writeable = False
+        return self._aluthge[t]
 
 
 @dataclass(frozen=True)
@@ -111,4 +119,4 @@ def aluthge(a, t: float = 0.5) -> WeightedAluthge:
     exponent degenerates to 0.
     """
     _check_weight(t)
-    return WeightedAluthge(t=t, transform=_Spectral(a).aluthge(t))
+    return WeightedAluthge(t=t, transform=_Spectral(a).aluthge(t).copy())

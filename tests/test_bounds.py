@@ -20,7 +20,7 @@ from numrad.ensembles import ENSEMBLES, sample
 from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
-from numrad.polar import T_MIN
+from numrad.polar import T_MIN, _Spectral
 from numrad.radius import _subgrid_max, coarse_step, pruned_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
@@ -462,13 +462,16 @@ def test_context_keeps_no_power_that_depends_on_t():
 def test_a_campaign_trial_builds_each_aluthge_transform_once(monkeypatch):
     # aluthge-t's lower end and value at t share A_t, and yamazaki,
     # aluthge-half and aluthge-t share A_(1/2): over these 40 trials the
-    # bounds built A_t 257 times for 146 distinct (context, t) pairs
+    # bounds built A_t 257 times for 146 distinct (core, t) pairs; a
+    # build is a miss of the core's cache, which every context on the
+    # core shares
     polar = importlib.import_module("numrad.polar")
     builds = []
     aluthge = polar._Spectral.aluthge
 
     def counted(core, t):
-        builds.append((id(core), t))
+        if t not in core._aluthge:
+            builds.append((id(core._aluthge), t))
         return aluthge(core, t)
 
     monkeypatch.setattr(polar._Spectral, "aluthge", counted)
@@ -481,6 +484,39 @@ def test_a_campaign_trial_builds_each_aluthge_transform_once(monkeypatch):
             assert len(builds) == len(set(builds)), (ens, index)
             total += len(builds)
     assert total == 146
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_a_report_on_a_core_shares_it_with_the_same_bits(refine):
+    # a context built on a core takes over its SVD and kept matrices, and
+    # a report on the core is the report on its matrix
+    for a in (SHIFT_234, ginibre(np.random.default_rng(2026), 8)):
+        core = _Spectral(a)
+        ctx = BoundContext(core)
+        assert ctx.sigma is core.sigma and ctx.isometry is core.isometry
+        assert ctx.aluthge(0.3) is core.aluthge(0.3)
+        assert (repr(compare_all(core, refine=refine))
+                == repr(compare_all(a, refine=refine)))
+
+
+def test_a_nan_in_the_t_scan_raises_non_finite_where_it_is_met(monkeypatch):
+    # a NaN certifies nothing: the scan names it and stops, visiting no
+    # more of the grid than a clean scan does
+    a = ginibre(np.random.default_rng(2026), 4)
+    calls = _count_scalar_calls(monkeypatch, "weighted-power")
+    minimize_over_t("weighted-power", BoundContext(a, refine=False))
+    clean, hole = len(calls), calls[-1]
+    bound, scan = bounds._BOUNDS["weighted-power"]
+
+    def holed(ctx, t):
+        value, detail = bound(ctx, t)
+        return (math.nan if t == hole else value), detail
+
+    monkeypatch.setitem(bounds._BOUNDS, "weighted-power", (holed, scan))
+    calls.clear()
+    with pytest.raises(NonFinite, match=f"weighted-power: NaN at t={hole}"):
+        minimize_over_t("weighted-power", BoundContext(a, refine=False))
+    assert hole in calls and len(calls) <= clean < bounds.DEFAULT_T_GRID
 
 
 def test_compare_all_evaluates_each_bound_once_at_its_t_star(monkeypatch):

@@ -389,9 +389,8 @@ def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
         assert "kitt-sum" in row.rsplit(",", 1)[1].split(";")
 
 
-def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
-    # one for the report's context, one for the pointwise checks, which
-    # kato shares
+def test_campaign_trial_builds_one_spectral_core(monkeypatch):
+    # the report's context and the pointwise checks share the trial's core
     polar = importlib.import_module("numrad.polar")
     calls = []
 
@@ -403,7 +402,7 @@ def test_campaign_trial_builds_two_spectral_cores(monkeypatch):
     monkeypatch.setattr(polar, "svd", counted)
     run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
                                 seed=5))
-    assert calls == [(3, 3), (3, 3)]
+    assert calls == [(3, 3)]
 
 
 def test_campaign_trial_evaluates_each_bound_once_at_each_t(monkeypatch):

@@ -22,10 +22,12 @@ def test_abs_value_jordan():
 
 def test_kept_powers_are_read_only_and_public_results_writable():
     ctx = BoundContext(EXAMPLE1)
-    for power in (ctx.xpow(0.5), ctx.xpow(1.0), ctx.ypow(2.0)):
+    for power in (ctx.xpow(0.5), ctx.xpow(1.0), ctx.ypow(2.0),
+                  ctx.aluthge(0.3)):
         with pytest.raises(ValueError, match="read-only"):
             power[0, 0] = 0
     assert ctx.xpow(1.0) is ctx.xpow(1.0)
+    assert ctx.aluthge(0.3) is ctx.aluthge(0.3)
     assert ctx.xpow(0.3).flags.writeable
     for m in (polar(EXAMPLE1).positive, abs_value(EXAMPLE1),
               aluthge(EXAMPLE1).transform):
