@@ -28,11 +28,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, NumradError
-from .matrix import fits, float_power
+from .matrix import fits, float_power, gnorm, hnorm
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
-from .radius import (BRACKET_REL, DEFAULT_GRID, RadiusEstimate, _subgrid_max,
-                     check_count, pruned_sweep, warm_sweep)
+from .radius import (BRACKET_REL, DEFAULT_GRID, THETA_GRID_MIN, RadiusEstimate,
+                     _subgrid_max, check_count, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -71,13 +71,15 @@ class BoundReport:
 class BoundContext(_Spectral):
     """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
-    _evaluate), of pruned_sweep values (radius_sweep's, bit for bit), of
-    the nonzero matrices swept in t as warm starts (see sweep) and of the
+    _evaluate), of sweep values (radius_sweep's, bit for bit), of the
+    nonzero matrices swept in t as warm starts (see sweep) and of the
     norms ||X^s Y^s||; refine refines both its sweeps in theta and
-    minimize_over_t in t."""
+    minimize_over_t in t.  Its matrix (in the core) and theta_grid are
+    validated here, once: its sweeps, by warm_sweep, trust them."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
+        check_count("theta_grid", theta_grid, THETA_GRID_MIN)
         super().__init__(a)
         self.theta_grid = theta_grid
         self.refine = refine
@@ -115,7 +117,7 @@ class BoundContext(_Spectral):
         if not fits(m):
             return math.inf
         if not isinstance(key, tuple):
-            return pruned_sweep(m, self.theta_grid, self.refine).value
+            return warm_sweep(m, self.theta_grid, self.refine)[0].value
         kind, t = key
         family = self._swept.setdefault(kind, {})
         ts = self._swept_ts.setdefault(kind, [])
@@ -135,23 +137,6 @@ def _nearest(ts: list, t: float):
     i = bisect.bisect_left(ts, t)
     return min(reversed(ts[max(i - 1, 0):i + 1]), key=lambda s: abs(s - t),
                default=None)
-
-
-def _finite_norm(norm: Callable, m: np.ndarray) -> float:
-    """norm(m) where the matrix m is finite; inf where it is not."""
-    return float(norm(m)) if np.isfinite(m).all() else math.inf
-
-
-def hnorm(m: np.ndarray) -> float:
-    """Spectral norm of the Hermitian part (m + m*)/2 of an operand; inf
-    where that part overflows."""
-    return _finite_norm(lambda h: abs(np.linalg.eigvalsh(h)[[0, -1]]).max(),
-                        (m + m.conj().T) / 2)
-
-
-def gnorm(m: np.ndarray) -> float:
-    """Spectral norm of a general operand; inf where it is not finite."""
-    return _finite_norm(lambda g: np.linalg.svd(g, compute_uv=False)[0], m)
 
 
 def _sqrt_or_inf(inner: float) -> float:
@@ -594,7 +579,7 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
             raise ValueError(f"unknown bound id {bound_id!r}; the catalog "
                              f"has {', '.join(CATALOG_IDS)}")
     ctx = BoundContext(a, theta_grid, refine)
-    omega = pruned_sweep(ctx.a, theta_grid, refine)
+    omega = warm_sweep(ctx.a, theta_grid, refine)[0]
     bounds = []
     for bound_id in ids:
         try:

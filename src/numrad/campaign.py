@@ -17,7 +17,7 @@ from .ensembles import ENSEMBLES, sample, trial_rng
 from .polar import T_MIN, _Spectral
 from .radius import THETA_GRID_MIN, check_count, check_integer, splitmix64
 
-TOL_SLACK = 1e-7       # bound soundness vs the sweep omega
+TOL_SLACK = 1e-7       # bound soundness vs the sweep omega, relative to it
 # Amer's rhs is an upper end (no sweep error can fail it); its lhs, an
 # eigenvalue of the non-normal AB + CD, rounds with its condition number.
 TOL_AMER = 1e-5
@@ -102,8 +102,9 @@ def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     report = compare_all(core, t_grid=config.t_grid,
                          theta_grid=config.theta_grid, refine=False)
     by_id = {bv.id: bv for bv in report.bounds}
+    floor = -TOL_SLACK * report.omega.value
     violations = [bid for bid in CATALOG_IDS
-                  if report.slacks.get(bid, 0.0) < -TOL_SLACK
+                  if report.slacks.get(bid, 0.0) < floor
                   or not np.isfinite(by_id[bid].value)]
     violations += _pointwise_violations(core, rng)
     return TrialRecord(

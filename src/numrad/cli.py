@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -35,6 +36,12 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
+def _number(x):
+    """x, or None (JSON null) where it is a NaN or an infinity, which
+    strict JSON cannot write."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 @click.group()
 def main():
     """Numerical radius bounds toolkit."""
@@ -62,12 +69,14 @@ def bounds(matrix_path, bound_id, t_grid, theta_grid, fmt):
             "omega": {"value": report.omega.value,
                       "theta_star": report.omega.theta_star,
                       "grid_points": report.omega.grid_points},
-            "bounds": [{"id": bv.id, "t": bv.t_used, "value": bv.value,
+            "bounds": [{"id": bv.id, "t": bv.t_used,
+                        "value": _number(bv.value),
                         "slack": report.slacks.get(bv.id),
-                        "detail": bv.detail}
+                        "detail": {k: _number(v)
+                                   for k, v in bv.detail.items()}}
                        for bv in rows],
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2, allow_nan=False))
     elif fmt == "csv":
         click.echo("id,t,value,slack")
         for bv in rows:

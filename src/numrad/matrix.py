@@ -1,7 +1,7 @@
 """Dense complex matrix primitives: adjoint, eigen/SVD wrappers, fractional powers.
 
-Everything operates on square numpy arrays of complex128.  Matrices are
-validated on entry (square, finite) and treated as immutable.
+Everything operates on square complex128 arrays, treated as immutable, that
+a public routine validated once (as_matrix) or that numrad built from one.
 """
 
 from __future__ import annotations
@@ -113,10 +113,23 @@ def svd(a) -> SingularDecomposition:
     return SingularDecomposition(left=u, sigma=s, right=vh.conj().T)
 
 
+def hnorm(m: np.ndarray) -> float:
+    """Spectral norm of the Hermitian part (m + m*)/2 of an operand; inf
+    where that part overflows."""
+    h = (m + m.conj().T) / 2
+    return (float(abs(np.linalg.eigvalsh(h)[[0, -1]]).max())
+            if np.isfinite(h).all() else np.inf)
+
+
+def gnorm(m: np.ndarray) -> float:
+    """Spectral norm of a general operand; inf where it is not finite."""
+    return (float(np.linalg.svd(m, compute_uv=False)[0])
+            if np.isfinite(m).all() else np.inf)
+
+
 def spectral_norm(a) -> float:
     """Operator norm: largest singular value."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return gnorm(as_matrix(a))
 
 
 def spectral_radius(a) -> float:

@@ -17,14 +17,15 @@ from .matrix import finite_matrix
 
 
 def parse_matrix(document) -> np.ndarray:
-    """Parse a JSON MatrixDocument or a real CSV into a complex matrix."""
+    """Parse a JSON MatrixDocument or a real CSV into a complex matrix; a
+    leading UTF-8 byte-order mark is dropped."""
     if isinstance(document, bytes):
         try:
-            text = document.decode("utf-8")
+            text = document.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     else:
-        text = str(document)
+        text = str(document).removeprefix("\ufeff")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(stripped)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError, NonFinite
 from .matrix import (HermitianEigen, as_eigen, as_matrix, fits,
-                     float_power, frac_power, spectral_norm, spectral_radius)
+                     float_power, frac_power, gnorm, spectral_radius)
 from .polar import _check_weight, _Spectral
-from .radius import DEFAULT_GRID, pruned_sweep
+from .radius import DEFAULT_GRID, warm_sweep
 
 TOL_PT = 1e-9
 
@@ -148,17 +148,18 @@ def amer_bound(a, b, c, d) -> InequalityCheck:
     ab_cd, ba, dc, bc, da = a @ b + c @ d, b @ a, d @ c, b @ c, d @ a
     if not all(fits(m) for m in (ab_cd, ba, dc, bc, da)):
         raise NonFinite("a product of the matrices does not fit in a float")
-    wba, wdc = (pruned_sweep(m, DEFAULT_GRID, refine=False).value
+    wba, wdc = (warm_sweep(m, DEFAULT_GRID, refine=False)[0].value
                 / math.cos(math.pi / DEFAULT_GRID) for m in (ba, dc))
     # the root of (wba - wdc)^2 + 4 ||BC|| ||DA||, with no square
-    cross = math.sqrt(spectral_norm(bc)) * math.sqrt(spectral_norm(da))
+    cross = math.sqrt(gnorm(bc)) * math.sqrt(gnorm(da))
     rhs = 0.5 * (wba + wdc + math.hypot(wba - wdc, 2 * cross))
     return InequalityCheck(lhs=spectral_radius(ab_cd), rhs=float(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pq_norm(p, q, t: float) -> float:
     """||P^t Q^t|| for PSD P, Q, each a matrix or its HermitianEigen."""
-    return spectral_norm(frac_power(p, t) @ frac_power(q, t))
+    return gnorm(frac_power(p, t) @ frac_power(q, t))
 
 
 def log_convexity(p, q, t: float) -> InequalityCheck:

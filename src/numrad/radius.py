@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import as_matrix, fits, float_power, frobenius
+from .matrix import as_matrix, fits, float_power, frobenius, gnorm
 from .optimize import golden_max
 
 DEFAULT_GRID = 720
@@ -105,9 +105,10 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
 def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
                  refine: bool = True) -> RadiusEstimate:
     """radius_sweep(a, grid_points, refine), bit for bit, solving only the
-    grid angles where its maximum can lie: warm_sweep with no warm start.
-    """
-    return warm_sweep(a, grid_points, refine)[0]
+    grid angles where its maximum can lie: warm_sweep with no warm start,
+    of a and grid_points validated."""
+    check_count("grid_points", grid_points, THETA_GRID_MIN)
+    return warm_sweep(as_matrix(a), grid_points, refine)[0]
 
 
 def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
@@ -127,10 +128,9 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     solve more angles than the cold subgrid goes cold.  The upper ends
     given back, unwidened, are g where solved, else the ends used.  Of a
     zero matrix, g is 0 at every angle: no angle is solved, and the
-    refinement searches the constant 0.0.
+    refinement searches the constant 0.0.  It trusts its caller: a passes
+    matrix.fits and grid_points is valid (pruned_sweep checks both).
     """
-    check_count("grid_points", grid_points, THETA_GRID_MIN)
-    a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
     if a.any():
         g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
@@ -224,7 +224,7 @@ def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:
     rng = np.random.default_rng(splitmix64(seed, 0))
     x = rng.standard_normal((trials, 2, a.shape[0])).transpose(1, 2, 0)
     x = x.reshape(-1, trials) / np.linalg.norm(x, axis=(0, 1))
-    norm = float(np.linalg.norm(a, 2))
+    norm = gnorm(a)
     if norm == 0:
         return OracleEstimate(value=0.0, trials=trials, seed=seed)
     scale = np.ldexp(1.0, min(1023, -int(np.rint(np.log2(norm)))))
@@ -267,6 +267,6 @@ def power_check(a, k: int):
     e = max(0, math.frexp(np.maximum(abs(a.real), abs(a.imag)).max())[1])
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.linalg.matrix_power(np.ldexp(1.0, -e) * a, k)
-        lhs = (float(np.ldexp(pruned_sweep(power).value, e * k))
+        lhs = (float(np.ldexp(warm_sweep(power)[0].value, e * k))
                if fits(power) else math.inf)
-    return lhs, float_power(pruned_sweep(a).value, k)
+    return lhs, float_power(warm_sweep(a)[0].value, k)

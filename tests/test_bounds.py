@@ -1,11 +1,13 @@
 import bisect
 import importlib
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
+import numrad
 from numrad import (CATALOG_IDS, T_DEPENDENT_IDS, BoundContext, DomainError,
                     NonFinite, WeightOutOfRange, WeightParams, aluthge_half,
                     aluthge_weighted, classic_envelope, compare_all,
@@ -484,6 +486,40 @@ def test_a_campaign_trial_builds_each_aluthge_transform_once(monkeypatch):
             assert len(builds) == len(set(builds)), (ens, index)
             total += len(builds)
     assert total == 146
+
+
+def test_a_matrix_is_validated_once_where_it_enters(monkeypatch):
+    # as_matrix runs at the public doors only: a report validates its
+    # matrix in the core and in the core's SVD, and a trial adds the
+    # argument checks of the public pointwise functions it calls; the
+    # arrays numrad builds from them (A_t, A^2, powers, products) are not
+    # validated again
+    calls = []
+    as_matrix = importlib.import_module("numrad.matrix").as_matrix
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return as_matrix(a)
+
+    for info in pkgutil.iter_modules(numrad.__path__):
+        module = importlib.import_module(f"numrad.{info.name}")
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", counted)
+    compare_all(SHIFT_234)
+    assert len(calls) == 2
+    for ens in ENSEMBLES:
+        config = CampaignConfig(ens, 3, 8, 0)
+        for index in range(config.trials):
+            calls.clear()
+            run_trial(config, index)
+            assert len(calls) <= 12, (ens, index)
+
+
+@pytest.mark.parametrize("theta_grid", [0, 3, 2.5, True])
+def test_bound_context_rejects_a_bad_theta_grid(theta_grid):
+    # checked where the grid enters, before any sweep divides by it
+    with pytest.raises(ValueError, match="theta_grid"):
+        BoundContext(SHIFT_234, theta_grid)
 
 
 @pytest.mark.parametrize("refine", [True, False])

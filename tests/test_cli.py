@@ -84,6 +84,13 @@ def test_parse_errors():
         parse_matrix('{"n": 1, "data": %s}' % ("[" * 10**5 + "]" * 10**5))
 
 
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_parse_matrix_drops_a_utf8_byte_order_mark(encode):
+    json_doc = serialize_matrix(EXAMPLE1).decode()
+    for doc in (json_doc, "0, 2, 0\n0, 0, 3\n4, 0, 0\n"):
+        assert np.array_equal(parse_matrix(encode("\ufeff" + doc)), EXAMPLE1)
+
+
 def test_cli_bounds_table(runner, example1_path):
     result = runner.invoke(main, ["bounds", example1_path])
     assert result.exit_code == 0
@@ -146,6 +153,26 @@ def _flagged_rows(runner, path):
 
 def _below_omega(ctx, t):
     return ctx.sweep("a", ctx.a) * (1 - 2 * TOL_SLACK), {}
+
+
+def test_cli_bounds_json_writes_strict_json(runner, tmp_path):
+    # at 1e300 the squared forms overflow: their error rows' values and
+    # the infinite details are null, as JSON has no NaN or Infinity
+    path = tmp_path / "huge.json"
+    path.write_bytes(serialize_matrix(1e300 * np.eye(2, dtype=complex)))
+    result = runner.invoke(main, ["bounds", str(path), "--format", "json",
+                                  "--t-grid", "21", "--theta-grid", "240"])
+    assert result.exit_code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(result.output, parse_constant=reject)
+    rows = {b["id"]: b for b in doc["bounds"]}
+    assert rows["classic"]["value"] == 1e300
+    assert rows["product"]["value"] is None
+    assert "error" in rows["product"]["detail"]
+    assert rows["kitt-mixed"]["detail"]["norm_a_squared"] is None
 
 
 def test_cli_bounds_table_flags_a_bound_below_omega(runner, example1_path,
@@ -387,6 +414,16 @@ def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
     assert violations == config.trials
     for row in lines[1:]:
         assert "kitt-sum" in row.rsplit(",", 1)[1].split(";")
+
+
+def test_campaign_flags_a_bound_below_omega_relative_to_omega(monkeypatch):
+    # a bound 2 * TOL_SLACK * omega below omega is flagged at every scale,
+    # as numrad bounds flags it, also where omega < 1/2
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (_below_omega, False))
+    config = CampaignConfig("unitary-scaled", 3, 20, 5)
+    records = [run_trial(config, i) for i in range(config.trials)]
+    assert min(r.omega for r in records) < 0.5
+    assert all("kitt-sum" in r.violations for r in records)
 
 
 def test_campaign_trial_builds_one_spectral_core(monkeypatch):

@@ -234,6 +234,18 @@ def test_log_convexity_rejects_bad_t(rng):
         log_convexity(p, q, 1.5)
 
 
+def test_log_convexity_of_an_overflowing_product_is_non_finite():
+    # P^t Q^t overflows where P and Q fit: its norm is inf, and the check
+    # raises NonFinite, with no warning
+    p = np.diag([1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda: log_convexity(p, p, 1.0),
+                      lambda: log_convexity_midpoint(p, p, 0.9, 1.0)):
+            with pytest.raises(NonFinite):
+                check()
+
+
 def _homogeneous_checks(s):
     """Checks at the scale s of A = [[1, 2], [3, 4]], with the degree in s
     of both their sides; every input is s times its value at s = 1, so
