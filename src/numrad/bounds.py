@@ -14,8 +14,9 @@ bound is evaluated at a float t.  All six are quasi-convex in t, with the
 proofs in their docstrings, and share one scan, certified by their own
 values: aluthge-t's, whose omega terms are sweeps on a grid of N angles,
 within a factor cos(pi/N)^(-1/2) of its exact values.  Two of them,
-weighted-r and product, have their minimum at t = 1/2, where a refined
-minimisation takes it with no scan.
+weighted-r and product, have their minimum at t = 1/2, and so does
+aluthge-t on a square-zero matrix, where a refined minimisation takes it
+with no scan.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .matrix import fits, float_power, gnorm, hnorm
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, THETA_GRID_MIN, RadiusEstimate,
-                     _subgrid_max, check_count, warm_sweep)
+                     _subgrid_max, check_count, newton_refined, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -71,11 +72,15 @@ class BoundReport:
 class BoundContext(_Spectral):
     """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
-    _evaluate), of sweep values (radius_sweep's, bit for bit), of the
-    nonzero matrices swept in t as warm starts (see sweep) and of the
-    norms ||X^s Y^s||; refine refines both its sweeps in theta and
-    minimize_over_t in t.  Its matrix (in the core) and theta_grid are
-    validated here, once: its sweeps, by warm_sweep, trust them."""
+    _evaluate), of sweep values, of the nonzero matrices swept in t as
+    warm starts (see sweep) and of the norms ||X^s Y^s||; refine refines
+    both its sweeps in theta and minimize_over_t in t.  A sweep value is
+    radius_sweep's, bit for bit, with refine off; with it on, its
+    refinement takes Newton steps (radius.newton_refined), within 1e-14
+    relative of radius_sweep's Brent's method, and falls back to Brent's
+    method, with radius_sweep's bits, where they do not apply.  Its matrix
+    (in the core) and theta_grid are validated here, once: its sweeps, by
+    warm_sweep, trust them."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -117,16 +122,25 @@ class BoundContext(_Spectral):
         if not fits(m):
             return math.inf
         if not isinstance(key, tuple):
-            return warm_sweep(m, self.theta_grid, self.refine)[0].value
+            return self._estimate(m)[0].value
         kind, t = key
         family = self._swept.setdefault(kind, {})
         ts = self._swept_ts.setdefault(kind, [])
-        est, upper = warm_sweep(m, self.theta_grid, self.refine,
-                                family.get(_nearest(ts, t)))
+        est, upper = self._estimate(m, family.get(_nearest(ts, t)))
         if m.any():
             bisect.insort(ts, t)
             family[t] = (m, upper)
         return est.value
+
+    def _estimate(self, m, warm=None):
+        """(estimate, upper ends) of the sweep of a matrix m that fits:
+        radius.warm_sweep's, warm from warm, whose grid stage
+        radius.newton_refined refines if refine is on and m is nonzero
+        (a zero m keeps warm_sweep's search of the constant 0.0)."""
+        if not (self.refine and m.any()):
+            return warm_sweep(m, self.theta_grid, self.refine, warm)
+        est, upper = warm_sweep(m, self.theta_grid, False, warm)
+        return newton_refined(m, est), upper
 
 
 def _nearest(ts: list, t: float):
@@ -208,6 +222,16 @@ def _aluthge_weighted(ctx: BoundContext, t):
     term_pow4 is convex, and the factor of term_cross log-convex.  So the
     sum under the root is convex (a log-convex function is convex, and a
     product of two is log-convex), and the bound is quasi-convex.
+
+    Where A_(1/2) = 0 its minimum is at t = 1/2 (_t_star).  The entries of
+    B(t) are sigma_i^(1-t) K_ij sigma_j^t over the singular directions
+    kept, so outside underflow B(t) is zero at every t in (0, 1) or at
+    none, and it is zero exactly where A^2 = W S K S V* is (A^2 = 0).
+    Then term_mod, term_sq and term_cross vanish, and the bound is
+    sqrt(max_i(sigma_i^4t + sigma_i^4(1-t))/4 + ||A||^2/2)/2.  Each
+    sigma^4t + sigma^4(1-t) = 2 sigma^2 cosh((4t - 2) ln sigma) is at
+    least 2 sigma^2, with equality at t = 1/2, where the bound is ||A||/2,
+    which is omega(A) for a square-zero A.
     """
     alu = ctx.aluthge(t)
     wa = ctx.sweep(("alu", t), alu)
@@ -428,8 +452,17 @@ T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
                             if scan)
 # The weighted bounds whose minimiser in t is known in closed form, with
 # that t (their docstrings prove it), which minimize_over_t takes with
-# refine on.
+# refine on (see _t_star).
 _T_STAR = {"weighted-r": 0.5, "product": 0.5}
+
+
+def _t_star(bound_id: str, ctx: BoundContext) -> float | None:
+    """The minimiser in t of bound_id on ctx's matrix where it is known in
+    closed form, else None: _T_STAR's, and 1/2 for aluthge-t where the
+    Aluthge transform A_(1/2) is zero (_aluthge_weighted proves both)."""
+    if bound_id == "aluthge-t" and not ctx.aluthge(0.5).any():
+        return 0.5
+    return _T_STAR.get(bound_id)
 
 
 def _evaluate(bound_id: str, ctx: BoundContext,
@@ -493,8 +526,9 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     scan over [T_MIN, 1 - T_MIN] followed, if the context's refine is on,
     by a refinement with Brent's method, to REFINE_TOL, around the best
     grid point.  With refine on and more than one grid point, a bound
-    whose minimiser is known in closed form (_T_STAR: weighted-r and
-    product, at 1/2) returns it and its value after that one evaluation,
+    whose minimiser is known in closed form (_t_star: weighted-r and
+    product, and aluthge-t where A_(1/2) = 0, at 1/2) returns it and its
+    value after that one evaluation,
     with no scan and no refinement, unless that value is not finite; with
     refine off, it returns its grid minimum, as every bound does.
     Evaluations that overflow (the objective genuinely diverges when
@@ -522,8 +556,8 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     if ctx.norm_a == 0:
         return float(ts[0]), _evaluate(bound_id, ctx, float(ts[0])).value
-    if ctx.refine and grid_points > 1 and bound_id in _T_STAR:
-        t_star = _T_STAR[bound_id]
+    t_star = _t_star(bound_id, ctx) if ctx.refine and grid_points > 1 else None
+    if t_star is not None:
         value = _evaluate(bound_id, ctx, t_star).value
         if math.isfinite(value):
             return t_star, value
@@ -566,9 +600,11 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     in detail["error"]; the report is still produced.  Bounds are sorted
     ascending by value.  refine=False disables both the t-refinement and
     the theta refinement inside sweeps, for bulk campaigns where grid
-    accuracy suffices; with it on,
-    weighted-r and product are taken at their closed-form minimum, t = 1/2
-    (minimize_over_t).
+    accuracy suffices; with it on, weighted-r and product, and aluthge-t
+    on a square-zero matrix, are taken at their closed-form minimum,
+    t = 1/2 (minimize_over_t), and omega and the sweeps of the bounds are
+    refined in theta by Newton steps, with Brent's method as their
+    fallback (BoundContext).
     """
     if isinstance(ids, str):
         raise ValueError(f"ids is the string {ids!r}; pass a sequence of "
@@ -579,7 +615,7 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
             raise ValueError(f"unknown bound id {bound_id!r}; the catalog "
                              f"has {', '.join(CATALOG_IDS)}")
     ctx = BoundContext(a, theta_grid, refine)
-    omega = warm_sweep(ctx.a, theta_grid, refine)[0]
+    omega = ctx._estimate(ctx.a)[0]
     bounds = []
     for bound_id in ids:
         try:

@@ -105,9 +105,13 @@ def as_eigen(p) -> HermitianEigen:
 
 def svd(a) -> SingularDecomposition:
     """Singular value decomposition A = U diag(sigma) V*."""
-    a = as_matrix(a)
+    return _svd(as_matrix(a))
+
+
+def _svd(m: np.ndarray) -> SingularDecomposition:
+    """svd of a matrix that as_matrix returned, not validated again."""
     try:
-        u, s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return SingularDecomposition(left=u, sigma=s, right=vh.conj().T)
@@ -134,9 +138,13 @@ def spectral_norm(a) -> float:
 
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus."""
-    a = as_matrix(a)
+    return _spectral_radius(as_matrix(a))
+
+
+def _spectral_radius(m: np.ndarray) -> float:
+    """spectral_radius of a matrix that passes fits, not validated again."""
     try:
-        w = np.linalg.eigvals(a)
+        w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return float(np.max(np.abs(w)))

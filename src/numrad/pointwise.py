@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .matrix import (HermitianEigen, as_eigen, as_matrix, fits,
-                     float_power, frac_power, gnorm, spectral_radius)
+from .matrix import (HermitianEigen, _spectral_radius, as_eigen, as_matrix,
+                     fits, float_power, frac_power, gnorm)
 from .polar import _check_weight, _Spectral
 from .radius import DEFAULT_GRID, warm_sweep
 
@@ -153,7 +153,7 @@ def amer_bound(a, b, c, d) -> InequalityCheck:
     # the root of (wba - wdc)^2 + 4 ||BC|| ||DA||, with no square
     cross = math.sqrt(gnorm(bc)) * math.sqrt(gnorm(da))
     rhs = 0.5 * (wba + wdc + math.hypot(wba - wdc, 2 * cross))
-    return InequalityCheck(lhs=spectral_radius(ab_cd), rhs=float(rhs))
+    return InequalityCheck(lhs=_spectral_radius(ab_cd), rhs=float(rhs))
 
 
 @np.errstate(over="ignore", invalid="ignore")

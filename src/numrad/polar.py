@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightOutOfRange
-from .matrix import HermitianEigen, as_matrix, psd_power, svd
+from .matrix import HermitianEigen, _svd, as_matrix, psd_power
 
 SIGMA_CUT_REL = 1e-12
 T_MIN = 1e-3
@@ -48,7 +48,7 @@ class _Spectral:
             self.__dict__.update(vars(a))
             return
         self.a = as_matrix(a)
-        dec = svd(self.a)
+        dec = _svd(self.a)
         self.sigma, self.left, self.right = dec.sigma, dec.left, dec.right
         self.norm_a = float(dec.sigma[0])
         keep = dec.sigma > SIGMA_CUT_REL * self.norm_a

@@ -3,7 +3,8 @@
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
 same bits and warm-started from a nearby matrix's sweep, and
-refines around the best grid point by Brent's method.
+refines around the best grid point by Brent's method, or by safeguarded
+Newton steps (newton_refined) with Brent's method as their fallback.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -22,6 +23,9 @@ from .optimize import golden_max
 DEFAULT_GRID = 720
 THETA_GRID_MIN = 8  # the smallest angle grid a sweep accepts
 DEFAULT_THETA_TOL = 1e-10
+# The most Newton steps a refinement takes before it falls back to Brent's
+# method.
+NEWTON_STEPS_MAX = 8
 DEFAULT_ASCENT_STEPS = 50
 # Largest angle step of the subgrid that a cold sweep solves first.
 COARSE_STEP_MAX = 16
@@ -73,6 +77,29 @@ def check_count(name: str, value, least: int) -> None:
 def _lambda_max_rotated(a, theta: float) -> float:
     h = (np.exp(1j * theta) * a + np.exp(-1j * theta) * a.conj().T) / 2
     return float(np.linalg.eigvalsh(h)[-1])
+
+
+def _newton_step(a, theta: float, gap_min: float):
+    """(g(theta), the Newton step -g'/g'' towards the peak of g) from one
+    eigh of H = Re(e^{i theta} A) = V diag(lambda) V*; None where
+    lambda_1 - lambda_2 is at most gap_min > 0 or g'' is not negative.
+    With H' = Re(i e^{i theta} A) and c = V* H' v_1, g' = c_1 and, as
+    H'' = -H, g'' = -lambda_1 + 2 sum_{k>1} |c_k|^2 / (lambda_1 - lambda_k)
+    (Overton, SIAM J. Matrix Anal. Appl. 9, 1988); both are taken over the
+    largest |lambda|, s, so that |c_k|^2 neither underflows nor
+    overflows."""
+    p = np.exp(1j * theta)
+    w, v = np.linalg.eigh((p * a + np.conj(p) * a.conj().T) / 2)
+    if w.size > 1 and not w[-1] - w[-2] > gap_min:
+        return None
+    s = max(-w[0], w[-1])  # at least g(theta), which is positive here
+    gap = (w[-1] - w[:-1]) / s
+    c = v.conj().T @ ((1j * p * a - 1j * np.conj(p) * a.conj().T) / 2
+                      @ v[:, -1]) / s
+    g2 = 2 * (abs(c[:-1]) ** 2 / gap).sum() - w[-1] / s
+    if not g2 < 0:
+        return None
+    return float(w[-1]), float(-c[-1].real / g2)
 
 
 def _top(a, phases) -> np.ndarray:
@@ -175,6 +202,49 @@ def _refined(g, grid_points: int, refine: bool, grid_val, grid_theta):
         theta, value = grid_theta, float(grid_val)
     return RadiusEstimate(float(value), float(theta % (2 * np.pi)),
                           grid_points, float(width))
+
+
+def newton_refined(a, est: RadiusEstimate) -> RadiusEstimate:
+    """The refinement of an unrefined sweep estimate est of a nonzero a by
+    Newton steps (_newton_step) from its grid angle theta_g, within the
+    bracket theta_g +- 2pi/N of Brent's method.  Once a step is under
+    DEFAULT_THETA_TOL, the largest g met, starting from the grid value,
+    is returned with its angle, and that step's length as its
+    refine_width: an attained g(theta), at least the grid maximum.
+
+    The steps climb the eigenvalue branch that is lambda_1 at theta_g, so
+    they are taken only where no other branch can overtake it in the
+    bracket.  By Weyl's inequality each eigenvalue of H(theta) moves by at
+    most ||H(theta) - H(theta_g)|| <= omega(A) |theta - theta_g|, as
+    ||Re(e^{i phi} A)|| <= omega(A) at every phi, and omega(A) <=
+    est.value / cos(pi/N), as the grid angle nearest the peak of g lies
+    within pi/N of it.  So lambda_1 stays simple over the bracket where
+    lambda_1 - lambda_2 > reach = 2 (2pi/N) est.value / cos(pi/N) at
+    theta_g, and each step asks that gap.  Where the gap is not there,
+    g'' is not negative, a step leaves the bracket, or NEWTON_STEPS_MAX
+    steps do not converge, it falls back to the refinement of
+    radius_sweep, Brent's method, with its bits.  It trusts its caller,
+    as warm_sweep does."""
+    grid_points, theta_g = est.grid_points, est.theta_star
+    half = np.pi / grid_points
+    lo, hi = theta_g - 2 * half, theta_g + 2 * half
+    reach = 4 * half * est.value / np.cos(half)
+    best, best_theta, theta = est.value, theta_g, theta_g
+    for _ in range(NEWTON_STEPS_MAX):
+        step = _newton_step(a, theta, reach)
+        if step is None:
+            break
+        value, delta = step
+        if value > best:
+            best, best_theta = value, theta
+        if abs(delta) < DEFAULT_THETA_TOL:
+            return RadiusEstimate(best, best_theta % (2 * np.pi),
+                                  grid_points, abs(delta))
+        theta += delta
+        if not lo <= theta <= hi:
+            break
+    return _refined(lambda th: _lambda_max_rotated(a, th), grid_points, True,
+                    est.value, theta_g)
 
 
 def support_upper(sub: np.ndarray, step: int) -> np.ndarray:

@@ -435,8 +435,8 @@ def test_campaign_trial_builds_one_spectral_core(monkeypatch):
         calls.append(a.shape)
         return svd(a)
 
-    svd = polar.svd
-    monkeypatch.setattr(polar, "svd", counted)
+    svd = polar._svd
+    monkeypatch.setattr(polar, "_svd", counted)
     run_campaign(CampaignConfig(ensemble="ginibre", dim=3, trials=1,
                                 seed=5))
     assert calls == [(3, 3)]

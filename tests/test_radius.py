@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from numrad import (DomainError, bounds, compare_all, power_check, radius,
-                    radius_oracle, radius_sweep, spectral_norm, splitmix64)
+from numrad import (BoundContext, DomainError, bounds, compare_all,
+                    power_check, radius, radius_oracle, radius_sweep,
+                    spectral_norm, splitmix64)
 from numrad.matrix import NORM_MAX
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.polar import T_MIN, _Spectral
@@ -15,6 +16,16 @@ from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import (EXACT_OMEGA, EXAMPLE1, JORDAN2, count_top_rows,
                       ginibre, random_unitary)
+
+
+# Two eigenvalue branches peak in one refinement bracket theta_g +- 2pi/N
+# of the default grid: g = max(cos theta, (1 + 5e-6) cos(theta - pi/720)),
+# whose grid maximum 1 is at theta_g = 0, where the gap lambda_1 - lambda_2
+# is 4.5e-6, and whose peak 1 + 5e-6 is the other branch's; normal, so
+# omega = ||A||.  TWO_PEAKS_ROTATED is the same matrix in another basis.
+TWO_PEAKS = np.diag([1, (1 + 5e-6) * np.exp(-1j * np.pi / 720)])
+_ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+TWO_PEAKS_ROTATED = _ROTATION @ TWO_PEAKS @ _ROTATION.T
 
 
 def test_sweep_jordan_half():
@@ -501,9 +512,84 @@ def test_sweeps_equal_the_exact_radius(ensemble):
     mats = [sample(ensemble, n, rng) for n in range(1, 17)]
     if ensemble == "weighted-cyclic-shift":
         mats += [SHIFT_234, SHIFT_342]  # nonnegative too
+    if ensemble == "unitary-scaled":
+        mats += [TWO_PEAKS, TWO_PEAKS_ROTATED]  # normal too
     for a in mats:
         for sweep in (radius_sweep, pruned_sweep):
             assert sweep(a).value == pytest.approx(exact(a), rel=1e-14)
+        # the context's sweep, refined by Newton steps
+        assert BoundContext(a).sweep("a", a) == pytest.approx(exact(a),
+                                                              rel=1e-14)
+
+
+def test_newton_refinement_lies_within_rounding_of_brent():
+    # above the grid maximum it starts from, and within 1e-14 relative of
+    # radius_sweep's refinement by Brent's method
+    rng = np.random.default_rng(660)
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
+    for a in mats + [SHIFT_234, SHIFT_342, TWO_PEAKS, TWO_PEAKS_ROTATED]:
+        grid = pruned_sweep(a, radius.DEFAULT_GRID, False)
+        got = BoundContext(a).sweep("a", a)
+        assert got >= grid.value
+        assert got == pytest.approx(radius_sweep(a).value, rel=1e-14)
+
+
+def test_newton_refinement_falls_back_to_brent_with_its_bits(monkeypatch):
+    # a multiple lambda_max at the peak: triple for 2 I, double for
+    # diag(1, 1, 1/2), whose peak is the grid angle 0
+    for a in (2 * np.eye(3), np.diag([1.0, 1.0, 0.5])):
+        grid = pruned_sweep(a, radius.DEFAULT_GRID, False)
+        assert radius._newton_step(a.astype(complex), grid.theta_star,
+                                   0.0) is None
+        assert (repr(radius.newton_refined(a.astype(complex), grid))
+                == repr(radius_sweep(a)))
+    # a simple lambda_max whose gap another branch can close in the
+    # bracket: a step would stay at 0, on the lower peak
+    for a in (TWO_PEAKS, TWO_PEAKS_ROTATED):
+        grid = pruned_sweep(a, radius.DEFAULT_GRID, False)
+        assert grid.theta_star == 0.0
+        assert radius._newton_step(a, 0.0, 0.0)[1] == pytest.approx(
+            0.0, abs=1e-12)
+        assert (repr(radius.newton_refined(a, grid))
+                == repr(radius_sweep(a)))
+    # a zero matrix, such as JORDAN2^2, keeps warm_sweep's search of the
+    # constant 0.0 with no eigensolve, as radius_sweep does
+    zero = JORDAN2 @ JORDAN2
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args: calls.append(args) or eigh(*args))
+    est = BoundContext(JORDAN2)._estimate(zero)[0]
+    assert BoundContext(JORDAN2).sweep("a2", zero) == 0.0
+    assert calls == []
+    monkeypatch.undo()
+    assert repr(est) == repr(radius_sweep(zero))
+    # a step that leaves the bracket, here every step
+    step = radius._newton_step
+    monkeypatch.setattr(radius, "_newton_step",
+                        lambda a, theta, gap_min: (step(a, theta, gap_min)[0],
+                                                   1.0))
+    grid = pruned_sweep(SHIFT_234, radius.DEFAULT_GRID, False)
+    assert (repr(radius.newton_refined(SHIFT_234, grid))
+            == repr(radius_sweep(SHIFT_234)))
+
+
+def test_newton_refinement_takes_few_steps(monkeypatch):
+    # Brent's method takes about 20 single-matrix steps per sweep: 304 in
+    # a default report of SHIFT_234, and 606 in one of perfbench's
+    # round-0 8x8 Ginibre
+    steps = []
+    step = radius._newton_step
+
+    def counted(a, theta, gap_min):
+        steps.append(theta)
+        return step(a, theta, gap_min)
+
+    monkeypatch.setattr(radius, "_newton_step", counted)
+    compare_all(SHIFT_234)
+    assert 0 < len(steps) <= 30, len(steps)
+    steps.clear()
+    compare_all(ginibre(np.random.default_rng([0, 8, 0]), 8))
+    assert 0 < len(steps) <= 100, len(steps)
 
 
 def test_radius_sweep_solves_its_grid_in_one_stack(monkeypatch):

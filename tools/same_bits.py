@@ -13,7 +13,8 @@ sha256 of the output's text.  The outputs are:
   and gives the number of theta-grid angles that report solved (the rows
   of every radius._top stack: grid stages and lower ends), and a
   line that starts with "steps" and gives the number of single-matrix
-  steps of the theta-refinements (radius._lambda_max_rotated calls);
+  steps of the theta-refinements (the radius._lambda_max_rotated calls of
+  Brent's method and the radius._newton_step calls of Newton's);
 - repr of radius_sweep(a, theta_grid, refine) and of pruned_sweep at the
   same settings, on the same matrices;
 - the CSV of run_campaign (20 trials, seed 7) on each ensemble at dim 3
@@ -113,14 +114,14 @@ def count_angles() -> list:
 
 def count_steps() -> list:
     """Count the single-matrix steps of the theta-refinements, by wrapping
-    radius._lambda_max_rotated; the count is the list's one item."""
+    radius._lambda_max_rotated (Brent's method) and radius._newton_step;
+    the count is the list's one item."""
     steps = [0]
-    step = radius._lambda_max_rotated
-
-    def counted(a, theta):
-        steps[0] += 1
-        return step(a, theta)
-    radius._lambda_max_rotated = counted
+    for name in ("_lambda_max_rotated", "_newton_step"):
+        def counted(a, theta, *args, step=getattr(radius, name)):
+            steps[0] += 1
+            return step(a, theta, *args)
+        setattr(radius, name, counted)
     return steps
 
 
