@@ -33,7 +33,7 @@ from .matrix import fits, float_power, gnorm, hnorm
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, THETA_GRID_MIN, RadiusEstimate,
-                     _subgrid_max, check_count, newton_refined, warm_sweep)
+                     _subgrid_max, check_count, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -74,13 +74,10 @@ class BoundContext(_Spectral):
     sweep settings and caches of its bounds' values by (id, t) (see
     _evaluate), of sweep values, of the nonzero matrices swept in t as
     warm starts (see sweep) and of the norms ||X^s Y^s||; refine refines
-    both its sweeps in theta and minimize_over_t in t.  A sweep value is
-    radius_sweep's, bit for bit, with refine off; with it on, its
-    refinement takes Newton steps (radius.newton_refined), within 1e-14
-    relative of radius_sweep's Brent's method, and falls back to Brent's
-    method, with radius_sweep's bits, where they do not apply.  Its matrix
-    (in the core) and theta_grid are validated here, once: its sweeps, by
-    warm_sweep, trust them."""
+    both its sweeps in theta and minimize_over_t in t.  Its sweeps are
+    radius.warm_sweep's: radius_sweep's, bit for bit, with refine off,
+    and refined by Newton steps with it on.  Its matrix (in the core) and
+    theta_grid are validated here, once: its sweeps trust them."""
 
     def __init__(self, a, theta_grid: int = DEFAULT_GRID,
                  refine: bool = True):
@@ -122,25 +119,16 @@ class BoundContext(_Spectral):
         if not fits(m):
             return math.inf
         if not isinstance(key, tuple):
-            return self._estimate(m)[0].value
+            return warm_sweep(m, self.theta_grid, self.refine)[0].value
         kind, t = key
         family = self._swept.setdefault(kind, {})
         ts = self._swept_ts.setdefault(kind, [])
-        est, upper = self._estimate(m, family.get(_nearest(ts, t)))
+        est, upper = warm_sweep(m, self.theta_grid, self.refine,
+                                family.get(_nearest(ts, t)))
         if m.any():
             bisect.insort(ts, t)
             family[t] = (m, upper)
         return est.value
-
-    def _estimate(self, m, warm=None):
-        """(estimate, upper ends) of the sweep of a matrix m that fits:
-        radius.warm_sweep's, warm from warm, whose grid stage
-        radius.newton_refined refines if refine is on and m is nonzero
-        (a zero m keeps warm_sweep's search of the constant 0.0)."""
-        if not (self.refine and m.any()):
-            return warm_sweep(m, self.theta_grid, self.refine, warm)
-        est, upper = warm_sweep(m, self.theta_grid, False, warm)
-        return newton_refined(m, est), upper
 
 
 def _nearest(ts: list, t: float):
@@ -604,7 +592,7 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     on a square-zero matrix, are taken at their closed-form minimum,
     t = 1/2 (minimize_over_t), and omega and the sweeps of the bounds are
     refined in theta by Newton steps, with Brent's method as their
-    fallback (BoundContext).
+    fallback (radius.warm_sweep).
     """
     if isinstance(ids, str):
         raise ValueError(f"ids is the string {ids!r}; pass a sequence of "
@@ -615,7 +603,7 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
             raise ValueError(f"unknown bound id {bound_id!r}; the catalog "
                              f"has {', '.join(CATALOG_IDS)}")
     ctx = BoundContext(a, theta_grid, refine)
-    omega = ctx._estimate(ctx.a)[0]
+    omega = warm_sweep(ctx.a, theta_grid, refine)[0]
     bounds = []
     for bound_id in ids:
         try:

@@ -3,8 +3,8 @@
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
 same bits and warm-started from a nearby matrix's sweep, and
-refines around the best grid point by Brent's method, or by safeguarded
-Newton steps (newton_refined) with Brent's method as their fallback.
+refines around the best grid point by safeguarded Newton steps, or, in
+radius_sweep, by Brent's method, their fallback.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,9 @@ DEFAULT_THETA_TOL = 1e-10
 # The most Newton steps a refinement takes before it falls back to Brent's
 # method.
 NEWTON_STEPS_MAX = 8
+# g'' over the largest |lambda| within n times this of 0 is rounding noise:
+# g is flat (a disk-shaped field of values), and Newton's steps stop.
+NEWTON_FLAT = 8 * np.finfo(float).eps
 DEFAULT_ASCENT_STEPS = 50
 # Largest angle step of the subgrid that a cold sweep solves first.
 COARSE_STEP_MAX = 16
@@ -46,6 +50,9 @@ def splitmix64(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class RadiusEstimate:
+    """A sweep's value = g(theta_star) on a grid of N = grid_points angles;
+    refine_width is 4pi/N unrefined (the refinement's bracket), Brent's
+    final bracket width, or the length of Newton's last step."""
     value: float
     theta_star: float
     grid_points: int
@@ -82,7 +89,8 @@ def _lambda_max_rotated(a, theta: float) -> float:
 def _newton_step(a, theta: float, gap_min: float):
     """(g(theta), the Newton step -g'/g'' towards the peak of g) from one
     eigh of H = Re(e^{i theta} A) = V diag(lambda) V*; None where
-    lambda_1 - lambda_2 is at most gap_min > 0 or g'' is not negative.
+    lambda_1 - lambda_2 is at most gap_min > 0 or g'' is not below
+    -NEWTON_FLAT n, its rounding level.
     With H' = Re(i e^{i theta} A) and c = V* H' v_1, g' = c_1 and, as
     H'' = -H, g'' = -lambda_1 + 2 sum_{k>1} |c_k|^2 / (lambda_1 - lambda_k)
     (Overton, SIAM J. Matrix Anal. Appl. 9, 1988); both are taken over the
@@ -97,7 +105,7 @@ def _newton_step(a, theta: float, gap_min: float):
     c = v.conj().T @ ((1j * p * a - 1j * np.conj(p) * a.conj().T) / 2
                       @ v[:, -1]) / s
     g2 = 2 * (abs(c[:-1]) ** 2 / gap).sum() - w[-1] / s
-    if not g2 < 0:
+    if not g2 < -NEWTON_FLAT * w.size:
         return None
     return float(w[-1]), float(-c[-1].real / g2)
 
@@ -124,25 +132,24 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    g = _top(a, np.exp(1j * thetas))
-    return _refined(lambda th: _lambda_max_rotated(a, th), grid_points,
-                    refine, g.max(), thetas[g.argmax()])
+    est = _grid_estimate(_top(a, np.exp(1j * thetas)), thetas, grid_points)
+    return _refined(a, est) if refine else est
 
 
 def pruned_sweep(a, grid_points: int = DEFAULT_GRID,
                  refine: bool = True) -> RadiusEstimate:
-    """radius_sweep(a, grid_points, refine), bit for bit, solving only the
-    grid angles where its maximum can lie: warm_sweep with no warm start,
-    of a and grid_points validated."""
+    """warm_sweep with no warm start, of a and grid_points validated:
+    radius_sweep's grid maximum, refined by Newton steps if refine."""
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     return warm_sweep(as_matrix(a), grid_points, refine)[0]
 
 
 def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
                warm=None):
-    """(radius_sweep(a, grid_points, refine), bit for bit, upper ends of g
-    at every grid angle), solving only the grid angles where the maximum
-    of g can lie: a skipped angle lies strictly below the grid maximum.
+    """(radius_sweep(a, grid_points, False), bit for bit, refined by
+    newton_refined if refine; upper ends of g at every grid angle),
+    solving only the grid angles where the maximum of g can lie: a
+    skipped angle lies strictly below the grid maximum.
 
     warm is None or (m, upper): a matrix m swept on the same grid and the
     upper ends that its warm_sweep gave.  By Weyl's inequality, with
@@ -154,20 +161,18 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     reaches low (all of them where g is flat).  A warm start that would
     solve more angles than the cold subgrid goes cold.  The upper ends
     given back, unwidened, are g where solved, else the ends used.  Of a
-    zero matrix, g is 0 at every angle: no angle is solved, and the
-    refinement searches the constant 0.0.  It trusts its caller: a passes
-    matrix.fits and grid_points is valid (pruned_sweep checks both).
+    zero matrix, g is 0 at every angle: no angle is solved.  It trusts its
+    caller: a passes matrix.fits and grid_points is valid (pruned_sweep
+    checks both).
     """
     thetas = 2 * np.pi * np.arange(grid_points) / grid_points
     if a.any():
         g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
                                coarse_step(grid_points))
-        est = _refined(lambda th: _lambda_max_rotated(a, th), grid_points,
-                       refine, g.max(), thetas[g.argmax()])
     else:
-        upper = np.zeros(grid_points)
-        est = _refined(lambda th: 0.0, grid_points, refine, 0.0, 0.0)
-    return est, upper
+        g = upper = np.zeros(grid_points)
+    est = _grid_estimate(g, thetas, grid_points)
+    return (newton_refined(a, est) if refine else est), upper
 
 
 def _grid_stage(a, phases, warm, step):
@@ -189,28 +194,33 @@ def _grid_stage(a, phases, warm, step):
     return g, np.where(np.isneginf(g), ends, g)
 
 
-def _refined(g, grid_points: int, refine: bool, grid_val, grid_theta):
-    """The sweep's result from g(theta), its grid value and first-index
-    angle."""
-    half = np.pi / grid_points
-    if not refine:
-        return RadiusEstimate(float(grid_val), float(grid_theta),
-                              grid_points, float(4 * half))
+def _grid_estimate(g, thetas, grid_points: int) -> RadiusEstimate:
+    """The unrefined estimate: the maximum of g, at its first angle."""
+    return RadiusEstimate(float(g.max()), float(thetas[g.argmax()]),
+                          grid_points, float(4 * (np.pi / grid_points)))
+
+
+def _refined(a, est: RadiusEstimate) -> RadiusEstimate:
+    """radius_sweep's refinement of an unrefined sweep estimate est of a:
+    Brent's method on g over est's bracket theta_g +- 2pi/N, kept where
+    it finds no value above est's.  Of a zero a it searches the constant
+    0.0, with no eigensolve."""
+    half, theta_g = np.pi / est.grid_points, est.theta_star
     theta, value, width = golden_max(
-        g, grid_theta - 2 * half, grid_theta + 2 * half, DEFAULT_THETA_TOL)
-    if grid_val > value:
-        theta, value = grid_theta, float(grid_val)
+        partial(_lambda_max_rotated, a) if a.any() else lambda th: 0.0,
+        theta_g - 2 * half, theta_g + 2 * half, DEFAULT_THETA_TOL)
+    if est.value > value:
+        theta, value = theta_g, est.value
     return RadiusEstimate(float(value), float(theta % (2 * np.pi)),
-                          grid_points, float(width))
+                          est.grid_points, float(width))
 
 
 def newton_refined(a, est: RadiusEstimate) -> RadiusEstimate:
-    """The refinement of an unrefined sweep estimate est of a nonzero a by
-    Newton steps (_newton_step) from its grid angle theta_g, within the
-    bracket theta_g +- 2pi/N of Brent's method.  Once a step is under
-    DEFAULT_THETA_TOL, the largest g met, starting from the grid value,
-    is returned with its angle, and that step's length as its
-    refine_width: an attained g(theta), at least the grid maximum.
+    """The refinement of an unrefined sweep estimate est of a by Newton
+    steps (_newton_step) from its grid angle theta_g, within Brent's
+    bracket theta_g +- 2pi/N.  Once a step is under DEFAULT_THETA_TOL,
+    the largest g met, from the grid value on, is returned with its angle
+    and that step's length: an attained g(theta), at least the grid maximum.
 
     The steps climb the eigenvalue branch that is lambda_1 at theta_g, so
     they are taken only where no other branch can overtake it in the
@@ -220,17 +230,17 @@ def newton_refined(a, est: RadiusEstimate) -> RadiusEstimate:
     est.value / cos(pi/N), as the grid angle nearest the peak of g lies
     within pi/N of it.  So lambda_1 stays simple over the bracket where
     lambda_1 - lambda_2 > reach = 2 (2pi/N) est.value / cos(pi/N) at
-    theta_g, and each step asks that gap.  Where the gap is not there,
-    g'' is not negative, a step leaves the bracket, or NEWTON_STEPS_MAX
-    steps do not converge, it falls back to the refinement of
-    radius_sweep, Brent's method, with its bits.  It trusts its caller,
-    as warm_sweep does."""
+    theta_g, and each step asks that gap.  Where the gap is not there, g''
+    is not below its rounding level (g is flat), a step leaves the
+    bracket, NEWTON_STEPS_MAX steps do not converge, or the grid value is
+    not positive (a is zero), it returns _refined(a, est), with
+    radius_sweep's bits.  It trusts its caller, as warm_sweep does."""
     grid_points, theta_g = est.grid_points, est.theta_star
     half = np.pi / grid_points
     lo, hi = theta_g - 2 * half, theta_g + 2 * half
     reach = 4 * half * est.value / np.cos(half)
     best, best_theta, theta = est.value, theta_g, theta_g
-    for _ in range(NEWTON_STEPS_MAX):
+    for _ in range(NEWTON_STEPS_MAX if est.value > 0 else 0):
         step = _newton_step(a, theta, reach)
         if step is None:
             break
@@ -243,8 +253,7 @@ def newton_refined(a, est: RadiusEstimate) -> RadiusEstimate:
         theta += delta
         if not lo <= theta <= hi:
             break
-    return _refined(lambda th: _lambda_max_rotated(a, th), grid_points, True,
-                    est.value, theta_g)
+    return _refined(a, est)
 
 
 def support_upper(sub: np.ndarray, step: int) -> np.ndarray:

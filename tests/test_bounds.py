@@ -23,7 +23,7 @@ from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN, _Spectral
-from numrad.radius import DEFAULT_GRID, _subgrid_max, coarse_step, pruned_sweep
+from numrad.radius import _subgrid_max, coarse_step, pruned_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2,
@@ -736,13 +736,6 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
     assert max(matrices) < 1001, max(matrices)
 
 
-def _cold_sweep(m, theta_grid=DEFAULT_GRID, refine=True) -> float:
-    """The context's sweep of m with no warm start: pruned_sweep's grid
-    stage, refined by Newton steps if refine."""
-    est = pruned_sweep(m, theta_grid, False)
-    return (radius.newton_refined(m, est) if refine else est).value
-
-
 def test_context_sweeps_warm_start_across_t_with_the_same_bits():
     g = ginibre(np.random.default_rng(618), 6)
     for theta_grid, refine in ((720, True), (240, False), (17, True)):
@@ -751,14 +744,14 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
         for t in (0.5, 0.4, 0.4001, 0.40005, 0.400051, 0.4000505, 0.9, 0.1):
             alu = ctx.aluthge(t)
             for key, m in ((("alu", t), alu), (("alu2", t), alu @ alu)):
-                assert ctx.sweep(key, m) == _cold_sweep(
-                    m, theta_grid, refine), (key, theta_grid)
+                assert ctx.sweep(key, m) == pruned_sweep(
+                    m, theta_grid, refine).value, (key, theta_grid)
     # a matrix that does not fit is inf and is not kept as a warm start
     ctx = BoundContext(g)
     assert ctx.sweep(("alu", 0.3), np.full((6, 6), NORM_MAX)) == math.inf
     assert ctx._swept.get("alu", {}) == {}
     alu = ctx.aluthge(0.3001)
-    assert ctx.sweep(("alu", 0.3001), alu) == _cold_sweep(alu)
+    assert ctx.sweep(("alu", 0.3001), alu) == pruned_sweep(alu).value
     # nor is a zero matrix: JORDAN2's A_t and A_t^2 are zero at every t
     ctx = BoundContext(JORDAN2)
     minimize_over_t("aluthge-t", ctx)

@@ -14,6 +14,7 @@ from numrad import (CATALOG_IDS, DimensionMismatch, DomainError, ParseError,
 from numrad.campaign import (CSV_COLUMNS, TOL_SLACK, CampaignConfig,
                              run_campaign, run_trial)
 from numrad.cli import main
+from numrad.radius import pruned_sweep
 
 from conftest import EXAMPLE1, ginibre
 
@@ -276,11 +277,15 @@ def test_cli_radius(runner, example1_path):
                                   "--oracle-trials", "50"],
                            env={"NUMRAD_SEED": "11"})
     assert result.exit_code == 0
-    # radius_sweep's estimate, which pruned_sweep gives bit for bit
-    est = numrad.radius_sweep(EXAMPLE1)
+    # pruned_sweep's estimate, refined by Newton steps: its refine_width
+    # is the last step's length, and its omega lies within 1e-14 relative
+    # of radius_sweep's
+    est = pruned_sweep(EXAMPLE1)
     assert result.output.splitlines()[:3] == [
         f"omega = {est.value:.10g}", f"theta_star = {est.theta_star:.10g}",
         f"refine_width = {est.refine_width:.3e}"]
+    assert est.value == pytest.approx(numrad.radius_sweep(EXAMPLE1).value,
+                                      rel=1e-14)
     assert "omega = 3.037" in result.output
     assert "seed 11" in result.output
     result = runner.invoke(main, ["radius", example1_path,

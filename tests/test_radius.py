@@ -7,7 +7,7 @@ import pytest
 from numrad import (BoundContext, DomainError, bounds, compare_all,
                     power_check, radius, radius_oracle, radius_sweep,
                     spectral_norm, splitmix64)
-from numrad.matrix import NORM_MAX
+from numrad.matrix import NORM_MAX, as_matrix
 from numrad.ensembles import ENSEMBLES, sample
 from numrad.polar import T_MIN, _Spectral
 from numrad.radius import (DEFAULT_ASCENT_STEPS, coarse_step, pruned_sweep,
@@ -276,12 +276,25 @@ def test_a_norm_that_overflows_is_a_domain_error(name):
 PRUNED_GRIDS = (8, 11, 17, 240, 360, 719, 720)
 
 
+def _assert_newton_refined(est, a, grid_points):
+    """est, a refined sweep of a by pruned_sweep or warm_sweep, is
+    newton_refined's refinement of the unrefined pruned_sweep, bit for
+    bit: at least its grid value, and within 1e-14 relative of
+    radius_sweep's refinement by Brent's method."""
+    grid = pruned_sweep(a, grid_points, False)
+    assert est == radius.newton_refined(as_matrix(a), grid), grid_points
+    assert est.value >= grid.value
+    assert est.value == pytest.approx(radius_sweep(a, grid_points).value,
+                                      rel=1e-14), grid_points
+
+
 def _assert_sweeps_equal(a, grids=PRUNED_GRIDS):
+    """pruned_sweep is radius_sweep, bit for bit, with refine off, and its
+    grid stage refined by Newton steps with it on."""
     for grid_points in grids:
-        for refine in (True, False):
-            assert (pruned_sweep(a, grid_points, refine)
-                    == radius_sweep(a, grid_points, refine)), (grid_points,
-                                                               refine)
+        assert (pruned_sweep(a, grid_points, False)
+                == radius_sweep(a, grid_points, False)), grid_points
+        _assert_newton_refined(pruned_sweep(a, grid_points), a, grid_points)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
@@ -386,8 +399,9 @@ def _aluthge_chains(a):
 
 def _assert_warm_chain(mats, grids=WARM_GRIDS):
     """Sweep each matrix warm from the one before it and check the result
-    ==, bit for bit, against the cold pruned_sweep and radius_sweep, and
-    the unwidened upper ends against g at every grid angle."""
+    ==, bit for bit, against the cold pruned_sweep, and against
+    radius_sweep with refine off or newton_refined with it on; and the
+    unwidened upper ends against g at every grid angle."""
     for grid_points in grids:
         for refine in (True, False):
             warm = None
@@ -395,11 +409,13 @@ def _assert_warm_chain(mats, grids=WARM_GRIDS):
                 est, upper = warm_sweep(m, grid_points, refine, warm)
                 assert est == pruned_sweep(m, grid_points, refine), (
                     grid_points, refine)
-                assert est == radius_sweep(m, grid_points, refine)
                 if refine:  # the grid stage does not depend on refine
+                    _assert_newton_refined(est, m, grid_points)
                     g = _grid_values(m, grid_points)
                     tol = 1e-12 * max(spectral_norm(m), 1e-300)
                     assert np.all(upper >= g - tol), grid_points
+                else:
+                    assert est == radius_sweep(m, grid_points, False)
                 warm = (m, upper)
 
 
@@ -459,7 +475,8 @@ def test_warm_sweep_solves_few_angles_near_and_falls_back_far(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_sweep_of_a_zero_matrix_solves_no_angle(n, monkeypatch):
     # g is 0 at every angle: pruned_sweep skips the grid stage, and its
-    # refinement searches the constant 0.0, with radius_sweep's bits
+    # refinement takes no Newton step and searches the constant 0.0, with
+    # radius_sweep's bits
     zero = np.zeros((n, n))
     for grid_points, refine in ((720, True), (240, False), (360, True),
                                 (17, True)):
@@ -552,25 +569,57 @@ def test_newton_refinement_falls_back_to_brent_with_its_bits(monkeypatch):
             0.0, abs=1e-12)
         assert (repr(radius.newton_refined(a, grid))
                 == repr(radius_sweep(a)))
-    # a zero matrix, such as JORDAN2^2, keeps warm_sweep's search of the
-    # constant 0.0 with no eigensolve, as radius_sweep does
+    # a flat g: 1/2 at every angle of JORDAN2, whose field of values is a
+    # disk, so g'' is rounding noise at the grid angle, and one step
+    # falls back
+    step = radius._newton_step
+    with monkeypatch.context() as m:
+        steps = []
+        m.setattr(radius, "_newton_step",
+                  lambda *args: steps.append(args) or step(*args))
+        grid = pruned_sweep(JORDAN2, radius.DEFAULT_GRID, False)
+        assert (repr(radius.newton_refined(JORDAN2, grid))
+                == repr(radius_sweep(JORDAN2)))
+    assert len(steps) == 1
+    # a zero matrix, such as JORDAN2^2, goes to the search of the constant
+    # 0.0 with no eigensolve, with radius_sweep's bits
     zero = JORDAN2 @ JORDAN2
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *args: calls.append(args) or eigh(*args))
-    est = BoundContext(JORDAN2)._estimate(zero)[0]
+    est = warm_sweep(zero, radius.DEFAULT_GRID)[0]
     assert BoundContext(JORDAN2).sweep("a2", zero) == 0.0
     assert calls == []
     monkeypatch.undo()
     assert repr(est) == repr(radius_sweep(zero))
     # a step that leaves the bracket, here every step
-    step = radius._newton_step
     monkeypatch.setattr(radius, "_newton_step",
                         lambda a, theta, gap_min: (step(a, theta, gap_min)[0],
                                                    1.0))
     grid = pruned_sweep(SHIFT_234, radius.DEFAULT_GRID, False)
     assert (repr(radius.newton_refined(SHIFT_234, grid))
             == repr(radius_sweep(SHIFT_234)))
+
+
+def test_the_library_refines_each_sweep_one_way(monkeypatch):
+    # pruned_sweep (and so numrad radius and power_check) and compare_all's
+    # omega take the same refinement, bit for bit: Newton's steps, with
+    # Brent's method as their fallback (JORDAN2's flat g, the zero matrix,
+    # the triple lambda_max of 2 I)
+    rng = np.random.default_rng(661)
+    mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
+    for a in mats + [SHIFT_234, SHIFT_342, JORDAN2, np.zeros((3, 3)),
+                     2 * np.eye(3)]:
+        assert repr(pruned_sweep(a)) == repr(compare_all(a, ids=()).omega)
+    # only radius_sweep refines by Brent's method where Newton's steps hold
+    calls, golden_max = [], radius.golden_max
+    monkeypatch.setattr(radius, "golden_max",
+                        lambda *args: calls.append(args) or golden_max(*args))
+    compare_all(SHIFT_234)
+    pruned_sweep(SHIFT_234)
+    assert calls == []
+    radius_sweep(SHIFT_234)
+    assert len(calls) == 1
 
 
 def test_newton_refinement_takes_few_steps(monkeypatch):
