@@ -33,7 +33,7 @@ from .matrix import fits, float_power, gnorm, hnorm
 from .optimize import golden_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, THETA_GRID_MIN, RadiusEstimate,
-                     _subgrid_max, check_count, warm_sweep)
+                     check_count, warm_sweep)
 
 # Grid of the t-scan: its default size, and the smallest it accepts.
 DEFAULT_T_GRID = 1001
@@ -73,9 +73,9 @@ class BoundContext(_Spectral):
     """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
     _evaluate), of sweep values, of the nonzero matrices swept in t as
-    warm starts (see sweep) and of the norms ||X^s Y^s||; refine refines
-    both its sweeps in theta and minimize_over_t in t.  Its sweeps are
-    radius.warm_sweep's: radius_sweep's, bit for bit, with refine off,
+    warm starts, with peak angles (see sweep), and of ||X^s Y^s||; refine
+    refines both its sweeps in theta and minimize_over_t in t.  Its sweeps
+    are radius.warm_sweep's: radius_sweep's, bit for bit, with refine off,
     and refined by Newton steps with it on.  Its matrix (in the core) and
     theta_grid are validated here, once: its sweeps trust them."""
 
@@ -87,8 +87,8 @@ class BoundContext(_Spectral):
         self.refine = refine
         self._values: dict = {}
         self._omega: dict = {}
-        # per kind of a (kind, t) key: {t: (matrix, upper ends)}, and its
-        # t's sorted (see _nearest)
+        # per kind of a (kind, t) key: {t: ((matrix, upper ends), peak
+        # angle)}, and its t's sorted (see _nearest)
         self._swept: dict = {}
         self._swept_ts: dict = {}
         self._xy_norm: dict = {}
@@ -105,10 +105,10 @@ class BoundContext(_Spectral):
         inf if m does not fit (matrix.fits: its entries or norm overflow).
         A key (kind, t), such as ("alu", t), names a matrix of a family in
         t: its sweep is radius.warm_sweep, warm-started from the matrix of
-        the same kind swept at the nearest t, and its upper ends are kept
-        for the next unless m is zero: outside underflow A_t =
-        V S^(1-t) K S^t V* is zero at every t or at none, and a zero
-        sweep's upper ends (all 0) would send a nonzero neighbour cold.
+        the same kind swept at the nearest t; its upper ends and peak angle
+        are kept for the next and for _omega_lower unless m is zero: A_t =
+        V S^(1-t) K S^t V* is zero at every t or at none outside underflow,
+        and a zero sweep's upper ends would send a nonzero neighbour cold.
         """
         if key not in self._omega:
             self._omega[key] = self._sweep_matrix(key, m)
@@ -123,11 +123,11 @@ class BoundContext(_Spectral):
         kind, t = key
         family = self._swept.setdefault(kind, {})
         ts = self._swept_ts.setdefault(kind, [])
-        est, upper = warm_sweep(m, self.theta_grid, self.refine,
-                                family.get(_nearest(ts, t)))
+        warm, _ = family.get(_nearest(ts, t), (None, 0.0))
+        est, upper = warm_sweep(m, self.theta_grid, self.refine, warm)
         if m.any():
             bisect.insort(ts, t)
-            family[t] = (m, upper)
+            family[t] = ((m, upper), est.theta_star)
         return est.value
 
 
@@ -331,10 +331,19 @@ def _above(v: float, low: float, norm: float) -> bool:
             > low + BRACKET_REL * (abs(low) + norm))
 
 
+def _omega_lower(ctx: BoundContext, kind, t: float, m) -> float:
+    """||Re(e^{i theta} m)|| <= omega(m), by one eigensolve, at the peak
+    angle theta of the matrix of kind kept at the t nearest to t (0 if
+    none is kept; see BoundContext.sweep); 0 where m does not fit."""
+    ts = ctx._swept_ts.get(kind)
+    theta = ctx._swept[kind][_nearest(ts, t)][1] if ts else 0.0
+    return hnorm(np.exp(1j * theta) * m) if fits(m) else 0.0
+
+
 def _aluthge_lower(ctx: BoundContext, t: float) -> float:
-    """A lower end of aluthge-t's value at t, up to the rounding that
+    """A lower end of aluthge-t's exact value at t, up to the rounding that
     BRACKET_REL covers, with no sweep: its X-only norms in closed form
-    (X^r = V diag(sigma^r) V*), its term_mod, and radius._subgrid_max for
+    (X^r = V diag(sigma^r) V*), its term_mod, and _omega_lower for
     omega(A_t) and omega(A_t^2), with the sum under the root lowered by
     n^2 * 2^-1072 for subnormal rounding; -inf, which certifies nothing,
     where that sum is not finite."""
@@ -342,9 +351,9 @@ def _aluthge_lower(ctx: BoundContext, t: float) -> float:
     inner = (0.25 * (s ** (4 * t) + s ** (4 * (1 - t))).max()
              + 0.5 * float_power(ctx.norm_a, 2)
              + 0.25 * hnorm(alu.conj().T @ alu + alu @ alu.conj().T)
-             + 0.5 * _subgrid_max(alu @ alu, ctx.theta_grid)
+             + 0.5 * _omega_lower(ctx, "alu2", t, alu @ alu)
              + (s ** (2 * t) + s ** (2 * (1 - t))).max()
-             * _subgrid_max(alu, ctx.theta_grid)
+             * _omega_lower(ctx, "alu", t, alu)
              - ctx.a.size * 2.0**-1072)
     if not math.isfinite(inner):
         return -math.inf
@@ -356,8 +365,8 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
     """The scan of a bound that is quasi-convex in t: for i < j < k, its
     exact value V at t_j is at most the larger of those at t_i and t_k.
     Its computed values V_c have V_c <= V <= kappa V_c, up to the rounding
-    that BRACKET_REL covers, so V_c(t_j) / kappa is at most the larger of
-    V_c(t_i) and V_c(t_k).
+    that BRACKET_REL covers, so any lower end of V(t_j), V_c(t_j) or other,
+    over kappa is at most the larger of V_c(t_i) and V_c(t_k).
 
     The middle point is evaluated; if the lower ends lower_at(i) (the
     values if None) of its neighbours, divided by kappa, lie above it
@@ -410,7 +419,8 @@ def _aluthge_scan(ctx: BoundContext, ts: np.ndarray,
     """aluthge-t's _quasi_convex_scan.  Its omega terms are sweeps on N
     angles: each an attained g(theta), so at most omega, and the grid's
     maximum, so at least omega cos(pi/N) (Johnson's outer polygon).  The
-    bound grows with both, so kappa = cos(pi/N)^(-1/2)."""
+    bound grows with both, so kappa = cos(pi/N)^(-1/2).  Its lower ends,
+    _aluthge_lower, solve no grid angle and lie below the exact value."""
     _quasi_convex_scan(ctx, ts, value_at,
                        math.cos(math.pi / ctx.theta_grid) ** -0.5,
                        lambda i: _aluthge_lower(ctx, float(ts[i])))

@@ -4,7 +4,8 @@ The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
 grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
 same bits and warm-started from a nearby matrix's sweep, and
 refines around the best grid point by safeguarded Newton steps, or, in
-radius_sweep, by Brent's method, their fallback.
+radius_sweep, by Brent's method, their fallback; its peak angle lets a
+nearby matrix M take ||Re(e^{i theta} M)|| <= omega(M) from one eigensolve.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -131,8 +132,8 @@ def radius_sweep(a, grid_points: int = DEFAULT_GRID,
     """
     check_count("grid_points", grid_points, THETA_GRID_MIN)
     a = as_matrix(a)
-    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    est = _grid_estimate(_top(a, np.exp(1j * thetas)), thetas, grid_points)
+    thetas, phases = _grid_table(grid_points)
+    est = _grid_estimate(_top(a, phases), thetas, grid_points)
     return _refined(a, est) if refine else est
 
 
@@ -165,14 +166,22 @@ def warm_sweep(a, grid_points: int = DEFAULT_GRID, refine: bool = True,
     caller: a passes matrix.fits and grid_points is valid (pruned_sweep
     checks both).
     """
-    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    thetas, phases = _grid_table(grid_points)
     if a.any():
-        g, upper = _grid_stage(a, np.exp(1j * thetas), warm,
-                               coarse_step(grid_points))
+        g, upper = _grid_stage(a, phases, warm, coarse_step(grid_points))
     else:
         g = upper = np.zeros(grid_points)
     est = _grid_estimate(g, thetas, grid_points)
     return (newton_refined(a, est) if refine else est), upper
+
+
+@lru_cache(maxsize=16)
+def _grid_table(grid_points: int):
+    """The N = grid_points angles 2 pi k / N and their phases, read-only."""
+    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
+    phases = np.exp(1j * thetas)
+    thetas.flags.writeable = phases.flags.writeable = False
+    return thetas, phases
 
 
 def _grid_stage(a, phases, warm, step):
@@ -276,15 +285,6 @@ def coarse_step(grid_points: int) -> int:
     return max((d for d in range(1, COARSE_STEP_MAX + 1)
                 if grid_points % d == 0 and grid_points // d >= 3),
                default=1)
-
-
-def _subgrid_max(a, grid_points: int) -> float:
-    """Max of g over every coarse_step(grid_points)-th grid angle, by one
-    _top: a lower end of the sweep's value, refined or not, and so of
-    omega(A); 0, a lower end of omega too, where a does not fit."""
-    thetas = 2 * np.pi * np.arange(grid_points) / grid_points
-    phases = np.exp(1j * thetas[::coarse_step(grid_points)])
-    return float(_top(a, phases).max()) if fits(a) else 0.0
 
 
 def radius_oracle(a, trials: int, seed: int) -> OracleEstimate:

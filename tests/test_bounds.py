@@ -23,7 +23,7 @@ from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN, _Spectral
-from numrad.radius import _subgrid_max, coarse_step, pruned_sweep
+from numrad.radius import coarse_step, pruned_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2,
@@ -716,8 +716,9 @@ def test_pruned_scan_skips_most_of_the_grid(monkeypatch):
 
 def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
     # every theta-grid angle solved through radius._top: the grid stages
-    # of the sweeps of A_t and A_t^2 and the stack lower ends (5,112 before
-    # the sweeps were warm-started across t, 1,966 with it)
+    # of the sweeps of A_t and A_t^2, as the lower ends solve none (5,112
+    # before the sweeps were warm-started across t, 1,966 with it, 767 with
+    # lower ends from the subgrids, 228 with them from the peak angles)
     rows = count_top_rows(monkeypatch)
     calls = _count_scalar_calls(monkeypatch, "aluthge-t")
     matrices = []  # per np.linalg.eigvalsh call, the matrices it solves
@@ -785,11 +786,11 @@ def test_nearest_swept_t_takes_the_larger_of_two_at_the_same_distance():
 # each, as does aluthge-t on JORDAN2, whose A_(1/2) is zero (1,082
 # evaluations and 990 angles before).
 EVALUATION_BUDGETS = {
-    "SHIFT_234": (SHIFT_234, 148, 1158),
-    "hermitian-8": (sample("hermitian", 8, np.random.default_rng(2026)), 48,
-                    498),
+    "SHIFT_234": (SHIFT_234, 148, 708),
+    "hermitian-8": (sample("hermitian", 8, np.random.default_rng(2026)), 47,
+                    228),
     "JORDAN2": (JORDAN2, 56, 720),
-    "G": (ginibre(np.random.default_rng(4), 4), 83, 900),
+    "G": (ginibre(np.random.default_rng(4), 4), 81, 446),
 }
 
 
@@ -887,7 +888,9 @@ def test_pruned_scan_evaluates_points_without_a_finite_lower_end(monkeypatch):
     calls = _count_scalar_calls(monkeypatch, "aluthge-t")
     near = np.linspace(T_MIN, 1 - T_MIN, 9)[[3, 5]].tolist()
     for hole in (math.nan, math.inf):
-        monkeypatch.setattr(bounds, "_subgrid_max", lambda m, n: hole)
+        # the omega terms of the lower end, the only part a sweep bounds
+        monkeypatch.setattr(bounds, "_omega_lower",
+                            lambda ctx, kind, t, m: hole)
         for a in (EXAMPLE2, ginibre(np.random.default_rng(614), 4)):
             calls.clear()
             minimize_over_t("aluthge-t", BoundContext(a, 240, False), 9)
@@ -933,21 +936,57 @@ def test_aluthge_lower_end_holds_the_value_on_edge_inputs():
             _assert_aluthge_lower_end_holds(a, theta_grid, refine)
 
 
+def _omega_terms(monkeypatch, a, theta_grid, refine, ts):
+    """(the omega terms (kind, t, matrix, value) that _aluthge_lower takes
+    on a context of a at each t of ts: first with nothing swept, at angle
+    0, then after aluthge-t's evaluation at every fifth t, at the peak
+    angle of the nearest t evaluated; the set of the t's evaluated)."""
+    terms = []
+    omega_lower = bounds._omega_lower
+
+    def recorded(ctx, kind, t, m):
+        terms.append((kind, t, m, omega_lower(ctx, kind, t, m)))
+        return terms[-1][-1]
+
+    monkeypatch.setattr(bounds, "_omega_lower", recorded)
+    ctx = BoundContext(a, theta_grid, refine)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in ts:
+            bounds._aluthge_lower(ctx, t)
+        for t in ts[::5]:
+            bounds._evaluate("aluthge-t", ctx, t)
+        for t in ts:
+            bounds._aluthge_lower(ctx, t)
+    return terms, set(ts[::5])
+
+
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
 @pytest.mark.parametrize("refine", [True, False])
-def test_subgrid_brackets_the_sweep(theta_grid, refine):
-    # the subgrid's maximum is the sweep's own values' there, so at most
-    # its value, and within Johnson's factor of omega
+def test_subgrid_brackets_the_sweep(theta_grid, refine, monkeypatch):
+    # (named for the subgrid maximum that the omega terms replaced)
+    # each omega term of aluthge-t's lower end is ||Re(e^{i theta} M)|| for
+    # M = A_t or A_t^2: at most omega(M), which is at most the grid maximum
+    # of M's sweep over cos(pi/N) (Johnson's outer polygon); and at a t
+    # whose M was swept, at least that sweep's value, an attained g at its
+    # peak angle, which the term takes
     rng = np.random.default_rng(613)
-    step = coarse_step(theta_grid)
-    assert theta_grid % step == 0 and theta_grid // step >= 3
-    widen = 1 / math.cos(math.pi * step / theta_grid)
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 6)]
     mats += [JORDAN2, np.diag([1.0, -2.0, 1.5j]), np.zeros((3, 3))]
-    for m in mats:
-        g_c = _subgrid_max(m, theta_grid)
-        w = radius_sweep(m, theta_grid, refine=refine).value
-        assert g_c <= w <= g_c * widen + 1e-12 * (1 + abs(w))
+    ts = np.linspace(T_MIN, 1 - T_MIN, 21).tolist()
+    widen = 1 / math.cos(math.pi / theta_grid)
+    for a in mats:
+        terms, swept = _omega_terms(monkeypatch, a, theta_grid, refine, ts)
+        assert len(terms) == 4 * len(ts)
+        grid_max = {}
+        for i, (kind, t, m, term) in enumerate(terms):
+            if (kind, t) not in grid_max:
+                grid_max[kind, t] = radius_sweep(m, theta_grid, False).value
+            w = grid_max[kind, t]
+            assert 0 <= term <= w * widen + 1e-12 * (1 + w), (kind, t)
+            if t in swept and i >= 2 * len(ts):
+                value = BoundContext(a, theta_grid, refine).sweep(
+                    (kind, t), m)
+                assert term >= value - 1e-14 * value, (kind, t)
 
 
 def test_coarse_step():
@@ -960,7 +999,7 @@ def test_coarse_step():
 
 def test_context_sweep_gives_non_finite_matrices_inf():
     # each matrix swept by the context: inf where it is not finite or does
-    # not fit, where its subgrid lower end is 0
+    # not fit, where the omega term of aluthge-t's lower end is 0
     ms = np.stack([np.eye(2)] * 8).astype(complex)
     ms[1::3, 0, 1] = np.inf
     ms[3, 1, 0] = np.nan
@@ -970,25 +1009,67 @@ def test_context_sweep_gives_non_finite_matrices_inf():
     ctx = BoundContext(np.eye(2))
     for i, m in enumerate(ms):
         want = (math.inf, 0.0) if bad[i] else (1.0, 1.0)
-        assert (ctx.sweep(i, m), _subgrid_max(m, 720)) == pytest.approx(
-            want, rel=1e-15), i
+        assert (ctx.sweep(i, m), bounds._omega_lower(ctx, "alu", 0.5, m)
+                ) == pytest.approx(want, rel=1e-15), i
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
-def test_subgrid_max_is_below_the_exact_radius(ensemble):
+def test_subgrid_max_is_below_the_exact_radius(ensemble, monkeypatch):
+    # (named for the subgrid maximum that the omega terms replaced)
     # on these ensembles A_t, and so A_t^2, is again normal, a multiple of
     # a unitary, or nonnegative, and has the same closed form for omega,
-    # which the subgrid maximum of each A_t and A_t^2 may not exceed
+    # which the omega term of aluthge-t's lower end at each A_t and A_t^2
+    # may not exceed, at angle 0 or at a swept neighbour's peak angle
     exact = EXACT_OMEGA[ensemble]
     rng = np.random.default_rng(sorted(EXACT_OMEGA).index(ensemble) + 642)
-    ts = np.linspace(T_MIN, 1 - T_MIN, 61)
+    ts = np.linspace(T_MIN, 1 - T_MIN, 61).tolist()
     for n in (1, 2, 3, 5, 8, 16):
         a = sample(ensemble, n, rng)
-        alu = np.stack([BoundContext(a).aluthge(t) for t in ts.tolist()])
-        for theta_grid, _ in SWEEP_SETTINGS:
-            for stack in (alu, alu @ alu):
-                lower = [_subgrid_max(m, theta_grid) for m in stack]
-                assert (lower <= exact(stack) * (1 + 1e-14)).all()
+        for theta_grid, refine in SWEEP_SETTINGS:
+            terms, _ = _omega_terms(monkeypatch, a, theta_grid, refine, ts)
+            assert len(terms) == 4 * len(ts)
+            for kind, t, m, term in terms:
+                assert 0 <= term <= exact(m) * (1 + 1e-14), (kind, t)
+    # a matrix that does not fit has omega term 0
+    ctx = BoundContext(a)
+    ctx.sweep(("alu", 0.5), ctx.aluthge(0.5))
+    assert bounds._omega_lower(ctx, "alu", 0.5, np.full((n, n), NORM_MAX)) == 0
+
+
+def test_aluthge_lower_end_solves_no_grid_angle(monkeypatch):
+    # each omega term is one eigensolve at a peak angle, where lower ends
+    # from subgrids solved 2 x 45 angles at N = 720; with term_mod's that
+    # makes three Hermitian eigensolves, at most two of them for the omega
+    # terms
+    rows = count_top_rows(monkeypatch)
+    solved = []  # per eigensolve, the matrices it solves
+    for name in ("eigvalsh", "eigh"):
+        def counted(m, *args, solve=getattr(np.linalg, name), **kwargs):
+            solved.append(int(np.prod(np.shape(m)[:-2])))
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    in_omega = []
+    omega_lower = bounds._omega_lower
+
+    def counted_omega(*args):
+        before = sum(solved)
+        value = omega_lower(*args)
+        in_omega.append(sum(solved) - before)
+        return value
+
+    monkeypatch.setattr(bounds, "_omega_lower", counted_omega)
+    g = ginibre(np.random.default_rng(2026), 8)
+    for a in (SHIFT_234, g, JORDAN2):
+        ctx = BoundContext(a)
+        bounds._evaluate("aluthge-t", ctx, 0.5)
+        for t in (0.5, 0.3, 0.7001):
+            rows.clear()
+            solved.clear()
+            in_omega.clear()
+            bounds._aluthge_lower(ctx, t)
+            assert rows == [], rows
+            assert sum(solved) <= 3 and sum(in_omega) <= 2, (solved, in_omega)
 
 
 def test_compare_all_minimizes_through_the_module_global(monkeypatch):

@@ -341,10 +341,9 @@ def test_support_upper_holds_the_grid_value_at_every_angle(grid_points):
 @pytest.mark.parametrize("grid_points", [8, 11, 16, 240, 360, 720])
 def test_cold_subgrid_keeps_each_maximum_and_its_angle(grid_points):
     # the cold grid stage solves the subgrid of every coarse_step-th angle
-    # first, and _subgrid_max, which aluthge-t's scan takes as a lower end,
-    # solves that subgrid alone: both have the full grid's values there,
-    # bit for bit, and every angle that the stage skips lies strictly
-    # below its maximum, so the maximum and its first-index angle stay
+    # first, with the full grid's values there, bit for bit, and every
+    # angle that it skips lies strictly below its maximum, so the maximum
+    # and its first-index angle stay
     rng = np.random.default_rng(624)
     mats = [sample(ens, 4, rng) for ens in ENSEMBLES for _ in range(3)]
     mats += [np.zeros((4, 4)), np.pad(JORDAN2, (0, 2)), 1e-200 * mats[0],
@@ -360,7 +359,6 @@ def test_cold_subgrid_keeps_each_maximum_and_its_angle(grid_points):
         g, _ = radius._grid_stage(m, phases, None, step)
         assert g.max() == full.max() and g.argmax() == full.argmax()
         assert ((g == full) | (g == -np.inf)).all()
-        assert radius._subgrid_max(m, grid_points) == full[::step].max()
 
 
 def test_pruned_sweep_solves_few_angles(monkeypatch):
@@ -639,6 +637,18 @@ def test_newton_refinement_takes_few_steps(monkeypatch):
     steps.clear()
     compare_all(ginibre(np.random.default_rng([0, 8, 0]), 8))
     assert 0 < len(steps) <= 100, len(steps)
+
+
+@pytest.mark.parametrize("grid_points", [8, 17, 720, np.int64(720)])
+def test_the_grid_table_is_computed_once_with_the_same_bits(grid_points):
+    # every sweep on a grid shares one read-only table of its angles and
+    # phases, the bits of the expressions that each sweep used to build
+    thetas, phases = radius._grid_table(grid_points)
+    want = 2 * np.pi * np.arange(grid_points) / grid_points
+    assert thetas.tobytes() == want.tobytes()
+    assert phases.tobytes() == np.exp(1j * want).tobytes()
+    assert not thetas.flags.writeable and not phases.flags.writeable
+    assert radius._grid_table(grid_points)[1] is phases
 
 
 def test_radius_sweep_solves_its_grid_in_one_stack(monkeypatch):
