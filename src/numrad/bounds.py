@@ -72,8 +72,8 @@ class BoundReport:
 class BoundContext(_Spectral):
     """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
-    _evaluate), of sweep values, of the nonzero matrices swept in t as
-    warm starts, with peak angles (see sweep), and of ||X^s Y^s||; refine
+    _evaluate), of sweep values by (kind, t), of the nonzero matrices swept
+    as sorted records (see sweep and near), and of ||X^s Y^s||; refine
     refines both its sweeps in theta and minimize_over_t in t.  Its sweeps
     are radius.warm_sweep's: radius_sweep's, bit for bit, with refine off,
     and refined by Newton steps with it on.  Its matrix (in the core) and
@@ -87,10 +87,8 @@ class BoundContext(_Spectral):
         self.refine = refine
         self._values: dict = {}
         self._omega: dict = {}
-        # per kind of a (kind, t) key: {t: ((matrix, upper ends), peak
-        # angle)}, and its t's sorted (see _nearest)
+        # per kind: [(t, matrix, upper ends, peak angle)], sorted by t
         self._swept: dict = {}
-        self._swept_ts: dict = {}
         self._xy_norm: dict = {}
 
     def xy_norm(self, s: float) -> float:
@@ -100,45 +98,40 @@ class BoundContext(_Spectral):
             self._xy_norm[s] = gnorm(self.xpow(s) @ self.ypow(s))
         return self._xy_norm[s]
 
-    def sweep(self, key, m) -> float:
-        """omega(m) by the context's sweep for a matrix m, cached under key;
-        inf if m does not fit (matrix.fits: its entries or norm overflow).
-        A key (kind, t), such as ("alu", t), names a matrix of a family in
-        t: its sweep is radius.warm_sweep, warm-started from the matrix of
-        the same kind swept at the nearest t; its upper ends and peak angle
-        are kept for the next and for _omega_lower unless m is zero: A_t =
-        V S^(1-t) K S^t V* is zero at every t or at none outside underflow,
-        and a zero sweep's upper ends would send a nonzero neighbour cold.
+    def sweep(self, kind: str, t: float, m) -> float:
+        """omega(m) by the context's sweep for the matrix m of kind at t,
+        such as A_t of kind "alu", cached under (kind, t); inf if m does not
+        fit (matrix.fits: its entries or norm overflow).  Its sweep is
+        radius.warm_sweep, warm-started from the record that near(kind, t)
+        gives.  Its record is kept for the next sweep and for _omega_lower
+        unless m is zero: A_t = V S^(1-t) K S^t V* is zero at every t or at
+        none outside underflow, and a zero sweep's upper ends would send a
+        nonzero neighbour cold.
         """
-        if key not in self._omega:
-            self._omega[key] = self._sweep_matrix(key, m)
-        return self._omega[key]
+        if (kind, t) not in self._omega:
+            value = math.inf
+            if fits(m):
+                record = self.near(kind, t)
+                est, upper = warm_sweep(m, self.theta_grid, self.refine,
+                                        record and record[1:3])
+                value = est.value
+                if m.any():
+                    bisect.insort(self._swept.setdefault(kind, []),
+                                  (t, m, upper, est.theta_star),
+                                  key=lambda r: r[0])
+            self._omega[kind, t] = value
+        return self._omega[kind, t]
 
-    def _sweep_matrix(self, key, m) -> float:
-        """sweep's value for a matrix m, not cached."""
-        if not fits(m):
-            return math.inf
-        if not isinstance(key, tuple):
-            return warm_sweep(m, self.theta_grid, self.refine)[0].value
-        kind, t = key
-        family = self._swept.setdefault(kind, {})
-        ts = self._swept_ts.setdefault(kind, [])
-        warm, _ = family.get(_nearest(ts, t), (None, 0.0))
-        est, upper = warm_sweep(m, self.theta_grid, self.refine, warm)
-        if m.any():
-            bisect.insort(ts, t)
-            family[t] = ((m, upper), est.theta_star)
-        return est.value
-
-
-def _nearest(ts: list, t: float):
-    """The t of ts, sorted, nearest to t, and the larger of two at the same
-    distance; None if ts is empty.  The rounded distance does not fall as
-    s moves away from t, so the nearest is a neighbour of t's place in
-    ts."""
-    i = bisect.bisect_left(ts, t)
-    return min(reversed(ts[max(i - 1, 0):i + 1]), key=lambda s: abs(s - t),
-               default=None)
+    def near(self, kind: str, t: float):
+        """The record (t', matrix, upper ends, peak angle) of kind whose t'
+        is nearest to t, and of two at the same distance the one at the
+        larger t'; None if none is kept.  The rounded distance does not
+        fall as t' moves away from t, so the nearest is a neighbour of t's
+        place in the sorted records."""
+        records = self._swept.get(kind, [])
+        i = bisect.bisect_left(records, t, key=lambda r: r[0])
+        return min(reversed(records[max(i - 1, 0):i + 1]),
+                   key=lambda r: abs(r[0] - t), default=None)
 
 
 def _sqrt_or_inf(inner: float) -> float:
@@ -178,7 +171,7 @@ def _integral_refined(ctx: BoundContext, t):
 
 
 def _yamazaki(ctx: BoundContext, t):
-    wa = ctx.sweep(("alu", 0.5), ctx.aluthge(0.5))
+    wa = ctx.sweep("alu", 0.5, ctx.aluthge(0.5))
     return 0.5 * (ctx.norm_a + wa), {"omega_aluthge": wa}
 
 
@@ -222,8 +215,8 @@ def _aluthge_weighted(ctx: BoundContext, t):
     which is omega(A) for a square-zero A.
     """
     alu = ctx.aluthge(t)
-    wa = ctx.sweep(("alu", t), alu)
-    wa2 = ctx.sweep(("alu2", t), alu @ alu)
+    wa = ctx.sweep("alu", t, alu)
+    wa2 = ctx.sweep("alu2", t, alu @ alu)
     term_pow4 = 0.25 * hnorm(ctx.xpow(4 * t) + ctx.xpow(4 * (1 - t)))
     cross = hnorm(ctx.xpow(2 * t) + ctx.xpow(2 * (1 - t)))
     term_norm = 0.5 * float_power(ctx.norm_a, 2)
@@ -312,7 +305,8 @@ def _schwarz_radius(ctx: BoundContext, t):
     lambda_max, omega(A^2) being fixed.
     """
     m = t * ctx.xpow(2 / t) + (1 - t) * ctx.ypow(2 / (1 - t))
-    wa2 = ctx.sweep("a2", ctx.a @ ctx.a)
+    # A^2 = A_1^2, the one matrix of its kind
+    wa2 = ctx.sweep("a2", 1.0, ctx.a @ ctx.a)
     inner = 0.5 * (_sqrt_or_inf(hnorm(m)) + wa2)
     return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
 
@@ -333,10 +327,10 @@ def _above(v: float, low: float, norm: float) -> bool:
 
 def _omega_lower(ctx: BoundContext, kind, t: float, m) -> float:
     """||Re(e^{i theta} m)|| <= omega(m), by one eigensolve, at the peak
-    angle theta of the matrix of kind kept at the t nearest to t (0 if
-    none is kept; see BoundContext.sweep); 0 where m does not fit."""
-    ts = ctx._swept_ts.get(kind)
-    theta = ctx._swept[kind][_nearest(ts, t)][1] if ts else 0.0
+    angle theta of the record that ctx.near(kind, t) gives (0 if none is
+    kept); 0 where m does not fit."""
+    record = ctx.near(kind, t)
+    theta = record[3] if record else 0.0
     return hnorm(np.exp(1j * theta) * m) if fits(m) else 0.0
 
 

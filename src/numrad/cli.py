@@ -11,7 +11,8 @@ import click
 from .bounds import CATALOG_IDS, DEFAULT_T_GRID, T_GRID_MIN, compare_all
 from .campaign import TOL_SLACK, CampaignConfig, run_campaign
 from .ensembles import ENSEMBLES
-from .errors import NumradError, ParseError
+from .errors import NumradError
+from .matrix import as_matrix
 from .matrixio import parse_matrix
 from .radius import (DEFAULT_GRID, THETA_GRID_MIN, pruned_sweep,
                      radius_oracle)
@@ -24,10 +25,12 @@ THETA_GRID = click.IntRange(min=THETA_GRID_MIN)
 
 
 def _load(path: str):
+    """The matrix of the document at path (matrix.as_matrix); exit 2 where
+    the document does not parse or the matrix's norm overflows."""
     try:
         with open(path, "rb") as fh:
-            return parse_matrix(fh.read())
-    except ParseError as exc:
+            return as_matrix(parse_matrix(fh.read()))
+    except NumradError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

@@ -730,10 +730,10 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     minimize_over_t("aluthge-t", ginibre(np.random.default_rng(2026), 8))
-    assert sum(rows) <= 3000, sum(rows)
+    assert sum(rows) <= 228, sum(rows)
     # the grid and the t-refinement; the lower ends solve no eigenproblem
     # per grid point (their term_mod took one stack of 1,001 matrices)
-    assert len(calls) <= 13, len(calls)
+    assert len(calls) <= 8, len(calls)
     assert max(matrices) < 1001, max(matrices)
 
 
@@ -744,37 +744,41 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
         # the order of a golden t-refinement's evaluations, then far ones
         for t in (0.5, 0.4, 0.4001, 0.40005, 0.400051, 0.4000505, 0.9, 0.1):
             alu = ctx.aluthge(t)
-            for key, m in ((("alu", t), alu), (("alu2", t), alu @ alu)):
-                assert ctx.sweep(key, m) == pruned_sweep(
-                    m, theta_grid, refine).value, (key, theta_grid)
+            for kind, m in (("alu", alu), ("alu2", alu @ alu)):
+                assert ctx.sweep(kind, t, m) == pruned_sweep(
+                    m, theta_grid, refine).value, (kind, t, theta_grid)
     # a matrix that does not fit is inf and is not kept as a warm start
     ctx = BoundContext(g)
-    assert ctx.sweep(("alu", 0.3), np.full((6, 6), NORM_MAX)) == math.inf
-    assert ctx._swept.get("alu", {}) == {}
+    assert ctx.sweep("alu", 0.3, np.full((6, 6), NORM_MAX)) == math.inf
+    assert ctx.near("alu", 0.3) is None
     alu = ctx.aluthge(0.3001)
-    assert ctx.sweep(("alu", 0.3001), alu) == pruned_sweep(alu).value
+    assert ctx.sweep("alu", 0.3001, alu) == pruned_sweep(alu).value
     # nor is a zero matrix: JORDAN2's A_t and A_t^2 are zero at every t
     ctx = BoundContext(JORDAN2)
     minimize_over_t("aluthge-t", ctx)
-    assert ctx._swept and not any(ctx._swept.values()), ctx._swept.keys()
+    assert ctx._omega and all(ctx.near(kind, t) is None
+                              for kind, t in ctx._omega), ctx._swept
 
 
 def test_nearest_swept_t_takes_the_larger_of_two_at_the_same_distance():
-    # the warm start's t, found by bisect on the sorted t's swept, is the
-    # nearest, and of two at the same rounded distance the larger: a walk
+    # the record that warm-starts a sweep and gives _omega_lower its peak
+    # angle, found by bisect on the records sorted by t, is at the nearest
+    # t swept, and of two at the same rounded distance the larger: a walk
     # outward from 1/2 on a dyadic grid, then each midpoint, at exactly the
     # same distance from both of its neighbours; and t's near 0, whose
     # distances to 0.9 round alike
     walk = [0.5] + [0.5 + side * k / 32 for k in range(1, 16)
                     for side in (-1, 1)]
     mids = [(2 * k + 1) / 64 for k in range(1, 31)]
-    ties = 0
+    ties, m = 0, np.eye(2)
     for walked in (walk + mids[::2] + mids[::-2], [2e-20, 1e-20, 3e-20, 0.9]):
-        ts = []
+        ctx, ts = BoundContext(m, 8), []
         for t in walked:
             want = min(ts[::-1], key=lambda s: abs(s - t), default=None)
-            assert bounds._nearest(ts, t) == want, t
+            record = ctx.near("m", t)
+            assert (record and record[0]) == want, t
             ties += sum(abs(s - t) == abs(want - t) for s in ts) > 1
+            ctx.sweep("m", t, m)
             bisect.insort(ts, t)
     assert ties == len(mids) + 1, ties
 
@@ -962,8 +966,8 @@ def _omega_terms(monkeypatch, a, theta_grid, refine, ts):
 
 @pytest.mark.parametrize("theta_grid", [8, 11, 16, 240, 360, 720])
 @pytest.mark.parametrize("refine", [True, False])
-def test_subgrid_brackets_the_sweep(theta_grid, refine, monkeypatch):
-    # (named for the subgrid maximum that the omega terms replaced)
+def test_aluthge_omega_terms_at_a_swept_peak_bracket_the_sweep(
+        theta_grid, refine, monkeypatch):
     # each omega term of aluthge-t's lower end is ||Re(e^{i theta} M)|| for
     # M = A_t or A_t^2: at most omega(M), which is at most the grid maximum
     # of M's sweep over cos(pi/N) (Johnson's outer polygon); and at a t
@@ -985,7 +989,7 @@ def test_subgrid_brackets_the_sweep(theta_grid, refine, monkeypatch):
             assert 0 <= term <= w * widen + 1e-12 * (1 + w), (kind, t)
             if t in swept and i >= 2 * len(ts):
                 value = BoundContext(a, theta_grid, refine).sweep(
-                    (kind, t), m)
+                    kind, t, m)
                 assert term >= value - 1e-14 * value, (kind, t)
 
 
@@ -1009,13 +1013,13 @@ def test_context_sweep_gives_non_finite_matrices_inf():
     ctx = BoundContext(np.eye(2))
     for i, m in enumerate(ms):
         want = (math.inf, 0.0) if bad[i] else (1.0, 1.0)
-        assert (ctx.sweep(i, m), bounds._omega_lower(ctx, "alu", 0.5, m)
+        assert (ctx.sweep("m", i, m), bounds._omega_lower(ctx, "alu", 0.5, m)
                 ) == pytest.approx(want, rel=1e-15), i
 
 
 @pytest.mark.parametrize("ensemble", sorted(EXACT_OMEGA))
-def test_subgrid_max_is_below_the_exact_radius(ensemble, monkeypatch):
-    # (named for the subgrid maximum that the omega terms replaced)
+def test_aluthge_omega_terms_at_a_swept_peak_are_below_the_exact_radius(
+        ensemble, monkeypatch):
     # on these ensembles A_t, and so A_t^2, is again normal, a multiple of
     # a unitary, or nonnegative, and has the same closed form for omega,
     # which the omega term of aluthge-t's lower end at each A_t and A_t^2
@@ -1032,7 +1036,7 @@ def test_subgrid_max_is_below_the_exact_radius(ensemble, monkeypatch):
                 assert 0 <= term <= exact(m) * (1 + 1e-14), (kind, t)
     # a matrix that does not fit has omega term 0
     ctx = BoundContext(a)
-    ctx.sweep(("alu", 0.5), ctx.aluthge(0.5))
+    ctx.sweep("alu", 0.5, ctx.aluthge(0.5))
     assert bounds._omega_lower(ctx, "alu", 0.5, np.full((n, n), NORM_MAX)) == 0
 
 

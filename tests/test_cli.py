@@ -153,7 +153,7 @@ def _flagged_rows(runner, path):
 
 
 def _below_omega(ctx, t):
-    return ctx.sweep("a", ctx.a) * (1 - 2 * TOL_SLACK), {}
+    return ctx.sweep("a", 1.0, ctx.a) * (1 - 2 * TOL_SLACK), {}
 
 
 def test_cli_bounds_json_writes_strict_json(runner, tmp_path):
@@ -270,6 +270,20 @@ def test_cli_bounds_bad_file(runner, tmp_path):
     result = runner.invoke(main, ["bounds", str(bad)])
     assert result.exit_code == 2
     assert "error: field 'n'" in result.output
+
+
+@pytest.mark.parametrize("command", ["bounds", "radius"])
+def test_cli_rejects_a_matrix_whose_norm_overflows(runner, tmp_path,
+                                                   command):
+    # the document parses, but its matrix does not fit (matrix.fits): an
+    # error line and exit 2, as for a document that does not parse, not a
+    # traceback and exit 1, which fuzz keeps for violation rows
+    path = tmp_path / "huge.json"
+    path.write_bytes(serialize_matrix([[1e308, 1e308], [0, 0]]))
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: matrix norm overflows")
 
 
 def test_cli_radius(runner, example1_path):
@@ -411,7 +425,7 @@ def test_campaign_all_ensembles_sound():
 
 def test_campaign_counts_an_unsound_bound_in_every_row(monkeypatch):
     def unsound(ctx, t):
-        return 0.5 * ctx.sweep("a", ctx.a), {}
+        return 0.5 * ctx.sweep("a", 1.0, ctx.a), {}
 
     monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (unsound, False))
     config = CampaignConfig(ensemble="ginibre", dim=3, trials=4, seed=5)

@@ -533,8 +533,8 @@ def test_sweeps_equal_the_exact_radius(ensemble):
         for sweep in (radius_sweep, pruned_sweep):
             assert sweep(a).value == pytest.approx(exact(a), rel=1e-14)
         # the context's sweep, refined by Newton steps
-        assert BoundContext(a).sweep("a", a) == pytest.approx(exact(a),
-                                                              rel=1e-14)
+        assert BoundContext(a).sweep("a", 1.0, a) == pytest.approx(
+            exact(a), rel=1e-14)
 
 
 def test_newton_refinement_lies_within_rounding_of_brent():
@@ -544,7 +544,7 @@ def test_newton_refinement_lies_within_rounding_of_brent():
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
     for a in mats + [SHIFT_234, SHIFT_342, TWO_PEAKS, TWO_PEAKS_ROTATED]:
         grid = pruned_sweep(a, radius.DEFAULT_GRID, False)
-        got = BoundContext(a).sweep("a", a)
+        got = BoundContext(a).sweep("a", 1.0, a)
         assert got >= grid.value
         assert got == pytest.approx(radius_sweep(a).value, rel=1e-14)
 
@@ -586,7 +586,7 @@ def test_newton_refinement_falls_back_to_brent_with_its_bits(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *args: calls.append(args) or eigh(*args))
     est = warm_sweep(zero, radius.DEFAULT_GRID)[0]
-    assert BoundContext(JORDAN2).sweep("a2", zero) == 0.0
+    assert BoundContext(JORDAN2).sweep("a2", 1.0, zero) == 0.0
     assert calls == []
     monkeypatch.undo()
     assert repr(est) == repr(radius_sweep(zero))
