@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, NumradError
-from .matrix import fits, float_power, gnorm, hnorm
-from .optimize import golden_min
+from .matrix import fits, float_power, frobenius, gnorm, hnorm
+from .optimize import golden_min, secant_min
 from .polar import T_MIN, _check_weight, _Spectral
 from .radius import (BRACKET_REL, DEFAULT_GRID, THETA_GRID_MIN, RadiusEstimate,
                      check_count, warm_sweep)
@@ -228,6 +228,56 @@ def _aluthge_weighted(ctx: BoundContext, t):
         "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
         "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross,
         "omega_aluthge": wa, "omega_aluthge_sq": wa2}
+
+
+def _top_slope(h, dh, width: float):
+    """y* Re(dh) y for the top eigenvector y of Re(h), the slope of
+    lambda_1(Re(h + s dh)) at s = 0; None where its gap to lambda_2 is
+    below ||Re(dh)||_F width, so that lambda_1 may not be simple (and its
+    slope may jump) for |s| <= width."""
+    h, dh = (h + h.conj().T) / 2, (dh + dh.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    if w.size > 1 and w[-1] - w[-2] < frobenius(dh) * width:
+        return None
+    return float((v[:, -1].conj() @ dh @ v[:, -1]).real)
+
+
+def _aluthge_slope(ctx: BoundContext, t: float, width: float):
+    """aluthge-t's slope at a t it was evaluated at, for a search within
+    width of t; None where it is not finite or a _top_slope is None.  With
+    L = V diag(ln sigma) V* (0 where sigma = 0), A_t' = A_t L - L A_t.  An
+    omega term's slope is x* Re(e^{i theta} M') x at its sweep's peak angle
+    (Danskin), term_mod's y* H' y (Hellmann-Feynman), and the X-only norms
+    are taken at their argmax sigma."""
+    detail = ctx._values["aluthge-t", t].detail
+    if not 0 < detail["inner"] < math.inf:
+        return None
+    s, alu = ctx.sigma, ctx.aluthge(t)
+    log = np.log(s, out=np.zeros_like(s), where=s > 0)
+    ell = (ctx.right * log) @ ctx.right.conj().T
+    d_alu = alu @ ell - ell @ alu
+    # term_mod's H' is K + K* = 2 Re(K)
+    k_mod = d_alu.conj().T @ alu + alu @ d_alu.conj().T
+    slopes = [_top_slope(alu.conj().T @ alu + alu @ alu.conj().T, 2 * k_mod,
+                         width)]
+    for kind, m, dm in (("alu", alu, d_alu),
+                        ("alu2", alu @ alu, d_alu @ alu + alu @ d_alu)):
+        record = ctx.near(kind, t)
+        p = np.exp(1j * (record[3] if record else 0.0))
+        slopes.append(_top_slope(p * m, p * dm, width))
+    if None in slopes:
+        return None
+    root = math.sqrt(detail["inner"])
+    x = []  # over root: max(sigma^kt + sigma^k(1-t)) and its slope, k = 4, 2
+    for k in (4, 2):
+        i = (s ** (k * t) + s ** (k * (1 - t))).argmax()
+        a, b = s[i] ** (k * t) / root, s[i] ** (k * (1 - t)) / root
+        x += [a + b, k * log[i] * (a - b)]
+    # f' = inner' / (4 root), inner' = pow4'/4 + mod'/4 + wa2'/2 + (cross wa)'
+    d_mod, d_wa, d_wa2 = slopes
+    slope = (x[1] / 4 + (d_mod / 4 + d_wa2 / 2) / root
+             + x[3] * detail["omega_aluthge"] + x[2] * d_wa) / 4
+    return float(slope) if math.isfinite(slope) else None
 
 
 def _weighted_power(ctx: BoundContext, t):
@@ -446,6 +496,9 @@ T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
 # that t (their docstrings prove it), which minimize_over_t takes with
 # refine on (see _t_star).
 _T_STAR = {"weighted-r": 0.5, "product": 0.5}
+# The weighted bounds whose slope in t minimize_over_t's refinement takes
+# secant steps on, with their slope at an evaluated t for a bracket width.
+_SLOPES = {"aluthge-t": _aluthge_slope}
 
 
 def _t_star(bound_id: str, ctx: BoundContext) -> float | None:
@@ -516,13 +569,15 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
 
     a is a matrix, its core (polar._Spectral) or a BoundContext.  Grid
     scan over [T_MIN, 1 - T_MIN] followed, if the context's refine is on,
-    by a refinement with Brent's method, to REFINE_TOL, around the best
-    grid point.  With refine on and more than one grid point, a bound
+    by a refinement to the best value met between the best grid point's
+    neighbours: secant steps on the slope where _SLOPES has one
+    (optimize.secant_min), else or where they give up Brent's method, to
+    REFINE_TOL.  With refine on and more than one grid point, a bound
     whose minimiser is known in closed form (_t_star: weighted-r and
     product, and aluthge-t where A_(1/2) = 0, at 1/2) returns it and its
-    value after that one evaluation,
-    with no scan and no refinement, unless that value is not finite; with
-    refine off, it returns its grid minimum, as every bound does.
+    value after that one evaluation, with no scan and no refinement,
+    unless that value is not finite; with refine off, it returns its grid
+    minimum, as every bound does.
     Evaluations that overflow (the objective genuinely diverges when
     sigma_1 > 1 and the exponent blows up) are recorded as +inf and
     skipped.  Overflow and invalid-value warnings are off: exponents such
@@ -571,9 +626,15 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     if ctx.refine:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
-        t_ref, v_ref, _ = golden_min(
-            lambda t: _evaluate(bound_id, ctx, float(t)).value, lo, hi,
-            REFINE_TOL)
+
+        def f(t):
+            return _evaluate(bound_id, ctx, float(t)).value
+
+        # the secant searches between t* and one of lo and hi
+        slope, width = _SLOPES.get(bound_id), max(t_star - lo, hi - t_star)
+        t_ref, v_ref = slope and secant_min(
+            lambda t: (f(t), slope(ctx, t, width)), t_star, lo, hi,
+            REFINE_TOL) or golden_min(f, lo, hi, REFINE_TOL)[:2]
         if v_ref < value:
             t_star, value = float(t_ref), float(v_ref)
     return t_star, value
@@ -594,9 +655,10 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     the theta refinement inside sweeps, for bulk campaigns where grid
     accuracy suffices; with it on, weighted-r and product, and aluthge-t
     on a square-zero matrix, are taken at their closed-form minimum,
-    t = 1/2 (minimize_over_t), and omega and the sweeps of the bounds are
-    refined in theta by Newton steps, with Brent's method as their
-    fallback (radius.warm_sweep).
+    t = 1/2, the other t*'s are refined by secant steps on the slope or
+    Brent's method (minimize_over_t), and omega and the sweeps of the
+    bounds are refined in theta by Newton steps, with Brent's method as
+    their fallback (radius.warm_sweep).
     """
     if isinstance(ids, str):
         raise ValueError(f"ids is the string {ids!r}; pass a sequence of "

@@ -1,10 +1,14 @@
-"""One-dimensional minimisation without derivatives: Brent's method."""
+"""One-dimensional minimisation: Brent's method, which uses values only,
+and a secant on the derivative, whose callers fall back to Brent's method
+where it gives up."""
 
 from __future__ import annotations
 
 import math
 
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2
+# The most secant steps secant_min takes before it gives up.
+SECANT_STEPS_MAX = 12
 
 
 def golden_min(f, a: float, b: float, tol: float):
@@ -65,3 +69,50 @@ def golden_max(f, a: float, b: float, tol: float):
     """Maximize f on [a, b]; see golden_min."""
     x, y, w = golden_min(lambda t: -f(t), a, b, tol)
     return x, -y, w
+
+
+def secant_min(f, t0: float, lo: float, hi: float, tol: float):
+    """Minimize f on [lo, hi] from t0 by a regula falsi on f', f(t) giving
+    (f(t), f'(t) or None): the end that f'(t0) points to closes the
+    bracket, and where two steps in a row move one end, the slope kept at
+    the other is scaled by 1 - f'(new)/f'(old) of the moved end (Anderson
+    and Bjorck), or by 1/2 (Illinois) where that is not positive.  It stops
+    once |f'| at the last point met, times the next step, is at most one
+    ulp of f there (a convex f falls by no more), or after a step in a
+    bracket at most tol wide: at t0 at once where |f'(t0)| (hi - lo) is,
+    or where f' points out of [lo, hi] at its end t0.  Returns (t, f(t))
+    for the best point met (the first of equal values), or None where the
+    ends' slopes share a sign, a slope is None, a step leaves the bracket
+    or SECANT_STEPS_MAX steps do not converge."""
+    v0, s0 = f(t0)
+    if s0 is None:
+        return None
+    end = lo if s0 > 0 else hi
+    if abs(s0) * (hi - lo) <= math.ulp(v0) or end == t0:
+        return t0, v0
+    last = (end, *f(end))
+    if last[2] is None or (last[2] > 0) == (s0 > 0):
+        return None
+    best = min((t0, v0), last[:2], key=lambda p: p[1])
+    # [t, f'] at the bracket's ends a < b, f' < 0 at a; the end last moved
+    ends, moved = sorted([[t0, s0], [end, last[2]]]), int(last[2] > 0)
+    for _ in range(SECANT_STEPS_MAX):
+        (a, sa), (b, sb) = ends
+        c = b - sb * (b - a) / (sb - sa)
+        if abs(last[2] * (c - last[0])) <= math.ulp(last[1]):
+            return best
+        if not a < c < b:
+            return None
+        last = (c, *f(c))
+        if last[2] is None:
+            return None
+        best = min(best, last[:2], key=lambda p: p[1])
+        if b - a <= tol:
+            return best
+        side = int(last[2] > 0)  # the end that c takes the place of
+        if moved == side:
+            m = 1 - last[2] / ends[side][1]
+            ends[1 - side][1] *= m if m > 0 else 0.5
+        ends[side] = [c, last[2]]
+        moved = side
+    return None

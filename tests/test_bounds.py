@@ -572,7 +572,8 @@ def test_compare_all_evaluates_each_bound_once_at_its_t_star(monkeypatch):
 @np.errstate(over="ignore", invalid="ignore")  # as minimize_over_t's
 def _full_scan(bound_id, ctx, grid_points):
     """The unpruned scan: every grid point, first-index argmin, golden
-    refinement around it if ctx.refine."""
+    refinement around it if ctx.refine.  Returns (t*, value, lo, hi), with
+    [lo, hi] the refinement's bracket (t* itself with refine off)."""
     def f(t):
         return bounds._evaluate(bound_id, ctx, float(t)).value
 
@@ -582,14 +583,15 @@ def _full_scan(bound_id, ctx, grid_points):
     if not math.isfinite(vals[best]):
         raise NonFinite(f"{bound_id}: all grid evaluations overflowed "
                         f"(e.g. t={ts[best]})")
-    t_star, value = float(ts[best]), float(vals[best])
+    t_star = lo = hi = float(ts[best])
+    value = float(vals[best])
     if ctx.refine and grid_points > 1:
         lo = float(ts[max(best - 1, 0)])
         hi = float(ts[min(best + 1, grid_points - 1)])
         t_ref, v_ref, _ = golden_min(f, lo, hi, bounds.REFINE_TOL)
         if v_ref < value:
             t_star, value = float(t_ref), float(v_ref)
-    return t_star, value
+    return t_star, value, lo, hi
 
 
 def _outcome(fn):
@@ -622,12 +624,18 @@ def _assert_scans_agree(a, grid_points, theta_grid, refine):
         # separate contexts, so that no cached value passes between them
         want = _outcome(lambda: _full_scan(
             bound_id, BoundContext(a, theta, on), grid_points))
+        want, bracket = want[:2], want[2:]
         got = _outcome(lambda: minimize_over_t(
             bound_id, BoundContext(a, theta, on), grid_points))
         closed = _closed_form(bound_id, a, grid_points, theta, on)
         if closed:
             # the exact minimum, which the refinement only approaches
             assert got == closed, (bound_id, theta, on)
+            assert got[1] <= want[1] * (1 + 1e-15), (bound_id, got, want)
+        elif on and bound_id in bounds._SLOPES and bracket:
+            # the secant's refinement meets other points of Brent's bracket
+            lo, hi = bracket
+            assert lo <= got[0] <= hi, (bound_id, theta, got, bracket)
             assert got[1] <= want[1] * (1 + 1e-15), (bound_id, got, want)
         else:
             assert got == want, (bound_id, theta, on)
@@ -718,7 +726,8 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
     # every theta-grid angle solved through radius._top: the grid stages
     # of the sweeps of A_t and A_t^2, as the lower ends solve none (5,112
     # before the sweeps were warm-started across t, 1,966 with it, 767 with
-    # lower ends from the subgrids, 228 with them from the peak angles)
+    # lower ends from the subgrids, 228 with them from the peak angles, 177
+    # with secant steps in t)
     rows = count_top_rows(monkeypatch)
     calls = _count_scalar_calls(monkeypatch, "aluthge-t")
     matrices = []  # per np.linalg.eigvalsh call, the matrices it solves
@@ -730,10 +739,11 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     minimize_over_t("aluthge-t", ginibre(np.random.default_rng(2026), 8))
-    assert sum(rows) <= 228, sum(rows)
-    # the grid and the t-refinement; the lower ends solve no eigenproblem
-    # per grid point (their term_mod took one stack of 1,001 matrices)
-    assert len(calls) <= 8, len(calls)
+    assert sum(rows) <= 177, sum(rows)
+    # the grid and the t-refinement, 2 and 1 (2 and 6 with Brent's
+    # method); the lower ends solve no eigenproblem per grid point (their
+    # term_mod took one stack of 1,001 matrices)
+    assert len(calls) <= 3, len(calls)
     assert max(matrices) < 1001, max(matrices)
 
 
@@ -788,13 +798,15 @@ def test_nearest_swept_t_takes_the_larger_of_two_at_the_same_distance():
 # a default compare_all: a budget may be tightened, never loosened.
 # weighted-r and product take their closed-form minimum, at one evaluation
 # each, as does aluthge-t on JORDAN2, whose A_(1/2) is zero (1,082
-# evaluations and 990 angles before).
+# evaluations and 990 angles before).  Secant steps on aluthge-t's slope
+# took SHIFT_234 from 148 evaluations and 708 angles, hermitian-8 from 47
+# and 228, and G from 81 and 446.
 EVALUATION_BUDGETS = {
-    "SHIFT_234": (SHIFT_234, 148, 708),
-    "hermitian-8": (sample("hermitian", 8, np.random.default_rng(2026)), 47,
-                    228),
+    "SHIFT_234": (SHIFT_234, 143, 558),
+    "hermitian-8": (sample("hermitian", 8, np.random.default_rng(2026)), 42,
+                    218),
     "JORDAN2": (JORDAN2, 56, 720),
-    "G": (ginibre(np.random.default_rng(4), 4), 81, 446),
+    "G": (ginibre(np.random.default_rng(4), 4), 76, 387),
 }
 
 
@@ -1089,3 +1101,133 @@ def test_compare_all_minimizes_through_the_module_global(monkeypatch):
     compare_all(SHIFT_234)
     assert sorted(seen) == sorted(T_DEPENDENT_IDS)
     assert len(seen) == 6
+
+
+# ---------------------------------------------------------------------------
+# aluthge-t's slope in t, and the secant steps on it that refine its t*
+
+# the nilpotent shift: sigma = (1, 1, 0) with an exact 0, and A_t = E_23 at
+# every t, so aluthge-t is constant
+SHIFT3 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+SLOPE_TS = (0.15, 0.3, 0.45, 0.62, 0.85)
+
+
+def _slope_and_difference(a, t, h=1e-5):
+    """aluthge-t's _aluthge_slope at t, where it was evaluated, with an
+    error state in which log(0) raises, and its central difference."""
+    ctx = BoundContext(a)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        bounds._evaluate("aluthge-t", ctx, t)
+        slope = bounds._aluthge_slope(ctx, t, 1e-3)
+    below, above = (bounds._evaluate("aluthge-t", ctx, s).value
+                    for s in (t - h, t + h))
+    return slope, (above - below) / (2 * h)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_aluthge_slope_matches_a_central_difference(ensemble):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 637)
+    for n in (3, 5, 8):
+        a = sample(ensemble, n, rng)
+        for t in SLOPE_TS:
+            slope, diff = _slope_and_difference(a, t)
+            if (ensemble, n) == ("nilpotent", 3):
+                # A_t is a nilpotent 2x2 block: A_t*A_t + A_tA_t* has a
+                # double top eigenvalue at every t, and its slope is not
+                # taken
+                assert slope is None, t
+            else:
+                assert abs(slope - diff) <= 1e-7 * abs(diff), (n, t, slope,
+                                                               diff)
+
+
+@pytest.mark.parametrize("name", ["SHIFT_234", "SHIFT_342", "SHIFT3"])
+def test_aluthge_slope_matches_a_central_difference_on_examples(name):
+    a = {"SHIFT_234": SHIFT_234, "SHIFT_342": SHIFT_342,
+         "SHIFT3": SHIFT3}[name]
+    for t in SLOPE_TS:
+        slope, diff = _slope_and_difference(a, t)
+        assert abs(slope - diff) <= 1e-7 * abs(diff), (t, slope, diff)
+        if name == "SHIFT3":
+            assert slope == diff == 0, t
+
+
+def _refined_both_ways(monkeypatch, a):
+    """Refine-on aluthge-t on a, with the secant steps and with Brent's
+    method alone: ((t*, value, the t's evaluated), the same for Brent's,
+    the secant's results)."""
+    calls = _count_scalar_calls(monkeypatch, "aluthge-t")
+    results = []
+    secant = bounds.secant_min
+
+    def traced(*args):
+        results.append(secant(*args))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "secant_min", traced)
+        got = (*minimize_over_t("aluthge-t", a), calls[:])
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.delitem(bounds._SLOPES, "aluthge-t")
+        want = (*minimize_over_t("aluthge-t", a), calls[:])
+    return got, want, results
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_secant_refinement_is_no_worse_than_brents_over_ensembles(
+        ensemble, monkeypatch):
+    rng = np.random.default_rng(list(ENSEMBLES).index(ensemble) + 643)
+    evaluations = [0, 0]
+    for n in (2, 3, 5, 8):
+        for _ in range(3):
+            got, want, _ = _refined_both_ways(monkeypatch,
+                                              sample(ensemble, n, rng))
+            assert got[1] <= want[1] * (1 + 1e-15), (n, got, want)
+            assert len(got[2]) <= len(want[2]), (n, got, want)
+            evaluations = [evaluations[0] + len(got[2]),
+                           evaluations[1] + len(want[2])]
+    assert evaluations[0] < evaluations[1], evaluations
+
+
+def test_secant_refinement_is_no_worse_than_brents_on_examples(monkeypatch):
+    rng = np.random.default_rng(2026)
+    mats = [SHIFT_234, SHIFT_342] + [ginibre(rng, 8) for _ in range(5)]
+    evaluations = [0, 0]
+    for a in mats:
+        got, want, results = _refined_both_ways(monkeypatch, a)
+        assert results[0] is not None
+        assert got[1] <= want[1] * (1 + 1e-15), (got, want)
+        assert len(got[2]) <= len(want[2]), (got, want)
+        evaluations = [evaluations[0] + len(got[2]),
+                       evaluations[1] + len(want[2])]
+    assert evaluations[0] * 3 <= evaluations[1] * 2, evaluations
+
+
+@pytest.mark.parametrize("ensemble", ["hermitian", "unitary-scaled"])
+def test_secant_refinement_stops_at_once_on_a_normal_matrix(ensemble,
+                                                           monkeypatch):
+    # A_t = A at every t, and the X-only norms are least at 1/2, a grid
+    # point, where the slope is at its rounding level
+    a = sample(ensemble, 5, np.random.default_rng(647))
+    got, _, results = _refined_both_ways(monkeypatch, a)
+    assert got[0] == 0.5 and results == [(0.5, got[1])]
+    # no evaluation off the grid
+    grid = np.linspace(T_MIN, 1 - T_MIN, bounds.DEFAULT_T_GRID).tolist()
+    assert got[2] and set(got[2]) <= set(grid)
+
+
+@pytest.mark.parametrize("name", ["nilpotent-3", "1e-200 G", "2e153 G"])
+def test_secant_refinement_falls_back_to_brents_bits(name, monkeypatch):
+    # a double top eigenvalue of term_mod at every t, which can split into
+    # a kink of lambda_1; a sum under the root that underflows to 0, where
+    # the slope at t* is not finite; a value that overflows at the other
+    # end of the bracket, where the slope is not finite either
+    g = ginibre(np.random.default_rng(4), 4)
+    a = {"nilpotent-3": sample("nilpotent", 3, np.random.default_rng(649)),
+         "1e-200 G": 1e-200 * g, "2e153 G": 2e153 * g}[name]
+    got, want, results = _refined_both_ways(monkeypatch, a)
+    assert results == [None] and got[:2] == want[:2]
+    # it fell back before any new evaluation: at t*, or at an end that the
+    # scan had evaluated (on 2e153 G it walks 508 points, most of them +inf)
+    assert got[2] == want[2]
