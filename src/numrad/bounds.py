@@ -8,15 +8,11 @@ comparable to omega(A); bounds stated in the squared form record the
 pre-square-root quantity under detail["inner"].
 
 Every catalog bound is one function of (ctx, t) giving (value, detail),
-registered in one table, _BOUNDS, with its t-scan (None for a fixed bound).
-A fixed bound ignores t, or is a weighted bound at one weight.  A weighted
-bound is evaluated at a float t.  All six are quasi-convex in t, with the
-proofs in their docstrings, and share one scan, certified by their own
-values: aluthge-t's, whose omega terms are sweeps on a grid of N angles,
-within a factor cos(pi/N)^(-1/2) of its exact values.  Two of them,
-weighted-r and product, have their minimum at t = 1/2, and so does
-aluthge-t on a square-zero matrix, where a refined minimisation takes it
-with no scan.
+registered in one table, _BOUNDS, with None for a fixed bound, which
+ignores t or is a weighted bound at one weight, and for a weighted bound,
+evaluated at a float t, its _Weighted row: how minimize_over_t minimises
+it.  All six are quasi-convex in t, with the proofs in their docstrings,
+and share one certified scan, _quasi_convex_scan.
 """
 
 from __future__ import annotations
@@ -72,8 +68,8 @@ class BoundReport:
 class BoundContext(_Spectral):
     """The spectral core of one matrix, or the core it is given, with the
     sweep settings and caches of its bounds' values by (id, t) (see
-    _evaluate), of sweep values by (kind, t), of the nonzero matrices swept
-    as sorted records (see sweep and near), and of ||X^s Y^s||; refine
+    _evaluate), of the matrices swept as sorted records (see sweep and
+    near), and of ||X^s Y^s||; refine
     refines both its sweeps in theta and minimize_over_t in t.  Its sweeps
     are radius.warm_sweep's: radius_sweep's, bit for bit, with refine off,
     and refined by Newton steps with it on.  Its matrix (in the core) and
@@ -86,8 +82,7 @@ class BoundContext(_Spectral):
         self.theta_grid = theta_grid
         self.refine = refine
         self._values: dict = {}
-        self._omega: dict = {}
-        # per kind: [(t, matrix, upper ends, peak angle)], sorted by t
+        # per kind: [(t, matrix, upper ends, peak angle, value)], sorted by t
         self._swept: dict = {}
         self._xy_norm: dict = {}
 
@@ -100,34 +95,34 @@ class BoundContext(_Spectral):
 
     def sweep(self, kind: str, t: float, m) -> float:
         """omega(m) by the context's sweep for the matrix m of kind at t,
-        such as A_t of kind "alu", cached under (kind, t); inf if m does not
-        fit (matrix.fits: its entries or norm overflow).  Its sweep is
+        such as A_t of kind "alu"; inf if m does not fit (matrix.fits: its
+        entries or norm overflow), with no record.  Its sweep is
         radius.warm_sweep, warm-started from the record that near(kind, t)
-        gives.  Its record is kept for the next sweep and for _omega_lower
-        unless m is zero: A_t = V S^(1-t) K S^t V* is zero at every t or at
-        none outside underflow, and a zero sweep's upper ends would send a
-        nonzero neighbour cold.
+        gives, and its record is kept for the next sweep, for _omega_lower
+        and to answer the same (kind, t) again.  A zero m's record
+        warm-starts nothing that a cold sweep would not: its upper ends
+        are 0, so a neighbour warm-started from it would solve every angle,
+        and goes cold (or solves the cold subgrid's stack, where that is
+        every angle), with the same bits.
         """
-        if (kind, t) not in self._omega:
-            value = math.inf
-            if fits(m):
-                record = self.near(kind, t)
-                est, upper = warm_sweep(m, self.theta_grid, self.refine,
-                                        record and record[1:3])
-                value = est.value
-                if m.any():
-                    bisect.insort(self._swept.setdefault(kind, []),
-                                  (t, m, upper, est.theta_star),
-                                  key=lambda r: r[0])
-            self._omega[kind, t] = value
-        return self._omega[kind, t]
+        record = self.near(kind, t)
+        if record and record[0] == t:
+            return record[4]
+        if not fits(m):
+            return math.inf
+        est, upper = warm_sweep(m, self.theta_grid, self.refine,
+                                record and record[1:3])
+        bisect.insort(self._swept.setdefault(kind, []),
+                      (t, m, upper, est.theta_star, est.value),
+                      key=lambda r: r[0])
+        return est.value
 
     def near(self, kind: str, t: float):
-        """The record (t', matrix, upper ends, peak angle) of kind whose t'
-        is nearest to t, and of two at the same distance the one at the
-        larger t'; None if none is kept.  The rounded distance does not
-        fall as t' moves away from t, so the nearest is a neighbour of t's
-        place in the sorted records."""
+        """The record (t', matrix, upper ends, peak angle, value) of kind
+        whose t' is nearest to t, and of two at the same distance the one
+        at the larger t'; None if none is kept.  The rounded distance does
+        not fall as t' moves away from t, so the nearest is a neighbour of
+        t's place in the sorted records."""
         records = self._swept.get(kind, [])
         i = bisect.bisect_left(records, t, key=lambda r: r[0])
         return min(reversed(records[max(i - 1, 0):i + 1]),
@@ -204,10 +199,11 @@ def _aluthge_weighted(ctx: BoundContext, t):
     sum under the root is convex (a log-convex function is convex, and a
     product of two is log-convex), and the bound is quasi-convex.
 
-    Where A_(1/2) = 0 its minimum is at t = 1/2 (_t_star).  The entries of
-    B(t) are sigma_i^(1-t) K_ij sigma_j^t over the singular directions
-    kept, so outside underflow B(t) is zero at every t in (0, 1) or at
-    none, and it is zero exactly where A^2 = W S K S V* is (A^2 = 0).
+    Where A_(1/2) = 0 its minimum is at t = 1/2 (its row's t_star).  The
+    entries of B(t) are sigma_i^(1-t) K_ij sigma_j^t over the singular
+    directions kept, so outside underflow B(t) is zero at every t in
+    (0, 1) or at none, and it is zero exactly where A^2 = W S K S V* is
+    (A^2 = 0).
     Then term_mod, term_sq and term_cross vanish, and the bound is
     sqrt(max_i(sigma_i^4t + sigma_i^4(1-t))/4 + ||A||^2/2)/2.  Each
     sigma^4t + sigma^4(1-t) = 2 sigma^2 cosh((4t - 2) ln sigma) is at
@@ -404,15 +400,32 @@ def _aluthge_lower(ctx: BoundContext, t: float) -> float:
     return 0.5 * math.sqrt(max(inner, 0.0))
 
 
+@dataclass(frozen=True)
+class _Weighted:
+    """How minimize_over_t minimises a weighted bound, the second slot of
+    its _BOUNDS row: kappa(ctx), the factor by which its exact values may
+    exceed its computed ones (_quasi_convex_scan); lower(ctx, t), a lower
+    end of its exact value at t that the scan takes in place of the value
+    (None: the value); t_star(ctx), its minimiser in closed form, or None;
+    and slope(ctx, t, width), its slope at an evaluated t for a search
+    within width of t, that the refinement takes secant steps on (None:
+    Brent's method alone).  The bound's docstring proves its t_star."""
+    kappa: Callable = lambda ctx: 1.0
+    lower: Callable | None = None
+    t_star: Callable = lambda ctx: None
+    slope: Callable | None = None
+
+
 def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
-                       kappa: float = 1.0, lower_at: Callable = None) -> None:
+                       row: _Weighted) -> None:
     """The scan of a bound that is quasi-convex in t: for i < j < k, its
     exact value V at t_j is at most the larger of those at t_i and t_k.
-    Its computed values V_c have V_c <= V <= kappa V_c, up to the rounding
-    that BRACKET_REL covers, so any lower end of V(t_j), V_c(t_j) or other,
-    over kappa is at most the larger of V_c(t_i) and V_c(t_k).
+    Its computed values V_c have V_c <= V <= kappa V_c, kappa =
+    row.kappa(ctx), up to the rounding that BRACKET_REL covers, so any
+    lower end of V(t_j), V_c(t_j) or other, over kappa is at most the
+    larger of V_c(t_i) and V_c(t_k).
 
-    The middle point is evaluated; if the lower ends lower_at(i) (the
+    The middle point is evaluated; if the lower ends row.lower (the
     values if None) of its neighbours, divided by kappa, lie above it
     (_above), the scan stops.  Else, on the lower ends, a gallop goes
     downhill from it in steps of 1, 2, 4, ... while they fall, and
@@ -425,11 +438,12 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
     minimum.  A flat objective is walked end to end, one point at a time;
     so is one that is +inf everywhere.
     """
-    size, lows = ts.size, {}
+    size, lows, kappa = ts.size, {}, row.kappa(ctx)
 
     def lower(i: int) -> float:
         if i not in lows:
-            lows[i] = (lower_at or value_at)(i)
+            lows[i] = (row.lower(ctx, float(ts[i])) if row.lower
+                       else value_at(i))
         return lows[i]
 
     def above(i: int, v: float) -> bool:
@@ -458,21 +472,12 @@ def _quasi_convex_scan(ctx: BoundContext, ts: np.ndarray, value_at: Callable,
             i += step
 
 
-def _aluthge_scan(ctx: BoundContext, ts: np.ndarray,
-                  value_at: Callable) -> None:
-    """aluthge-t's _quasi_convex_scan.  Its omega terms are sweeps on N
-    angles: each an attained g(theta), so at most omega, and the grid's
-    maximum, so at least omega cos(pi/N) (Johnson's outer polygon).  The
-    bound grows with both, so kappa = cos(pi/N)^(-1/2).  Its lower ends,
-    _aluthge_lower, solve no grid angle and lie below the exact value."""
-    _quasi_convex_scan(ctx, ts, value_at,
-                       math.cos(math.pi / ctx.theta_grid) ** -0.5,
-                       lambda i: _aluthge_lower(ctx, float(ts[i])))
-
-
-# Every catalog bound in the report's order, with the certified t-scan that
-# minimize_over_t runs for it, or None for a bound that is not minimised
-# over t.
+# Every catalog bound in the report's order, with None for a bound that is
+# not minimised over t, or its _Weighted row.  aluthge-t's omega terms are
+# sweeps on N angles: each an attained g(theta), so at most omega, and the
+# grid's maximum, so at least omega cos(pi/N) (Johnson's outer polygon).
+# The bound grows with both, so its kappa is cos(pi/N)^(-1/2).  Its lower
+# ends, _aluthge_lower, solve no grid angle and lie below the exact value.
 _BOUNDS = {
     "classic": (_classic, None),
     "kitt-sum": (_kitt_sum, None),
@@ -481,33 +486,20 @@ _BOUNDS = {
     "integral": (_integral, None),
     "integral-refined": (_integral_refined, None),
     "yamazaki": (_yamazaki, None),
-    "aluthge-t": (_aluthge_weighted, _aluthge_scan),
+    "aluthge-t": (_aluthge_weighted, _Weighted(
+        kappa=lambda ctx: math.cos(math.pi / ctx.theta_grid) ** -0.5,
+        lower=_aluthge_lower,
+        t_star=lambda ctx: None if ctx.aluthge(0.5).any() else 0.5,
+        slope=_aluthge_slope)),
     "aluthge-half": (lambda ctx, t: _aluthge_weighted(ctx, 0.5), None),
-    "weighted-power": (_weighted_power, _quasi_convex_scan),
-    "weighted-r": (_weighted_r, _quasi_convex_scan),
-    "product": (_product, _quasi_convex_scan),
-    "fourth-power": (_fourth_power, _quasi_convex_scan),
-    "schwarz-radius": (_schwarz_radius, _quasi_convex_scan),
+    "weighted-power": (_weighted_power, _Weighted()),
+    "weighted-r": (_weighted_r, _Weighted(t_star=lambda ctx: 0.5)),
+    "product": (_product, _Weighted(t_star=lambda ctx: 0.5)),
+    "fourth-power": (_fourth_power, _Weighted()),
+    "schwarz-radius": (_schwarz_radius, _Weighted()),
 }
 CATALOG_IDS = tuple(_BOUNDS)
-T_DEPENDENT_IDS = frozenset(bid for bid, (_, scan) in _BOUNDS.items()
-                            if scan)
-# The weighted bounds whose minimiser in t is known in closed form, with
-# that t (their docstrings prove it), which minimize_over_t takes with
-# refine on (see _t_star).
-_T_STAR = {"weighted-r": 0.5, "product": 0.5}
-# The weighted bounds whose slope in t minimize_over_t's refinement takes
-# secant steps on, with their slope at an evaluated t for a bracket width.
-_SLOPES = {"aluthge-t": _aluthge_slope}
-
-
-def _t_star(bound_id: str, ctx: BoundContext) -> float | None:
-    """The minimiser in t of bound_id on ctx's matrix where it is known in
-    closed form, else None: _T_STAR's, and 1/2 for aluthge-t where the
-    Aluthge transform A_(1/2) is zero (_aluthge_weighted proves both)."""
-    if bound_id == "aluthge-t" and not ctx.aluthge(0.5).any():
-        return 0.5
-    return _T_STAR.get(bound_id)
+T_DEPENDENT_IDS = frozenset(bid for bid, (_, row) in _BOUNDS.items() if row)
 
 
 def _evaluate(bound_id: str, ctx: BoundContext,
@@ -570,12 +562,11 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     a is a matrix, its core (polar._Spectral) or a BoundContext.  Grid
     scan over [T_MIN, 1 - T_MIN] followed, if the context's refine is on,
     by a refinement to the best value met between the best grid point's
-    neighbours: secant steps on the slope where _SLOPES has one
-    (optimize.secant_min), else or where they give up Brent's method, to
-    REFINE_TOL.  With refine on and more than one grid point, a bound
-    whose minimiser is known in closed form (_t_star: weighted-r and
-    product, and aluthge-t where A_(1/2) = 0, at 1/2) returns it and its
-    value after that one evaluation, with no scan and no refinement,
+    neighbours: secant steps on the slope where the bound's _BOUNDS row has
+    one (optimize.secant_min), else or where they give up Brent's method,
+    to REFINE_TOL.  With refine on and more than one grid point, a bound
+    whose row gives its minimiser in closed form (t_star) returns it and
+    its value after that one evaluation, with no scan and no refinement,
     unless that value is not finite; with refine off, it returns its grid
     minimum, as every bound does.
     Evaluations that overflow (the objective genuinely diverges when
@@ -603,7 +594,8 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
     ts = np.linspace(T_MIN, 1 - T_MIN, grid_points)
     if ctx.norm_a == 0:
         return float(ts[0]), _evaluate(bound_id, ctx, float(ts[0])).value
-    t_star = _t_star(bound_id, ctx) if ctx.refine and grid_points > 1 else None
+    row = _BOUNDS[bound_id][1]
+    t_star = row.t_star(ctx) if ctx.refine and grid_points > 1 else None
     if t_star is not None:
         value = _evaluate(bound_id, ctx, t_star).value
         if math.isfinite(value):
@@ -617,7 +609,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
                 raise NonFinite(f"{bound_id}: NaN at t={ts[i]}")
         return seen[i]
 
-    _BOUNDS[bound_id][1](ctx, ts, value_at)
+    _quasi_convex_scan(ctx, ts, value_at, row)
     best = min(sorted(seen), key=seen.get)
     t_star, value = float(ts[best]), seen[best]
     if not math.isfinite(value):
@@ -631,7 +623,7 @@ def minimize_over_t(bound_id: str, a, grid_points: int = DEFAULT_T_GRID):
             return _evaluate(bound_id, ctx, float(t)).value
 
         # the secant searches between t* and one of lo and hi
-        slope, width = _SLOPES.get(bound_id), max(t_star - lo, hi - t_star)
+        slope, width = row.slope, max(t_star - lo, hi - t_star)
         t_ref, v_ref = slope and secant_min(
             lambda t: (f(t), slope(ctx, t, width)), t_star, lo, hi,
             REFINE_TOL) or golden_min(f, lo, hi, REFINE_TOL)[:2]
@@ -653,12 +645,11 @@ def compare_all(a, t_grid: int = DEFAULT_T_GRID,
     in detail["error"]; the report is still produced.  Bounds are sorted
     ascending by value.  refine=False disables both the t-refinement and
     the theta refinement inside sweeps, for bulk campaigns where grid
-    accuracy suffices; with it on, weighted-r and product, and aluthge-t
-    on a square-zero matrix, are taken at their closed-form minimum,
-    t = 1/2, the other t*'s are refined by secant steps on the slope or
-    Brent's method (minimize_over_t), and omega and the sweeps of the
-    bounds are refined in theta by Newton steps, with Brent's method as
-    their fallback (radius.warm_sweep).
+    accuracy suffices; with it on, a bound is taken at the closed-form
+    minimum that its _BOUNDS row gives, or its t* is refined
+    (minimize_over_t), and omega and the sweeps of the bounds are refined
+    in theta by Newton steps, with Brent's method as their fallback
+    (radius.warm_sweep).
     """
     if isinstance(ids, str):
         raise ValueError(f"ids is the string {ids!r}; pass a sequence of "

@@ -40,8 +40,6 @@ def _parse_json(text: str) -> np.ndarray:
                          f"column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # too many digits or levels
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
     try:
         n = doc["n"]
         data = doc["data"]

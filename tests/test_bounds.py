@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -23,7 +24,7 @@ from numrad.matrix import NORM_MAX
 from numrad.optimize import golden_min
 from numrad.pointwise import kato
 from numrad.polar import T_MIN, _Spectral
-from numrad.radius import coarse_step, pruned_sweep
+from numrad.radius import coarse_step, pruned_sweep, warm_sweep
 from numrad.reference import SHIFT_234, SHIFT_342
 
 from conftest import (EXACT_OMEGA, EXAMPLE1, EXAMPLE2, JORDAN2,
@@ -606,9 +607,7 @@ def _closed_form(bound_id, a, grid_points, theta_grid, refine):
     minimum, or None where it scans: with refine on, on a grid of more
     than one point, on a nonzero matrix and where f(t*) is finite."""
     ctx = BoundContext(a, theta_grid, refine)
-    t_star = bounds._T_STAR.get(bound_id)
-    if bound_id == "aluthge-t" and not ctx.aluthge(0.5).any():
-        t_star = 0.5  # A_(1/2) = 0: A is square-zero
+    t_star = bounds._BOUNDS[bound_id][1].t_star(ctx)
     if not (t_star and refine and grid_points > 1 and ctx.norm_a > 0):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -632,7 +631,7 @@ def _assert_scans_agree(a, grid_points, theta_grid, refine):
             # the exact minimum, which the refinement only approaches
             assert got == closed, (bound_id, theta, on)
             assert got[1] <= want[1] * (1 + 1e-15), (bound_id, got, want)
-        elif on and bound_id in bounds._SLOPES and bracket:
+        elif on and bounds._BOUNDS[bound_id][1].slope and bracket:
             # the secant's refinement meets other points of Brent's bracket
             lo, hi = bracket
             assert lo <= got[0] <= hi, (bound_id, theta, got, bracket)
@@ -747,7 +746,7 @@ def test_aluthge_t_minimisation_solves_few_angles(monkeypatch):
     assert max(matrices) < 1001, max(matrices)
 
 
-def test_context_sweeps_warm_start_across_t_with_the_same_bits():
+def test_context_sweeps_warm_start_across_t_with_the_same_bits(monkeypatch):
     g = ginibre(np.random.default_rng(618), 6)
     for theta_grid, refine in ((720, True), (240, False), (17, True)):
         ctx = BoundContext(g, theta_grid, refine)
@@ -757,17 +756,44 @@ def test_context_sweeps_warm_start_across_t_with_the_same_bits():
             for kind, m in (("alu", alu), ("alu2", alu @ alu)):
                 assert ctx.sweep(kind, t, m) == pruned_sweep(
                     m, theta_grid, refine).value, (kind, t, theta_grid)
-    # a matrix that does not fit is inf and is not kept as a warm start
+    # a matrix that does not fit is inf and keeps no record
     ctx = BoundContext(g)
     assert ctx.sweep("alu", 0.3, np.full((6, 6), NORM_MAX)) == math.inf
     assert ctx.near("alu", 0.3) is None
     alu = ctx.aluthge(0.3001)
     assert ctx.sweep("alu", 0.3001, alu) == pruned_sweep(alu).value
-    # nor is a zero matrix: JORDAN2's A_t and A_t^2 are zero at every t
-    ctx = BoundContext(JORDAN2)
-    minimize_over_t("aluthge-t", ctx)
-    assert ctx._omega and all(ctx.near(kind, t) is None
-                              for kind, t in ctx._omega), ctx._swept
+    # a repeated (kind, t) is swept once, from its record, zero matrix or
+    # not: JORDAN2's A_t and A_t^2 are zero at every t
+    swept = []
+
+    def counted(m, *args):
+        swept.append(m)
+        return warm_sweep(m, *args)
+
+    monkeypatch.setattr(bounds, "warm_sweep", counted)
+    for a in (g, JORDAN2):
+        ctx = BoundContext(a, 240, False)
+        minimize_over_t("aluthge-t", ctx, 31)
+        records = {kind: ctx._swept[kind] for kind in ("alu", "alu2")}
+        count = len(swept)
+        assert count == sum(map(len, records.values())), (count, records)
+        for kind, kept in records.items():
+            for t, m, _, _, value in kept:
+                assert ctx.sweep(kind, t, m) == value
+            assert any(m.any() for _, m, *_ in kept) == (a is g)
+        assert len(swept) == count
+        swept.clear()
+    # a sweep warm-started from a zero matrix's record solves the angles of
+    # a cold one, with its bits, on a grid with a subgrid and on a prime one
+    rows = count_top_rows(monkeypatch)
+    for theta_grid in (720, 17):
+        want = pruned_sweep(g, theta_grid).value
+        cold, rows[:] = rows[:], []
+        ctx = BoundContext(g, theta_grid)
+        ctx.sweep("m", 0.3, np.zeros((6, 6), dtype=complex))
+        assert ctx.near("m", 0.31)[0] == 0.3
+        assert ctx.sweep("m", 0.31, g) == want and rows == cold, (rows, cold)
+        rows.clear()
 
 
 def test_nearest_swept_t_takes_the_larger_of_two_at_the_same_distance():
@@ -823,11 +849,20 @@ def test_a_default_report_keeps_its_evaluation_budget(name, monkeypatch):
 
 
 def test_quasi_convex_scan_visits_few_points(monkeypatch):
-    # every weighted bound has it, aluthge-t's widened for its sweeps
-    scans = {bid: scan for bid, (_, scan) in bounds._BOUNDS.items() if scan}
-    special = {"aluthge-t": bounds._aluthge_scan}
-    assert scans == {bid: bounds._quasi_convex_scan for bid in scans
-                     if bid not in special} | special
+    # every weighted bound has a row; aluthge-t's widens the scan for its
+    # sweeps and takes lower ends and a slope, weighted-r's and product's
+    # give t* = 1/2, and the others keep the defaults
+    rows = {bid: row for bid, (_, row) in bounds._BOUNDS.items() if row}
+    alu = rows.pop("aluthge-t")
+    ctx = BoundContext(SHIFT_234, 240)
+    assert alu.kappa(ctx) == math.cos(math.pi / 240) ** -0.5
+    assert alu.lower is bounds._aluthge_lower
+    assert alu.slope is bounds._aluthge_slope
+    assert alu.t_star(ctx) is None and alu.t_star(BoundContext(JORDAN2)) == 0.5
+    for bid, row in rows.items():
+        assert (row.kappa(ctx), row.lower, row.slope) == (1, None, None), bid
+        assert row.t_star(ctx) == (0.5 if bid in ("weighted-r", "product")
+                                   else None), bid
     g = ginibre(np.random.default_rng(617), 8)
     for bound_id in sorted(T_DEPENDENT_IDS):
         calls = _count_scalar_calls(monkeypatch, bound_id)
@@ -1169,7 +1204,9 @@ def _refined_both_ways(monkeypatch, a):
         got = (*minimize_over_t("aluthge-t", a), calls[:])
     calls.clear()
     with monkeypatch.context() as m:
-        m.delitem(bounds._SLOPES, "aluthge-t")
+        bound, row = bounds._BOUNDS["aluthge-t"]
+        m.setitem(bounds._BOUNDS, "aluthge-t",
+                  (bound, dataclasses.replace(row, slope=None)))
         want = (*minimize_over_t("aluthge-t", a), calls[:])
     return got, want, results
 

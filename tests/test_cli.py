@@ -9,11 +9,13 @@ import pytest
 from click.testing import CliRunner
 
 import numrad
-from numrad import (CATALOG_IDS, DimensionMismatch, DomainError, ParseError,
-                    bounds, campaign, parse_matrix, serialize_matrix)
+from numrad import (CATALOG_IDS, DimensionMismatch, DomainError, NonFinite,
+                    ParseError, bounds, campaign, parse_matrix, reference,
+                    serialize_matrix)
 from numrad.campaign import (CSV_COLUMNS, TOL_SLACK, CampaignConfig,
                              run_campaign, run_trial)
 from numrad.cli import main
+from numrad.ensembles import sample
 from numrad.radius import pruned_sweep
 
 from conftest import EXAMPLE1, ginibre
@@ -83,6 +85,22 @@ def test_parse_errors():
         parse_matrix('{"n": 1, "data": [[[1%s, 0]]]}' % ("0" * 5000))
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_matrix('{"n": 1, "data": %s}' % ("[" * 10**5 + "]" * 10**5))
+
+
+def test_parse_errors_of_bytes_rows_and_cells():
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_matrix(b"1, 2\n3, \xff\n")
+    with pytest.raises(DimensionMismatch, match="row 1 must have 2 entries"):
+        parse_matrix('{"n": 2, "data": [[[1, 0], [0, 0]], [[1, 0]]]}')
+    for cell in ("inf", "nan"):
+        with pytest.raises(ParseError, match="line 2, field 1: value is not "
+                                             "finite"):
+            parse_matrix(f"1, 2\n{cell}, 4\n")
+
+
+def test_parse_csv_skips_blank_lines():
+    out = parse_matrix("0, 2, 0\n\n  \n0, 0, 3\n4, 0, 0\n\n")
+    assert np.array_equal(out, EXAMPLE1)
 
 
 @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
@@ -221,6 +239,18 @@ def test_cli_bounds_csv_sends_why_a_bound_failed_to_stderr(runner, tmp_path):
                              "overflowed (e.g. t=0.001)\n")
 
 
+def test_cli_bounds_exits_2_when_no_bound_is_finite(runner, tmp_path):
+    # at 1e300 product's every evaluation overflows
+    path = tmp_path / "huge.json"
+    path.write_bytes(serialize_matrix(1e300 * np.eye(2, dtype=complex)))
+    result = runner.invoke(main, ["bounds", str(path), "--bound", "product",
+                                  "--format", "csv", "--t-grid", "21",
+                                  "--theta-grid", "240"])
+    assert result.exit_code == 2
+    assert result.stdout.splitlines()[1] == "product,,nan,"
+    assert result.stderr.startswith("error: product: ")
+
+
 def test_cli_bounds_table_flags_a_bound_below_omega_at_a_small_scale(
         runner, tmp_path, monkeypatch):
     path = tmp_path / "small.json"
@@ -336,6 +366,30 @@ def test_cli_fuzz_bad_config(runner):
         assert option in result.output
 
 
+def test_cli_fuzz_exits_1_on_a_violation_row(runner, monkeypatch):
+    def unsound(ctx, t):
+        return 0.5 * ctx.sweep("a", 1.0, ctx.a), {}
+
+    monkeypatch.setitem(bounds._BOUNDS, "kitt-sum", (unsound, None))
+    result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
+                                  "--dim", "3", "--trials", "2"])
+    assert result.exit_code == 1
+    assert result.stderr == "2 violation row(s)\n"
+    assert len(result.stdout.splitlines()) == 3
+
+
+def test_cli_fuzz_exits_2_on_a_numrad_error(runner, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NonFinite("a trial overflowed")
+
+    monkeypatch.setattr("numrad.cli.run_campaign", failing)
+    result = runner.invoke(main, ["fuzz", "--ensemble", "ginibre",
+                                  "--dim", "2", "--trials", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: a trial overflowed\n"
+    assert result.stdout == ""
+
+
 def test_cli_fuzz_lets_a_programming_error_propagate(runner, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a fault in the campaign")
@@ -396,6 +450,11 @@ def test_campaign_config_rejects_a_bad_seed_or_ensemble(field, value, match):
     fields = {"ensemble": "ginibre", "dim": 3, "trials": 1, "seed": 0}
     with pytest.raises(ValueError, match=match):
         CampaignConfig(**{**fields, field: value})
+
+
+def test_sample_rejects_an_unknown_ensemble():
+    with pytest.raises(ValueError, match="unknown ensemble 'nope'"):
+        sample("nope", 3, np.random.default_rng(0))
 
 
 def test_campaign_config_takes_negative_and_numpy_seeds():
@@ -520,6 +579,18 @@ def test_cli_reproduce_examples(runner):
     assert not any("FAIL" in line for line in lines)
     assert all(line.endswith("PASS") for line in lines)
     assert result.exit_code == 0
+
+
+def test_cli_reproduce_examples_exits_1_when_a_figure_fails(runner,
+                                                           monkeypatch):
+    monkeypatch.setattr(reference, "kittaneh_sum",
+                        lambda a: bounds.BoundValue("kitt-sum", None, 3.6))
+    result = runner.invoke(main, ["reproduce-examples"])
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 7 and result.exit_code == 1
+    assert [line for line in lines if line.endswith("FAIL")] == [
+        f"example{k}.kitt-sum = 3.600000 (target 3.5 ± 1e-09) FAIL"
+        for k in (1, 2)]
 
 
 def test_importing_numrad_loads_neither_the_process_pool_nor_click():

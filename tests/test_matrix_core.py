@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numrad import (DomainError, NotHermitian, NotPSD, NumradError, adjoint,
-                    compare_all, frac_power, hermitian_eigen, radius_sweep,
-                    real_part, spectral_norm, spectral_radius, svd)
+from numrad import (DomainError, NoConvergence, NotHermitian, NotPSD,
+                    NumradError, adjoint, compare_all, frac_power,
+                    hermitian_eigen, radius_sweep, real_part, spectral_norm,
+                    spectral_radius, svd)
 from numrad.matrix import as_matrix
 from numrad.polar import abs_value
 from numrad.pointwise import log_convexity, log_convexity_midpoint
@@ -212,6 +213,11 @@ def test_frac_power_rejects_zero_exponent(rng):
         frac_power(random_psd(rng, 3), 0)
 
 
+def test_frac_power_rejects_a_negative_exponent(rng):
+    with pytest.raises(DomainError, match="nonnegative"):
+        frac_power(random_psd(rng, 3), -0.5)
+
+
 @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
 def test_frac_power_rejects_a_non_finite_exponent(r):
     # at r = nan, 2 I would give a NaN matrix and I would give I
@@ -235,6 +241,27 @@ def test_frac_power_composition(seed, a, b):
     lhs = frac_power(frac_power(p, a), b)
     rhs = frac_power(p, a * b)
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-9 * max(1, np.linalg.norm(rhs, 2))
+
+
+@pytest.mark.parametrize("s, u", [(0.0, 0.5), (0.5, 0.0), (1.5, 0.5),
+                                  (0.5, 1.5), (-0.5, 0.5)])
+def test_log_convexity_midpoint_rejects_s_or_u_outside_the_window(rng, s, u):
+    p, q = random_psd(rng, 3), random_psd(rng, 3)
+    with pytest.raises(DomainError, match=r"s, u must lie in \(0, 1\]"):
+        log_convexity_midpoint(p, q, s, u)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("eigh", lambda: hermitian_eigen(np.eye(2))),
+    ("svd", lambda: svd(EXAMPLE1)),
+    ("eigvals", lambda: spectral_radius(EXAMPLE1))])
+def test_a_linalg_error_is_no_convergence(name, call, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    with pytest.raises(NoConvergence, match=f"{name} did not converge"):
+        call()
 
 
 def test_log_convexity_grid(rng):

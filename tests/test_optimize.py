@@ -196,6 +196,17 @@ def test_secant_min_gives_none_at_a_kink():
     assert got is None and len(calls) == SECANT_STEPS_MAX + 2
 
 
+def test_secant_min_returns_its_best_point_after_a_step_in_a_narrow_bracket():
+    # the bracket [0.29, 0.305] is under tol wide: one step, to the root of
+    # the linear f', and no test of its slope
+    calls = []
+    got = secant_min(traced(lambda t: ((t - 0.3) ** 2, 2 * (t - 0.3)),
+                            calls), 0.305, 0.29, 0.31, 0.1)
+    assert calls[:2] == [0.305, 0.29] and len(calls) == 3
+    assert got == (calls[2], (calls[2] - 0.3) ** 2)
+    assert abs(calls[2] - 0.3) < 1e-15
+
+
 def test_secant_min_gives_none_where_a_slope_is_none():
     for none_at in (0.3, 0.2, 0.25):
         calls = []
