@@ -57,6 +57,9 @@ def test_serialize_rejects_what_parse_would_not_read_back(m, match):
 def test_parse_csv():
     out = parse_matrix("0, 2, 0\n0, 0, 3\n4, 0, 0\n")
     assert np.array_equal(out, EXAMPLE1)
+    # blank lines are skipped
+    out = parse_matrix("0, 2, 0\n\n  \n0, 0, 3\n4, 0, 0\n\n")
+    assert np.array_equal(out, EXAMPLE1)
 
 
 def test_parse_errors():
@@ -85,9 +88,6 @@ def test_parse_errors():
         parse_matrix('{"n": 1, "data": [[[1%s, 0]]]}' % ("0" * 5000))
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_matrix('{"n": 1, "data": %s}' % ("[" * 10**5 + "]" * 10**5))
-
-
-def test_parse_errors_of_bytes_rows_and_cells():
     with pytest.raises(ParseError, match="not UTF-8"):
         parse_matrix(b"1, 2\n3, \xff\n")
     with pytest.raises(DimensionMismatch, match="row 1 must have 2 entries"):
@@ -96,11 +96,6 @@ def test_parse_errors_of_bytes_rows_and_cells():
         with pytest.raises(ParseError, match="line 2, field 1: value is not "
                                              "finite"):
             parse_matrix(f"1, 2\n{cell}, 4\n")
-
-
-def test_parse_csv_skips_blank_lines():
-    out = parse_matrix("0, 2, 0\n\n  \n0, 0, 3\n4, 0, 0\n\n")
-    assert np.array_equal(out, EXAMPLE1)
 
 
 @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
