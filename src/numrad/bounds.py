@@ -129,11 +129,6 @@ class BoundContext(_Spectral):
                    key=lambda r: abs(r[0] - t), default=None)
 
 
-def _sqrt_or_inf(inner: float) -> float:
-    """sqrt(inner) where inner is finite, inf where it is not."""
-    return math.sqrt(inner) if math.isfinite(inner) else math.inf
-
-
 def _classic(ctx: BoundContext, t):
     return ctx.norm_a, {"lower": ctx.norm_a / 2}
 
@@ -220,7 +215,8 @@ def _aluthge_weighted(ctx: BoundContext, t):
     term_sq = 0.5 * wa2
     term_cross = cross * wa
     inner = term_pow4 + term_norm + term_mod + term_sq + term_cross
-    return 0.5 * _sqrt_or_inf(inner), {
+    # NaN where term_cross is inf * 0: X's powers overflow and A_t = 0
+    return 0.5 * (math.sqrt(inner) if math.isfinite(inner) else math.inf), {
         "inner": inner, "term_pow4": term_pow4, "term_norm": term_norm,
         "term_mod": term_mod, "term_sq": term_sq, "term_cross": term_cross,
         "omega_aluthge": wa, "omega_aluthge_sq": wa2}
@@ -291,7 +287,7 @@ def _weighted_power(ctx: BoundContext, t):
     """
     m = (1 - t) * ctx.xpow(1 / (1 - t)) + t * ctx.ypow(1 / t)
     inner = hnorm(m)
-    return _sqrt_or_inf(inner), {"inner": inner}
+    return math.sqrt(inner), {"inner": inner}
 
 
 def _weighted_r(ctx: BoundContext, t):
@@ -308,7 +304,7 @@ def _weighted_r(ctx: BoundContext, t):
     d = ctx.xpow(1.0) - ctx.ypow(1.0)
     m = ctx.xpow(2.0) + ctx.ypow(2.0) - c * (d @ d)
     inner = 0.5 * hnorm(m)
-    return _sqrt_or_inf(inner), {"inner": inner}
+    return math.sqrt(inner), {"inner": inner}
 
 
 def _product(ctx: BoundContext, t):
@@ -339,7 +335,7 @@ def _fourth_power(ctx: BoundContext, t):
     m = ((ctx.xpow(4 * (1 - t)) + ctx.ypow(4 * t)) / 4
          + ((1 - t) * ctx.xpow(2.0) + t * ctx.ypow(2.0)) / 2)
     inner = hnorm(m)
-    return _sqrt_or_inf(inner), {"inner": inner}
+    return math.sqrt(inner), {"inner": inner}
 
 
 def _schwarz_radius(ctx: BoundContext, t):
@@ -353,8 +349,8 @@ def _schwarz_radius(ctx: BoundContext, t):
     m = t * ctx.xpow(2 / t) + (1 - t) * ctx.ypow(2 / (1 - t))
     # A^2 = A_1^2, the one matrix of its kind
     wa2 = ctx.sweep("a2", 1.0, ctx.a @ ctx.a)
-    inner = 0.5 * (_sqrt_or_inf(hnorm(m)) + wa2)
-    return _sqrt_or_inf(inner), {"inner": inner, "omega_a_squared": wa2}
+    inner = 0.5 * (math.sqrt(hnorm(m)) + wa2)
+    return math.sqrt(inner), {"inner": inner, "omega_a_squared": wa2}
 
 
 # ---------------------------------------------------------------------------

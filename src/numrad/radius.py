@@ -1,10 +1,10 @@
 """Numerical radius: angle-sweep computation and a sampling oracle.
 
 The sweep evaluates g(theta) = lambda_max(Re(e^{i theta} A)) on a uniform
-grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the
-same bits and warm-started from a nearby matrix's sweep, and
-refines around the best grid point by safeguarded Newton steps, or, in
-radius_sweep, by Brent's method, their fallback; its peak angle lets a
+grid over [0, 2pi), whole or pruned by Johnson's outer polygon with the same
+bits and warm-started from a nearby matrix's sweep, and refines around the
+best grid point by safeguarded Newton steps (a flat or zero g keeps it), or,
+in radius_sweep, by Brent's method, their fallback; its peak angle lets a
 nearby matrix M take ||Re(e^{i theta} M)|| <= omega(M) from one eigensolve.
 The oracle maximizes |<Ax,x>| over sampled unit vectors with a monotone
 phase-aligned ascent, providing an independent lower estimate.
@@ -28,8 +28,8 @@ DEFAULT_THETA_TOL = 1e-10
 # The most Newton steps a refinement takes before it falls back to Brent's
 # method.
 NEWTON_STEPS_MAX = 8
-# g'' over the largest |lambda| within n times this of 0 is rounding noise:
-# g is flat (a disk-shaped field of values), and Newton's steps stop.
+# g'' or g' over the largest |lambda| within n times this of 0 is rounding
+# noise; where both are, g is flat (a disk-shaped field of values).
 NEWTON_FLAT = 8 * np.finfo(float).eps
 DEFAULT_ASCENT_STEPS = 50
 # Largest angle step of the subgrid that a cold sweep solves first.
@@ -52,8 +52,8 @@ def splitmix64(seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class RadiusEstimate:
     """A sweep's value = g(theta_star) on a grid of N = grid_points angles;
-    refine_width is 4pi/N unrefined (the refinement's bracket), Brent's
-    final bracket width, or the length of Newton's last step."""
+    refine_width is 4pi/N unrefined or of a zero matrix (the bracket),
+    Brent's final bracket width, or the length of Newton's last step."""
     value: float
     theta_star: float
     grid_points: int
@@ -90,8 +90,9 @@ def _lambda_max_rotated(a, theta: float) -> float:
 def _newton_step(a, theta: float, gap_min: float):
     """(g(theta), the Newton step -g'/g'' towards the peak of g) from one
     eigh of H = Re(e^{i theta} A) = V diag(lambda) V*; None where
-    lambda_1 - lambda_2 is at most gap_min > 0 or g'' is not below
-    -NEWTON_FLAT n, its rounding level.
+    lambda_1 - lambda_2 is at most gap_min > 0.  Where |g''| and |g'| are
+    both within NEWTON_FLAT n, their rounding level, g is flat and the
+    step is 0; else, where g'' is not below -NEWTON_FLAT n, None.
     With H' = Re(i e^{i theta} A) and c = V* H' v_1, g' = c_1 and, as
     H'' = -H, g'' = -lambda_1 + 2 sum_{k>1} |c_k|^2 / (lambda_1 - lambda_k)
     (Overton, SIAM J. Matrix Anal. Appl. 9, 1988); both are taken over the
@@ -106,7 +107,10 @@ def _newton_step(a, theta: float, gap_min: float):
     c = v.conj().T @ ((1j * p * a - 1j * np.conj(p) * a.conj().T) / 2
                       @ v[:, -1]) / s
     g2 = 2 * (abs(c[:-1]) ** 2 / gap).sum() - w[-1] / s
-    if not g2 < -NEWTON_FLAT * w.size:
+    flat = NEWTON_FLAT * w.size
+    if abs(g2) <= flat and abs(c[-1].real) <= flat:  # g is flat: stay
+        return float(w[-1]), 0.0
+    if not g2 < -flat:
         return None
     return float(w[-1]), float(-c[-1].real / g2)
 
@@ -212,11 +216,13 @@ def _grid_estimate(g, thetas, grid_points: int) -> RadiusEstimate:
 def _refined(a, est: RadiusEstimate) -> RadiusEstimate:
     """radius_sweep's refinement of an unrefined sweep estimate est of a:
     Brent's method on g over est's bracket theta_g +- 2pi/N, kept where
-    it finds no value above est's.  Of a zero a it searches the constant
-    0.0, with no eigensolve."""
+    it finds no value above est's.  Of a zero a it is est, whose theta_g
+    is the grid angle 0: g is 0 at every angle."""
+    if not a.any():
+        return est
     half, theta_g = np.pi / est.grid_points, est.theta_star
     theta, value, width = golden_max(
-        partial(_lambda_max_rotated, a) if a.any() else lambda th: 0.0,
+        partial(_lambda_max_rotated, a),
         theta_g - 2 * half, theta_g + 2 * half, DEFAULT_THETA_TOL)
     if est.value > value:
         theta, value = theta_g, est.value
@@ -239,10 +245,10 @@ def newton_refined(a, est: RadiusEstimate) -> RadiusEstimate:
     est.value / cos(pi/N), as the grid angle nearest the peak of g lies
     within pi/N of it.  So lambda_1 stays simple over the bracket where
     lambda_1 - lambda_2 > reach = 2 (2pi/N) est.value / cos(pi/N) at
-    theta_g, and each step asks that gap.  Where the gap is not there, g''
-    is not below its rounding level (g is flat), a step leaves the
-    bracket, NEWTON_STEPS_MAX steps do not converge, or the grid value is
-    not positive (a is zero), it returns _refined(a, est), with
+    theta_g, and each step asks that gap.  A flat g gives a zero step, and
+    keeps the grid peak.  Where the gap is not there, g'' alone is at its
+    rounding level, a step leaves the bracket, NEWTON_STEPS_MAX steps do
+    not converge, or a is zero, it returns _refined(a, est), with
     radius_sweep's bits.  It trusts its caller, as warm_sweep does."""
     grid_points, theta_g = est.grid_points, est.theta_star
     half = np.pi / grid_points

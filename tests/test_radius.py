@@ -473,7 +473,7 @@ def test_warm_sweep_solves_few_angles_near_and_falls_back_far(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_sweep_of_a_zero_matrix_solves_no_angle(n, monkeypatch):
     # g is 0 at every angle: pruned_sweep skips the grid stage, and its
-    # refinement takes no Newton step and searches the constant 0.0, with
+    # refinement takes no Newton step and keeps the grid estimate, with
     # radius_sweep's bits
     zero = np.zeros((n, n))
     for grid_points, refine in ((720, True), (240, False), (360, True),
@@ -567,29 +567,12 @@ def test_newton_refinement_falls_back_to_brent_with_its_bits(monkeypatch):
             0.0, abs=1e-12)
         assert (repr(radius.newton_refined(a, grid))
                 == repr(radius_sweep(a)))
-    # a flat g: 1/2 at every angle of JORDAN2, whose field of values is a
-    # disk, so g'' is rounding noise at the grid angle, and one step
-    # falls back
+    # g'' is 0 to rounding at 0, but g' = -1/2: g is not flat there, so
+    # there is no step, rather than a zero step that would keep g(0) = 1
+    a = np.diag([1.0, 0.0]) + 1j * np.array([[0.5, 2 ** -0.5],
+                                             [2 ** -0.5, 0.0]])
+    assert radius._newton_step(a, 0.0, 0.0) is None
     step = radius._newton_step
-    with monkeypatch.context() as m:
-        steps = []
-        m.setattr(radius, "_newton_step",
-                  lambda *args: steps.append(args) or step(*args))
-        grid = pruned_sweep(JORDAN2, radius.DEFAULT_GRID, False)
-        assert (repr(radius.newton_refined(JORDAN2, grid))
-                == repr(radius_sweep(JORDAN2)))
-    assert len(steps) == 1
-    # a zero matrix, such as JORDAN2^2, goes to the search of the constant
-    # 0.0 with no eigensolve, with radius_sweep's bits
-    zero = JORDAN2 @ JORDAN2
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *args: calls.append(args) or eigh(*args))
-    est = warm_sweep(zero, radius.DEFAULT_GRID)[0]
-    assert BoundContext(JORDAN2).sweep("a2", 1.0, zero) == 0.0
-    assert calls == []
-    monkeypatch.undo()
-    assert repr(est) == repr(radius_sweep(zero))
     # a step that leaves the bracket, here every step
     monkeypatch.setattr(radius, "_newton_step",
                         lambda a, theta, gap_min: (step(a, theta, gap_min)[0],
@@ -599,11 +582,51 @@ def test_newton_refinement_falls_back_to_brent_with_its_bits(monkeypatch):
             == repr(radius_sweep(SHIFT_234)))
 
 
+def test_a_flat_or_zero_g_keeps_its_grid_peak(monkeypatch):
+    # g is 1/2 at every angle of JORDAN2, whose field of values is a disk:
+    # g'' and g' are rounding noise at the grid angle, and one zero step
+    # keeps the grid peak, with radius_sweep's value
+    grid = pruned_sweep(JORDAN2, radius.DEFAULT_GRID, False)
+    assert radius._newton_step(JORDAN2, grid.theta_star, 0.0) == (
+        grid.value, 0.0)
+    est = pruned_sweep(JORDAN2)
+    assert (est.value, est.theta_star) == (grid.value, grid.theta_star)
+    assert est.refine_width == 0.0
+    assert est.value == radius_sweep(JORDAN2).value
+    for sweep in (compare_all, pruned_sweep):
+        with monkeypatch.context() as m:
+            calls = {"_lambda_max_rotated": 0, "_newton_step": 0}
+            for name in calls:
+                def counted(*args, name=name, f=getattr(radius, name)):
+                    calls[name] += 1
+                    return f(*args)
+
+                m.setattr(radius, name, counted)
+            sweep(JORDAN2)
+        assert calls == {"_lambda_max_rotated": 0, "_newton_step": 1}
+    # a zero matrix, such as JORDAN2^2, keeps its grid estimate, at the
+    # grid angle 0, with no eigensolve and no search
+    zero = JORDAN2 @ JORDAN2
+    calls, eigh, golden_max = [], np.linalg.eigh, radius.golden_max
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh",
+                  lambda *args: calls.append(args) or eigh(*args))
+        m.setattr(radius, "golden_max",
+                  lambda *args: calls.append(args) or golden_max(*args))
+        assert BoundContext(JORDAN2).sweep("a2", 1.0, zero) == 0.0
+        ests = [radius_sweep(zero), pruned_sweep(zero),
+                compare_all(zero, ids=()).omega]
+    assert calls == []
+    for est in ests:
+        assert repr(est) == repr(radius_sweep(zero, refine=False))
+        assert est.theta_star == 0.0
+
+
 def test_the_library_refines_each_sweep_one_way(monkeypatch):
     # pruned_sweep (and so numrad radius and power_check) and compare_all's
     # omega take the same refinement, bit for bit: Newton's steps, with
-    # Brent's method as their fallback (JORDAN2's flat g, the zero matrix,
-    # the triple lambda_max of 2 I)
+    # Brent's method as their fallback (the triple lambda_max of 2 I);
+    # JORDAN2's flat g and the zero matrix keep their grid peaks
     rng = np.random.default_rng(661)
     mats = [sample(ens, n, rng) for ens in ENSEMBLES for n in (2, 3, 5, 8)]
     for a in mats + [SHIFT_234, SHIFT_342, JORDAN2, np.zeros((3, 3)),
